@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -104,11 +105,22 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _manifest_field(obj, path: str, within: str = ""):
+    """The value at the dotted ``path`` of a manifest object; a ConfigError
+    naming the field (prefixed by ``within``) when it is absent."""
+    for key in path.split("."):
+        if not isinstance(obj, dict) or key not in obj:
+            raise ConfigError(f"manifest lacks field {within}{path}")
+        obj = obj[key]
+    return obj
+
+
 def _load_run(run_dir: Path):
     manifest = _load_json(run_dir / "manifest.json", "manifest")
     circuits = []
-    for entry in manifest.get("experiment", {}).get("circuits", []):
-        path = run_dir / "circuits" / f"{entry['id']}.txt"
+    for i, entry in enumerate(_manifest_field(manifest, "experiment.circuits")):
+        circuit_id = _manifest_field(entry, "id", f"experiment.circuits[{i}].")
+        path = run_dir / "circuits" / f"{circuit_id}.txt"
         if not path.exists():
             raise ConfigError(f"circuit file {path} listed in the manifest is missing")
         try:
@@ -131,19 +143,19 @@ def cmd_simulate(args) -> int:
     gaps = dio.model_coverage_gaps(model, circuits)
     if gaps:
         raise RunFailure(f"model does not cover gate(s): {', '.join(gaps)}")
-    shots = args.shots if args.shots is not None else manifest["experiment"]["shots"]
+    shots = args.shots if args.shots is not None else _manifest_field(manifest, "experiment.shots")
     if shots < 1:
         raise ConfigError("--shots must be positive")
     seed = args.seed
     if seed is None:
         seed = _env_seed()
     if seed is None:
-        seed = manifest["master_seed"]
+        seed = _manifest_field(manifest, "master_seed")
     threads = args.threads or os.cpu_count() or 1
     provenance = {
         "tool": dio.TOOL_VERSION,
         "run": run_dir.as_posix(),
-        "protocol": manifest["experiment"]["protocol"],
+        "protocol": _manifest_field(manifest, "experiment.protocol"),
         "n": n,
         "model": args.model,
         "shots": shots,
@@ -185,6 +197,8 @@ def _parse_mixing(rows: list[str], count: int) -> tuple[tuple[float, ...], ...]:
         parsed = [tuple(float(v) for v in row.split(",")) for row in rows]
     except ValueError:
         raise ConfigError("--mixing rows must be comma-separated numbers") from None
+    if not all(math.isfinite(v) for row in parsed for v in row):
+        raise ConfigError("--mixing entries must be finite numbers")
     if len(parsed) == 1 and count == 2 and len(parsed[0]) == 2:
         # symmetric two-sampler shorthand: the second row is the mirror
         parsed.append((parsed[0][1], parsed[0][0]))
@@ -215,6 +229,7 @@ def cmd_analyze(args) -> int:
         if not data.rows:
             raise ConfigError(f"dataset {path} has no rows")
         datasets.append((path, data))
+    matrix = _parse_mixing(args.mixing, len(datasets)) if args.mixing else None
     seed = args.seed
     if seed is None:
         seed = _env_seed()
@@ -264,8 +279,7 @@ def cmd_analyze(args) -> int:
             }
         )
     results: dict = {"tool": dio.TOOL_VERSION, "runs": runs}
-    if args.mixing:
-        matrix = _parse_mixing(args.mixing, len(runs))
+    if matrix is not None:
         try:
             system = solve_category_rates(
                 RateSystem(

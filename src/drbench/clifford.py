@@ -305,7 +305,8 @@ def one_qubit_clifford_table() -> tuple[CliffordOp, ...]:
     """The 24 single-qubit Cliffords, ordered lexicographically by (s, v).
 
     The label ``C<k>`` refers to position k in this tuple.  The identity
-    sits at C8.
+    sits at C8.  Products over positions follow :func:`compose`:
+    ``product[a][b]`` is the position of C<a> after C<b> (C<b> acts first).
     """
     ops = []
     for flat in sorted(
@@ -447,27 +448,48 @@ def circuit_to_clifford(circuit: Circuit, n: int | None = None) -> CliffordOp:
 # Stabilizer states
 
 
-def _gf2_row_reduce_with_phases(mat: np.ndarray, paulis: list[PauliOp]) -> tuple[np.ndarray, list[PauliOp]]:
-    """RREF of the generator matrix, multiplying generators to eliminate."""
-    rows = list(paulis)
-    m = mat.copy()
-    n_rows, n_cols = m.shape
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i, c]), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(n_rows):
-            if i != r and m[i, c]:
-                m[i] ^= m[r]
-                rows[i] = rows[i] * rows[r]
-        r += 1
-        if r == n_rows:
+def _gf2_rref(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Reduced row echelon form of a binary matrix over GF(2).
+
+    Returns (r, t, pivots): r is the RREF, t the invertible row transform
+    with ``t @ m = r`` (mod 2), and row i < len(pivots) of r has its
+    leading one in column pivots[i]; the remaining rows are zero.
+    """
+    r = np.asarray(m, dtype=np.uint8) % 2
+    rows, cols = r.shape
+    t = np.eye(rows, dtype=np.uint8)
+    pivots: list[int] = []
+    for c in range(cols):
+        k = len(pivots)
+        if k == rows:
             break
-    return m, rows
+        hits = np.flatnonzero(r[k:, c])
+        if not hits.size:
+            continue
+        p = k + int(hits[0])
+        if p != k:
+            r[[k, p]] = r[[p, k]]
+            t[[k, p]] = t[[p, k]]
+        others = r[:, c].astype(bool)
+        others[k] = False
+        r[others] ^= r[k]
+        t[others] ^= t[k]
+        pivots.append(c)
+    return r, t, pivots
+
+
+def _gf2_row_reduce_with_phases(paulis: Sequence[PauliOp]) -> list[PauliOp]:
+    """Commuting Hermitian generators re-mixed so their (x | z) matrix is in RREF.
+
+    Row i becomes the product of the generators that row i of the
+    elimination transform selects; the generators commute, so the order
+    of that product does not change its phase.
+    """
+    _, t, _ = _gf2_rref(np.stack([g.vec for g in paulis]))
+    return [
+        functools.reduce(PauliOp.__mul__, (paulis[k] for k in np.flatnonzero(sel)))
+        for sel in t
+    ]
 
 
 class StabilizerState:
@@ -509,18 +531,7 @@ class StabilizerState:
         return np.stack([g.vec for g in self.generators])
 
     def _rank(self) -> int:
-        m = self._matrix().copy()
-        rank = 0
-        for c in range(m.shape[1]):
-            pivot = next((i for i in range(rank, m.shape[0]) if m[i, c]), None)
-            if pivot is None:
-                continue
-            m[[rank, pivot]] = m[[pivot, rank]]
-            for i in range(m.shape[0]):
-                if i != rank and m[i, c]:
-                    m[i] ^= m[rank]
-            rank += 1
-        return rank
+        return len(_gf2_rref(self._matrix())[2])
 
     @classmethod
     def zero_state(cls, n: int) -> "StabilizerState":
@@ -547,8 +558,7 @@ class StabilizerState:
     def canonicalize(self) -> "StabilizerState":
         if self.canonical:
             return self
-        _, rows = _gf2_row_reduce_with_phases(self._matrix(), list(self.generators))
-        return StabilizerState(rows, canonical=True, validate=False)
+        return StabilizerState(_gf2_row_reduce_with_phases(self.generators), canonical=True, validate=False)
 
     def to_basis_bits(self) -> np.ndarray | None:
         """Bits b with state = |b> when this is a computational basis state."""
@@ -611,14 +621,4 @@ def is_eigenstate(state: StabilizerState, p: PauliOp) -> bool:
     """
     if p.n != state.n:
         raise ValueError("qubit-count mismatch")
-    mat = state.canonicalize()._matrix()
-    target = p.vec.copy()
-    r = 0
-    for c in range(mat.shape[1]):
-        if r < mat.shape[0] and mat[r, c]:
-            if target[c]:
-                target ^= mat[r]
-            r += 1
-        elif target[c]:
-            return False
-    return not target.any()
+    return len(_gf2_rref(np.vstack([state._matrix(), p.vec]))[2]) == state.n

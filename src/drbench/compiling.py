@@ -30,6 +30,7 @@ from .clifford import (
     PauliOp,
     StabilizerState,
     _gf2_row_reduce_with_phases,
+    _gf2_rref,
     circuit_to_clifford,
     compose,
     invert,
@@ -110,64 +111,23 @@ def _cost_key(circ: Circuit, cost: str) -> tuple[int, int, int]:
 
 
 def _gf2_inv(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    aug = np.concatenate([m.astype(np.uint8) % 2, np.eye(n, dtype=np.uint8)], axis=1)
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if aug[r, col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular over GF(2)")
-        if pivot != row:
-            aug[[row, pivot]] = aug[[pivot, row]]
-        for r in range(n):
-            if r != row and aug[r, col]:
-                aug[r] ^= aug[row]
-        row += 1
-    return aug[:, n:]
+    """Inverse of a square matrix over GF(2); raises when singular."""
+    r, t, pivots = _gf2_rref(m)
+    # square with a pivot in every row means the RREF is the identity
+    if r.shape != (len(pivots), len(pivots)):
+        raise ValueError("matrix is singular over GF(2)")
+    return t
 
 
 def _gf2_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One solution x of a x = b over GF(2); raises when inconsistent."""
-    rows, cols = a.shape
-    aug = np.concatenate([a.astype(np.uint8) % 2, (b.astype(np.uint8) % 2)[:, None]], axis=1)
-    pivots = []
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, rows) if aug[r, col]), None)
-        if pivot is None:
-            continue
-        if pivot != row:
-            aug[[row, pivot]] = aug[[pivot, row]]
-        for r in range(rows):
-            if r != row and aug[r, col]:
-                aug[r] ^= aug[row]
-        pivots.append(col)
-        row += 1
-    if any(aug[r, cols] for r in range(row, rows)):
+    _, t, pivots = _gf2_rref(a)
+    tb = (t.astype(np.int64) @ (np.asarray(b, dtype=np.int64) % 2)) % 2
+    if tb[len(pivots):].any():
         raise ValueError("inconsistent linear system over GF(2)")
-    x = np.zeros(cols, dtype=np.uint8)
-    for r, col in enumerate(pivots):
-        x[col] = aug[r, cols]
+    x = np.zeros(a.shape[1], dtype=np.uint8)
+    x[pivots] = tb[: len(pivots)]
     return x
-
-
-def _x_pivot_qubits(xblock: np.ndarray) -> set[int]:
-    m = xblock.copy()
-    rows, cols = m.shape
-    pivots = set()
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, rows) if m[r, col]), None)
-        if pivot is None:
-            continue
-        if pivot != row:
-            m[[row, pivot]] = m[[pivot, row]]
-        for r in range(rows):
-            if r != row and m[r, col]:
-                m[r] ^= m[row]
-        pivots.add(col)
-        row += 1
-    return pivots
 
 
 def _digest(*parts: bytes) -> int:
@@ -307,28 +267,42 @@ def compile_cnot_circuit(matrix: np.ndarray, device: DeviceSpec, options: Compil
 
 
 @functools.cache
-def _local_gate(name: str) -> CliffordOp:
-    return standard_gate(name, (0,), 1)
+def _one_qubit_index() -> dict[str, int]:
+    """Position in :func:`one_qubit_clifford_table` of every 1Q gate name."""
+    table = one_qubit_clifford_table()
+    index = {f"C{k}": k for k in range(len(table))}
+    for name in ("I", "X", "Y", "Z", "H", "P"):
+        index[name] = table.index(standard_gate(name, (0,), 1))
+    return index
 
 
 @functools.cache
-def _word_table(gate_set: str) -> dict[CliffordOp, tuple[str, ...]]:
+def _one_qubit_products() -> tuple[tuple[int, ...], ...]:
+    """``product[a][b]``: position of C<a> after C<b>."""
+    table = one_qubit_clifford_table()
+    return tuple(tuple(table.index(compose(a, b)) for b in table) for a in table)
+
+
+@functools.cache
+def _word_table(gate_set: str) -> tuple[tuple[str, ...], ...]:
+    """``words[k]``: gate names from the gate set whose product is C<k>."""
     if gate_set == "C24":
-        return {op: (f"C{k}",) for k, op in enumerate(one_qubit_clifford_table())}
+        return tuple((f"C{k}",) for k in range(len(one_qubit_clifford_table())))
     if gate_set == "HPI":
-        table: dict[CliffordOp, tuple[str, ...]] = {CliffordOp.identity(1): ()}
-        frontier = [CliffordOp.identity(1)]
+        index = _one_qubit_index()
+        product = _one_qubit_products()
+        words: dict[int, tuple[str, ...]] = {index["I"]: ()}
+        frontier = [index["I"]]
         while frontier:
             nxt = []
-            for op in frontier:
+            for k in frontier:
                 for name in ("H", "P"):
-                    new = compose(_local_gate(name), op)
-                    if new not in table:
-                        table[new] = table[op] + (name,)
+                    new = product[index[name]][k]
+                    if new not in words:
+                        words[new] = words[k] + (name,)
                         nxt.append(new)
             frontier = nxt
-        assert len(table) == 24
-        return table
+        return tuple(words[k] for k in range(len(product)))
     raise ValueError(f"unknown gate set {gate_set!r}")
 
 
@@ -336,16 +310,16 @@ def _merge_one_qubit_runs(seq: list[GateLabel], device: DeviceSpec) -> list[Gate
     """Fuse maximal runs of 1Q gates per qubit and re-emit them as words
     from the device's gate set; identity runs vanish."""
     words = _word_table(device.gate_set)
-    identity = CliffordOp.identity(1)
-    pending: dict[int, CliffordOp] = {}
+    index = _one_qubit_index()
+    product = _one_qubit_products()
+    identity = index["I"]
+    pending: dict[int, int] = {}
     out: list[GateLabel] = []
 
     def flush(q: int):
-        op = pending.pop(q, None)
-        if op is None or op == identity:
-            return
-        for name in words[op]:
-            out.append(GateLabel(name, (q,)))
+        k = pending.pop(q, identity)
+        if k != identity:
+            out.extend(GateLabel(name, (q,)) for name in words[k])
 
     for gate in seq:
         if len(gate.qubits) == 2:
@@ -354,7 +328,7 @@ def _merge_one_qubit_runs(seq: list[GateLabel], device: DeviceSpec) -> list[Gate
             out.append(gate)
         else:
             q = gate.qubits[0]
-            pending[q] = compose(_local_gate(gate.name), pending.get(q, identity))
+            pending[q] = product[index[gate.name]][pending.get(q, identity)]
     for q in sorted(pending):
         flush(q)
     return out
@@ -651,14 +625,12 @@ def _meas_sequence(state: StabilizerState, device: DeviceSpec, options: CompileO
 
     # H on qubits without an X-block pivot makes the X block invertible.
     xblock, _ = work.blocks()
-    pivots = _x_pivot_qubits(xblock)
+    pivots = set(_gf2_rref(xblock)[2])
     for q in range(n):
         if q not in pivots:
             emit(GateLabel("H", (q,)))
     # Re-mix generators so the X block becomes the identity (no gates).
-    mat = np.stack([g.vec for g in work.gens])
-    _, rows = _gf2_row_reduce_with_phases(mat, work.gens)
-    work.gens = rows
+    work.gens = _gf2_row_reduce_with_phases(work.gens)
     xblock, zblock = work.blocks()
     if not np.array_equal(xblock, np.eye(n, dtype=np.uint8)):
         raise RuntimeError("X block did not reduce to the identity")

@@ -83,6 +83,16 @@ class TestGenerate:
         assert main(["generate", "--config", str(missing), "--out", str(tmp_path / "x")]) == 2
 
 
+# fields simulate reads from a generated manifest, each with a way to delete it
+MANIFEST_FIELDS = {
+    "master_seed": lambda m: m.pop("master_seed"),
+    "experiment.shots": lambda m: m["experiment"].pop("shots"),
+    "experiment.protocol": lambda m: m["experiment"].pop("protocol"),
+    "experiment.circuits": lambda m: m["experiment"].pop("circuits"),
+    "experiment.circuits[0].id": lambda m: m["experiment"]["circuits"][0].pop("id"),
+}
+
+
 class TestSimulate:
     def test_zero_model_all_success(self, tmp_path):
         run = generate(tmp_path)
@@ -127,6 +137,16 @@ class TestSimulate:
         assert main(["simulate", "--run", str(run), "--model", "nope"]) == 2
         assert "unknown model" in capsys.readouterr().err
         assert main(["simulate", "--run", str(tmp_path / "missing"), "--model", "zero"]) == 2
+
+    @pytest.mark.parametrize("field", MANIFEST_FIELDS)
+    def test_manifest_missing_field_exit2(self, tmp_path, capsys, field):
+        run = generate(tmp_path)
+        manifest = read_manifest(run)
+        MANIFEST_FIELDS[field](manifest)
+        (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
+        assert f"manifest lacks field {field}" in capsys.readouterr().err
+        assert not (run / "dataset.jsonl").exists()
 
 
 class TestAnalyze:
@@ -207,6 +227,23 @@ class TestAnalyze:
         assert "--n" in capsys.readouterr().err
         assert main(["analyze", str(path), "--resamples", "100", "--n", "2",
                      "--out", str(tmp_path / "ext_results.json")]) == 0
+
+    @pytest.mark.parametrize("rows", [["nan,1", "1,0"], ["1,0", "0,inf"]])
+    def test_mixing_non_finite_exit2(self, tmp_path, capsys, rows):
+        path = tmp_path / "ext.jsonl"
+        path.write_text(
+            "\n".join(
+                json.dumps({"m": m, "shots": 200, "successes": s})
+                for m, s in ((0, 198), (2, 175), (4, 160), (8, 130))
+            ) + "\n",
+            encoding="utf-8",
+        )
+        results = tmp_path / "results.json"
+        mixing = [arg for row in rows for arg in ("--mixing", row)]
+        assert main(["analyze", str(path), str(path), "--n", "2", "--out", str(results),
+                     "--resamples", "100", *mixing]) == 2
+        assert "--mixing" in capsys.readouterr().err
+        assert not results.exists()
 
     def test_bad_dataset_exit2(self, tmp_path):
         path = tmp_path / "bad.jsonl"

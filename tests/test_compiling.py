@@ -17,6 +17,10 @@ from drbench.compiling import (
     CompileStats,
     _cnot_realization,
     _long_range_cnot_steps,
+    _merge_one_qubit_runs,
+    _one_qubit_index,
+    _one_qubit_products,
+    _word_table,
     circuit_stats,
     compile_clifford,
     compile_cnot_circuit,
@@ -56,6 +60,45 @@ def assert_device_legal(circ, device):
             assert device.has_edge(*g.qubits), f"undeclared edge {g.qubits}"
         else:
             assert device.allows_one_qubit_gate(g.name), f"illegal 1Q gate {g.name}"
+
+
+def same_up_to_phase(u, w) -> bool:
+    return np.isclose(abs(np.trace(u.conj().T @ w)), u.shape[0])
+
+
+class TestOneQubitTables:
+    def test_products_match_oracle_unitaries(self):
+        units = oracles.one_qubit_clifford_unitaries()
+        product = _one_qubit_products()
+        assert len(product) == 24 and all(len(row) == 24 for row in product)
+        for a, b in np.ndindex(24, 24):
+            assert same_up_to_phase(units[product[a][b]], units[a] @ units[b]), (a, b)
+
+    def test_names_index_their_gates(self):
+        units = oracles.one_qubit_clifford_unitaries()
+        index = _one_qubit_index()
+        assert index["I"] == 8
+        for name in ("I", "X", "Y", "Z", "H", "P"):
+            assert same_up_to_phase(units[index[name]], oracles.GATE_MATRICES[name])
+        assert all(index[f"C{k}"] == k for k in range(24))
+
+    @pytest.mark.parametrize("gate_set", ["C24", "HPI"])
+    def test_words_multiply_back_to_their_element(self, gate_set):
+        units = oracles.one_qubit_clifford_unitaries()
+        words = _word_table(gate_set)
+        assert len(words) == 24
+        for k, word in enumerate(words):
+            u = np.eye(2, dtype=complex)
+            for name in word:  # first name acts first
+                u = oracles.gate_unitary(name, (0,), 1) @ u
+            assert same_up_to_phase(u, units[k]), (k, word)
+
+    @pytest.mark.parametrize("gate_set", ["C24", "HPI"])
+    def test_identity_runs_vanish(self, gate_set):
+        cnot = GateLabel("CNOT", (0, 1))
+        seq = [GateLabel("H", (0,)), GateLabel("X", (1,)), GateLabel("H", (0,)),
+               GateLabel("X", (1,)), cnot, GateLabel("C8", (1,))]
+        assert _merge_one_qubit_runs(seq, all_to_all(2, gate_set)) == [cnot]
 
 
 class TestCnotCompile:
