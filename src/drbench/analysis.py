@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
 
 from .clifford import GateLabel
 from .device import DeviceSpec
@@ -96,6 +94,8 @@ class BootstrapResult:
     b_interval: tuple[float, float]
     resamples: int
     failures: int
+    anchored_frac: float
+    clamped_frac: float
 
 
 @dataclass(frozen=True)
@@ -121,74 +121,157 @@ def average_success(dataset: Dataset) -> dict[int, tuple[float, tuple[float, ...
     return {m: (float(np.mean(v)), tuple(v)) for m, v in sorted(per.items())}
 
 
+def _inverse_variance(p, shots):
+    # elementwise, so one call weights a whole batch of resamples
+    return 1.0 / (np.maximum(p * (1.0 - p), 0.25 / shots) / shots)
+
+
 def binomial_weights(points: dict[int, float], shots_by_length: dict[int, int]) -> dict[int, float]:
     """Inverse binomial-variance weights, floored so P_m in {0, 1} cannot
     produce an infinite weight."""
     out = {}
     for m, p in points.items():
-        s = shots_by_length[m]
-        if s <= 0:
+        if shots_by_length[m] <= 0:
             raise ValueError(f"no shots recorded at length {m}")
-        var = max(p * (1.0 - p), 0.25 / s) / s
-        out[m] = 1.0 / var
+        out[m] = float(_inverse_variance(p, shots_by_length[m]))
     return out
 
 
-def _anchored_fit(ms: np.ndarray, ys: np.ndarray, sw: np.ndarray,
-                  a0: float) -> tuple[float, float, float, bool]:
-    """Best fit of a0 + B p^m with the asymptote held at a0.
+_GRID = np.linspace(0.0, 1.0, 201)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_POLISH_STEPS = 60  # shrinks the two-step grid bracket (0.01) below 1e-14
 
-    B is linear given p, so it is profiled out and p searched directly
-    over [0, 1]: a coarse grid to bracket the minimum, then a bounded
-    polish.  Returns (sse, B, p, clamped) with sse in weighted units;
-    clamped means the optimum sat on the p = 0 or p = 1 boundary.
+
+def _best_multiple(e: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual sum of squares and coefficient, each (rows, K), of the
+    best multiple of each column of cols (rows, K, L) for each row of e
+    (rows, L).  A zero column gets coefficient 0."""
+    xx = np.einsum("rkl,rkl->rk", cols, cols)
+    coef = np.divide(np.einsum("rkl,rl->rk", cols, e), xx, out=np.zeros_like(xx),
+                     where=xx > 0.0)
+    res = e[:, None, :] - coef[..., None] * cols
+    return np.einsum("rkl,rkl->rk", res, res), coef
+
+
+def _full_model(exps: np.ndarray, ys: np.ndarray, sw: np.ndarray):
+    """Target sw y and column function p -> sw p^exps of A + B p^exps,
+    both with the constant column sw projected out, which profiles A.
+
+    From p = 0.5 up the column is built from p^exps - 1 = expm1(exps log p),
+    the same direction once sw is projected out but accurate as p -> 1.
+    At p = 1 it merges with the constant; its limit direction exps is
+    used there.
     """
-    ex = sw * (ys - a0)
+    u = sw / np.linalg.norm(sw, axis=1, keepdims=True)
+    uk = u[:, None, :]
 
-    def at(p: float) -> tuple[float, float]:
-        x = sw * np.power(p, ms)
-        xx = float(x @ x)
-        b = float(x @ ex) / xx if xx > 0.0 else 0.0
-        res = b * x - ex
-        return float(res @ res), b
+    def columns(p):
+        p = p[..., None]
+        near_one = np.expm1(exps * np.log(np.maximum(p, 0.5)))
+        x = sw[:, None] * np.where(p == 1.0, exps, np.where(p < 0.5, p**exps, near_one))
+        return x - np.sum(x * uk, axis=2, keepdims=True) * uk
 
-    grid = np.linspace(0.0, 1.0, 201)
-    sses = [at(p)[0] for p in grid]
-    i = int(np.argmin(sses))
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, len(grid) - 1)])
-    polish = minimize_scalar(lambda q: at(q)[0], bounds=(lo, hi),
-                             method="bounded", options={"xatol": 1e-13})
-    sse, p = min((float(sses[i]), float(grid[i])), (float(polish.fun), float(polish.x)))
-    clamped = False
-    # the bounded polish never lands exactly on a boundary; snap to it when
-    # the boundary is at least as good, so growing data reports p = 1 exactly
-    for edge in (0.0, 1.0):
-        if abs(p - edge) < 1e-7:
-            s_edge = at(edge)[0]
-            if s_edge <= sse + 1e-12 * max(s_edge, 1.0):
-                sse, p, clamped = s_edge, edge, True
-    return sse, at(p)[1], p, clamped
+    return sw * ys - np.sum(sw * ys * u, axis=1, keepdims=True) * u, columns
+
+
+def _search(e: np.ndarray, columns):
+    """Minimize over p in [0, 1], for every row of e at once, the
+    residual of e against the best multiple of ``columns(p)``.
+
+    A 201-point grid brackets the minimum, a fixed number of vectorized
+    golden-section steps polish it.  Returns (sse, p, clamped, coef), one
+    entry per row; clamped means p is on the 0 or 1 boundary.
+    """
+    def sse(p):
+        return _best_multiple(e, columns(p))[0]
+
+    grid = sse(np.broadcast_to(_GRID, (len(e), len(_GRID))))
+    i = np.argmin(grid, axis=1)
+    lo, hi = _GRID[np.maximum(i - 1, 0)], _GRID[np.minimum(i + 1, len(_GRID) - 1)]
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fc, fd = sse(np.stack([c, d], axis=1)).T
+    for _ in range(_POLISH_STEPS):
+        left = fc < fd
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        new = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        f_new = sse(new[:, None])[:, 0]
+        c, fc = np.where(left, new, kept), np.where(left, f_new, f_kept)
+        d, fd = np.where(left, kept, new), np.where(left, f_kept, f_new)
+    on_grid = grid.min(axis=1) <= np.minimum(fc, fd)
+    p = np.where(on_grid, _GRID[i], np.where(fc < fd, c, d))
+    s = np.where(on_grid, grid.min(axis=1), np.minimum(fc, fd))
+    clamped = np.zeros(len(e), dtype=bool)
+    # the polish never lands exactly on a boundary; snap to it when the
+    # boundary is at least as good, so growing data reports p = 1 exactly
+    for edge, s_edge in ((0.0, grid[:, 0]), (1.0, grid[:, -1])):
+        snap = (np.abs(p - edge) < 1e-7) & (s_edge <= s + 1e-12 * np.maximum(s_edge, 1.0))
+        p, s, clamped = np.where(snap, edge, p), np.where(snap, s_edge, s), clamped | snap
+    return s, p, clamped, _best_multiple(e, columns(p[:, None]))[1][:, 0]
+
+
+def _fit_rows(ms: np.ndarray, ys: np.ndarray, w: np.ndarray, n: int):
+    """fit_decay for every row of ys (rows, lengths) at once, with weights
+    w of the same shape.  Returns arrays (A, B, p, clamped, anchored,
+    degenerate), one entry per row."""
+    sw = np.sqrt(w)
+    a0 = 2.0**-n
+    sse_anch, p_anch, clamped_anch, b_anch = _search(
+        sw * (ys - a0), lambda p: sw[:, None] * np.power(p[..., None], ms))
+    e_free, cols_free = _full_model(ms, ys, sw)
+    sse_free, p_free, clamped_free, b_free = _search(e_free, cols_free)
+    # only data trending upward in m can fit better with p > 1; that side
+    # is searched as q = 1/p on q^(max m - m) and reported at p = 1
+    up = _best_multiple(e_free, cols_free(np.ones((len(ys), 1))))[1][:, 0] > 0.0
+    if up.any():
+        sse_grow = np.full(len(ys), np.inf)
+        sse_grow[up] = _search(*_full_model(ms.max() - ms, ys[up], sw[up]))[0]
+        grows = sse_grow < sse_free
+        sse_free = np.minimum(sse_free, sse_grow)
+        p_free[grows], clamped_free[grows] = 1.0, True
+    # the gate is scale invariant in the weights; 12 sits near the 1%
+    # point of F(1, 8), so anchor-consistent noise rarely releases A
+    dof = len(ms) - 3
+    if dof > 0:
+        anchored = (sse_anch - sse_free) * dof <= 12.0 * sse_free
+    else:
+        anchored = sse_anch <= sse_free
+    # constant data cannot identify p; report the p = 1 limit, flagged
+    degenerate = np.ptp(ys, axis=1) < 1e-14
+    anchored &= ~degenerate
+    p = np.where(anchored, p_anch, np.where(degenerate, 1.0, p_free))
+    clamped = np.where(anchored, clamped_anch, clamped_free & ~degenerate)
+    b = np.where(anchored, b_anch, b_free)
+    wsum = np.sum(w, axis=1)
+    a = np.sum(w * (ys - b[:, None] * np.power(p[:, None], ms)), axis=1) / wsum
+    # a fit at p = 1 is a constant; split it at the floor
+    at_one = p == 1.0
+    b = np.where(at_one, np.sum(w * ys, axis=1) / wsum - a0, b)
+    return np.where(anchored | at_one, a0, a), b, p, clamped, anchored, degenerate
 
 
 def fit_decay(points: dict[int, float], weights: dict[int, float] | None = None,
               n: int | None = None) -> DecayFit:
     """Weighted least-squares fit of P_m = A + B p^m.
 
-    Two candidate fits are compared.  The anchored fit holds A at the
-    uniform-outcome floor 2^-n; the full fit lets (A, B, p) float, seeded
-    from the anchored solution and from a log-linear regression.  The
-    full fit is kept only when its improvement passes an F-style gate
-    against its own residual noise: slow decays leave A and p jointly
-    unidentifiable, and on such data an unanchored optimum wanders the
-    (A, p) ridge, scattering r by far more than the statistical error of
-    the anchored estimate.  Exact data keep machine-level recovery
-    because there the full fit drives the residual to zero while a wrong
-    anchor cannot.  p is clamped into [0, 1] after selection and the
-    clamp is recorded.
+    A and B are linear once p is fixed, so they are profiled out (variable
+    projection) and one search over p in [0, 1] fits each of two models.
+    The anchored model holds A at the uniform-outcome floor 2^-n; the full
+    model lets A float, and for data trending upward in m also searches
+    p > 1, reporting such a fit at p = 1.  The full fit is kept only when
+    its improvement passes an F-style gate against its own residual
+    noise: slow decays leave A and p jointly unidentifiable, and on such
+    data an unanchored optimum wanders the (A, p) ridge, scattering r by
+    far more than the statistical error of the anchored estimate.  Exact
+    data keep machine-level recovery because there the full fit drives
+    the residual to zero while a wrong anchor cannot.  ``clamped`` means
+    p sits on the 0 or 1 boundary.  A fit at p = 1 is a constant, which
+    is reported as A = 2^-n and B = its weighted mean minus 2^-n.
     """
     if n is None:
         raise ValueError("qubit count n is required")
+    if n < 1:
+        raise ValueError(f"qubit count n must be at least 1, got {n}")
     lengths = tuple(sorted(int(m) for m in points))
     if len(lengths) < 3:
         raise ValueError("need at least 3 distinct lengths to fit 3 parameters")
@@ -200,76 +283,11 @@ def fit_decay(points: dict[int, float], weights: dict[int, float] | None = None,
         w = np.array([weights[m] for m in lengths], dtype=float)
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be positive and finite")
-    sw = np.sqrt(w)
-    a0 = 2.0**-n
-
-    if float(np.ptp(ys)) < 1e-14:
-        # constant data cannot identify p; report the p = 1 limit, flagged
-        return DecayFit(A=a0, B=float(ys[0]) - a0, p=1.0, n=n, r=0.0,
-                        lengths=lengths, residuals=(0.0,) * len(lengths),
-                        degenerate=True)
-
-    sse_anch, b_anch, p_anch, cl_anch = _anchored_fit(ms, ys, sw, a0)
-
-    b0 = float(ys[0]) - a0
-    excess = ys - a0
-    mask = excess > 1e-9
-    if int(mask.sum()) >= 2:
-        # growth seeds above 1 are allowed; the fit clamps afterwards
-        slope = np.polyfit(ms[mask], np.log(excess[mask]), 1)[0]
-        p0 = float(np.clip(np.exp(slope), 1e-6, 10.0))
-    else:
-        p0 = 0.9
-
-    def resid(x):
-        a, b, p = x
-        return sw * (a + b * np.power(p, ms) - ys)
-
-    def jac(x):
-        _, b, p = x
-        cols = np.empty((len(ms), 3))
-        cols[:, 0] = sw
-        cols[:, 1] = sw * np.power(p, ms)
-        cols[:, 2] = sw * b * ms * np.power(p, np.maximum(ms - 1, 0))
-        return cols
-
-    best = None
-    for x0 in ((a0, b0, p0), (a0, b_anch, p_anch)):
-        sol = least_squares(resid, x0=x0, jac=jac, method="lm",
-                            xtol=1e-14, ftol=1e-14, gtol=1e-14)
-        if best is None or sol.cost < best.cost:
-            best = sol
-    # selection happens before the clamp: the clamp can only raise the
-    # full fit's residual, and data driven outside p in [0, 1] should
-    # still report the clamped full fit, not the anchored one
-    sse_free = 2.0 * float(best.cost)
-    dof = len(lengths) - 3
-    # the gate is scale invariant in the weights; 12 sits near the 1%
-    # point of F(1, 8), so anchor-consistent noise rarely releases A
-    if not math.isfinite(sse_free):
-        anchored = True
-    elif sse_free == 0.0:
-        anchored = sse_anch <= 0.0
-    elif dof <= 0:
-        anchored = sse_anch <= sse_free
-    else:
-        anchored = (sse_anch - sse_free) * dof / sse_free <= 12.0
-    if anchored:
-        a, b, p, clamped = a0, b_anch, p_anch, cl_anch
-    else:
-        a, b, p = (float(v) for v in best.x)
-        clamped = False
-        if not 0.0 <= p <= 1.0:
-            clamped = True
-            p = min(max(p, 0.0), 1.0)
-            # with p pinned the model is linear in (A, B); refit them exactly
-            design = np.stack([np.ones_like(ys), np.power(float(p), ms)], axis=1)
-            coef = np.linalg.lstsq(design * sw[:, None], ys * sw, rcond=None)[0]
-            a, b = float(coef[0]), float(coef[1])
-    fitted = a + b * np.power(p, ms)
-    return DecayFit(A=a, B=b, p=p, n=n, r=drb_error_rate(p, n), lengths=lengths,
-                    residuals=tuple(float(v) for v in ys - fitted), clamped=clamped,
-                    anchored=anchored)
+    a, b, p, clamped, anchored, degenerate = (v[0] for v in _fit_rows(ms, ys[None], w[None], n))
+    p = float(p)
+    return DecayFit(A=float(a), B=float(b), p=p, n=n, r=drb_error_rate(p, n), lengths=lengths,
+                    residuals=tuple(float(v) for v in ys - (a + b * np.power(p, ms))),
+                    clamped=bool(clamped), degenerate=bool(degenerate), anchored=bool(anchored))
 
 
 def _clamp_interval(center: float, sigma: float, lo: float, hi: float) -> tuple[float, float]:
@@ -277,13 +295,13 @@ def _clamp_interval(center: float, sigma: float, lo: float, hi: float) -> tuple[
 
 
 def bootstrap(dataset: Dataset, resamples: int = 1000,
-              rng: np.random.Generator | None = None, n: int | None = None,
-              threads: int = 1) -> BootstrapResult:
+              rng: np.random.Generator | None = None, n: int | None = None) -> BootstrapResult:
     """Circuit-level bootstrap intervals for the decay fit.
 
-    Circuits are resampled with replacement within each length, the decay
-    is refit per resample, and intervals are reported as the point
-    estimate plus or minus twice the resample standard deviation.
+    Circuits are resampled with replacement within each length, every
+    resample is refit in one batched call, and intervals are reported as
+    the point estimate plus or minus twice the resample standard
+    deviation.  ``n`` defaults to the length of the rows' target.
     """
     if resamples < 100:
         raise ValueError("resamples must be at least 100")
@@ -293,54 +311,32 @@ def bootstrap(dataset: Dataset, resamples: int = 1000,
         raise ValueError("dataset has no rows")
     if n is None:
         n = len(dataset.rows[0].target)
-    groups: dict[int, list[tuple[int, int]]] = {}
+        if n == 0:
+            raise ValueError("dataset rows carry no target; pass the qubit count n")
+    groups: dict[int, list[tuple[float, int]]] = {}
     for row in dataset.rows:
         if row.shots == 0:
             raise ValueError(f"row {row.circuit_id} has zero shots")
-        groups.setdefault(row.m, []).append((row.successes, row.shots))
+        groups.setdefault(row.m, []).append((row.successes / row.shots, row.shots))
     lengths = sorted(groups)
+    rates, shots = zip(*(np.array(groups[m]).T for m in lengths))
+    points = {m: float(v.mean()) for m, v in zip(lengths, rates)}
+    shots_by_length = {m: t.sum() for m, t in zip(lengths, shots)}
+    point = fit_decay(points, binomial_weights(points, shots_by_length), n=n)
 
-    def summarize(chosen: dict[int, list[tuple[int, int]]]):
-        points, shots = {}, {}
-        for m in lengths:
-            rows = chosen[m]
-            points[m] = float(np.mean([s / t for s, t in rows]))
-            shots[m] = sum(t for _, t in rows)
-        return fit_decay(points, binomial_weights(points, shots), n=n)
-
-    point = summarize(groups)
-
-    seeds = rng.spawn(resamples)
-
-    def one(child: np.random.Generator):
-        chosen = {}
-        for m in lengths:
-            rows = groups[m]
-            idx = child.integers(0, len(rows), size=len(rows))
-            chosen[m] = [rows[i] for i in idx]
-        fit = summarize(chosen)
-        return fit.p, fit.r, fit.A, fit.B
-
-    results = []
-    failures = 0
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(one, child) for child in seeds]
-            for fut in futures:
-                try:
-                    results.append(fut.result())
-                except (ValueError, np.linalg.LinAlgError):
-                    failures += 1
-    else:
-        for child in seeds:
-            try:
-                results.append(one(child))
-            except (ValueError, np.linalg.LinAlgError):
-                failures += 1
-    if not results:
+    draws = [[child.integers(0, len(v), size=len(v)) for v in rates]
+             for child in rng.spawn(resamples)]
+    idx = [np.array(per_length) for per_length in zip(*draws)]
+    ys = np.stack([v[i].mean(axis=1) for v, i in zip(rates, idx)], axis=1)
+    totals = np.stack([t[i].sum(axis=1) for t, i in zip(shots, idx)], axis=1)
+    a, b, p, clamped, anchored, _ = _fit_rows(np.array(lengths), ys,
+                                              _inverse_variance(ys, totals), n)
+    d = 4.0**n
+    fits = np.stack([p, (d - 1.0) * (1.0 - p) / d, a, b], axis=1)  # drb_error_rate
+    ok = np.all(np.isfinite(fits), axis=1)
+    if not ok.any():
         raise RuntimeError("every bootstrap resample failed to fit")
-    arr = np.array(results)
-    p_sigma, r_sigma, a_sigma, b_sigma = (float(v) for v in arr.std(axis=0, ddof=1))
+    p_sigma, r_sigma, a_sigma, b_sigma = (float(v) for v in fits[ok].std(axis=0, ddof=1))
     p_iv = _clamp_interval(point.p, p_sigma, 0.0, 1.0)
     r_iv = _clamp_interval(point.r, r_sigma, 0.0, 1.0)
     a_iv = (point.A - 2.0 * a_sigma, point.A + 2.0 * a_sigma)
@@ -349,7 +345,9 @@ def bootstrap(dataset: Dataset, resamples: int = 1000,
     return BootstrapResult(fit=fit, p_sigma=p_sigma, r_sigma=r_sigma, a_sigma=a_sigma,
                            b_sigma=b_sigma, p_interval=p_iv, r_interval=r_iv,
                            a_interval=a_iv, b_interval=b_iv,
-                           resamples=resamples, failures=failures)
+                           resamples=resamples, failures=int(resamples - ok.sum()),
+                           anchored_frac=float(anchored[ok].mean()),
+                           clamped_frac=float(clamped[ok].mean()))
 
 
 def predict_r_from_rates(spec: SamplerSpec, device: DeviceSpec, model: ErrorModel) -> float:

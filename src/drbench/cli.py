@@ -105,20 +105,24 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _manifest_field(obj, path: str, within: str = ""):
+def _manifest_field(obj, path: str, within: str = "", kind: type | None = None):
     """The value at the dotted ``path`` of a manifest object; a ConfigError
-    naming the field (prefixed by ``within``) when it is absent."""
+    naming the field (prefixed by ``within``) when it is absent or, with
+    ``kind`` given, not of that type (a bool is not an int)."""
     for key in path.split("."):
         if not isinstance(obj, dict) or key not in obj:
             raise ConfigError(f"manifest lacks field {within}{path}")
         obj = obj[key]
+    if kind is not None and (not isinstance(obj, kind) or isinstance(obj, bool)):
+        raise ConfigError(f"manifest field {within}{path} must be of type {kind.__name__}, "
+                          f"got {obj!r}")
     return obj
 
 
 def _load_run(run_dir: Path):
     manifest = _load_json(run_dir / "manifest.json", "manifest")
     circuits = []
-    for i, entry in enumerate(_manifest_field(manifest, "experiment.circuits")):
+    for i, entry in enumerate(_manifest_field(manifest, "experiment.circuits", kind=list)):
         circuit_id = _manifest_field(entry, "id", f"experiment.circuits[{i}].")
         path = run_dir / "circuits" / f"{circuit_id}.txt"
         if not path.exists():
@@ -143,14 +147,16 @@ def cmd_simulate(args) -> int:
     gaps = dio.model_coverage_gaps(model, circuits)
     if gaps:
         raise RunFailure(f"model does not cover gate(s): {', '.join(gaps)}")
-    shots = args.shots if args.shots is not None else _manifest_field(manifest, "experiment.shots")
+    shots = args.shots
+    if shots is None:
+        shots = _manifest_field(manifest, "experiment.shots", kind=int)
     if shots < 1:
         raise ConfigError("--shots must be positive")
     seed = args.seed
     if seed is None:
         seed = _env_seed()
     if seed is None:
-        seed = _manifest_field(manifest, "master_seed")
+        seed = _manifest_field(manifest, "master_seed", kind=int)
     threads = args.threads or os.cpu_count() or 1
     provenance = {
         "tool": dio.TOOL_VERSION,
@@ -217,6 +223,10 @@ def _infer_n(dataset, flag_n: int | None, path: str) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.n is not None and args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
+    if args.resamples < 100:
+        raise ConfigError(f"--resamples must be at least 100, got {args.resamples}")
     datasets = []
     for path in args.datasets:
         p = Path(path)
@@ -235,7 +245,6 @@ def cmd_analyze(args) -> int:
         seed = _env_seed()
     if seed is None:
         seed = 0
-    threads = args.threads or 1
     runs = []
     degenerate = []
     for index, (path, data) in enumerate(datasets):
@@ -243,7 +252,7 @@ def cmd_analyze(args) -> int:
         averages = average_success(data)
         try:
             boot = bootstrap(data, resamples=args.resamples,
-                             rng=stream(seed, "bootstrap", index), n=n, threads=threads)
+                             rng=stream(seed, "bootstrap", index), n=n)
         except (ValueError, RuntimeError) as exc:
             raise AnalysisFailure(f"fit of {path} failed: {exc}") from None
         fit = boot.fit
@@ -275,6 +284,8 @@ def cmd_analyze(args) -> int:
                     "residuals": list(fit.residuals),
                     "resamples": boot.resamples,
                     "bootstrap_failures": boot.failures,
+                    "bootstrap_anchored_frac": boot.anchored_frac,
+                    "bootstrap_clamped_frac": boot.clamped_frac,
                 },
             }
         )
@@ -400,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--plot-csv", default=None, help="plot CSV path (single dataset)")
     ana.add_argument("--resamples", type=int, default=1000, help="bootstrap resamples")
     ana.add_argument("--seed", type=int, default=None, help="bootstrap seed")
-    ana.add_argument("--threads", type=int, default=None, help="bootstrap threads")
+    ana.add_argument("--threads", type=int, default=None,
+                     help="accepted for compatibility and ignored")
     ana.add_argument("--n", type=int, default=None, help="qubit count override")
     ana.add_argument("--mixing", action="append", default=None,
                      help="mixing-matrix row per dataset, e.g. 0.75,0.25 "

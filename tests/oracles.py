@@ -216,3 +216,19 @@ def enumerate_symplectics_by_bfs(n: int, cliffords_gens) -> set[bytes]:
                     nxt.append(w)
         frontier = nxt
     return seen
+
+
+def decay_sse(ms, ys, w, p: float, floor: float | None = None) -> float:
+    """Weighted residual sum of squares of the best A + B p^m at a fixed p,
+    by dense least squares over (A, B); with ``floor`` given, A is held
+    there and only B is fit."""
+    sw = np.sqrt(np.asarray(w, dtype=float))
+    ys = np.asarray(ys, dtype=float)
+    decay = np.power(float(p), np.asarray(ms, dtype=float))
+    if floor is None:
+        design, target = np.stack([np.ones_like(decay), decay], axis=1), ys
+    else:
+        design, target = decay[:, None], ys - floor
+    coef = np.linalg.lstsq(design * sw[:, None], target * sw, rcond=None)[0]
+    res = sw * (design @ coef - target)
+    return float(res @ res)

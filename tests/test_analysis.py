@@ -132,12 +132,23 @@ class TestFitDecay:
         assert fit.clamped
         assert fit.p == 1.0
 
+    def test_falling_data_keep_p_below_one(self):
+        # a flat start with a late drop is fit exactly by A + B p^m with
+        # p > 1 and B < 0 (the last point alone); falling data must not
+        # take that fit, which would report p = 1
+        fit = fit_decay({0: 0.95, 3: 0.95, 6: 0.95, 9: 0.7}, n=2)
+        assert not fit.clamped
+        assert fit.p == pytest.approx(0.96431301, abs=1e-7)
+
     def test_validation(self):
         points = exact_points(0.25, 0.75, 0.9, (0, 2, 4))
         with pytest.raises(ValueError):
             fit_decay({0: 1.0, 2: 0.9}, n=1)
         with pytest.raises(ValueError):
             fit_decay(points)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                fit_decay(points, n=n)
         with pytest.raises(ValueError):
             fit_decay(points, {0: 0.0, 2: 1.0, 4: 1.0}, n=1)
 
@@ -150,6 +161,43 @@ class TestBootstrap:
         data = synthetic_dataset(0.25, 0.75, 0.9, (0, 2, 4), 3, 100, np.random.default_rng(0))
         with pytest.raises(ValueError):
             bootstrap(data, resamples=99)
+
+    def test_qubit_count_required(self):
+        bare = Dataset(tuple(DataRow(f"x{m}_{c}", m, "", 100, 90 - 5 * m)
+                             for m in (0, 2, 4) for c in range(3)))
+        with pytest.raises(ValueError, match="pass the qubit count"):
+            bootstrap(bare, resamples=100)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                bootstrap(bare, resamples=100, n=n)
+        assert bootstrap(bare, resamples=100, n=1).fit.n == 1
+
+    def test_batched_resamples_match_per_resample_fits(self):
+        """Reference: refit every resample one at a time from the same
+        draws; lengths carry different circuit counts."""
+        rng = np.random.default_rng(4)
+        rows = [DataRow(f"r{m}_{c}", m, "00", 200, int(rng.binomial(200, 0.25 + 0.65 * 0.9**m)))
+                for m, count in ((0, 3), (2, 5), (5, 2), (9, 4)) for c in range(count)]
+        out = bootstrap(Dataset(tuple(rows)), resamples=120, rng=np.random.default_rng(6))
+        groups = {}
+        for row in rows:
+            groups.setdefault(row.m, []).append(row)
+        fits = []
+        for child in np.random.default_rng(6).spawn(120):
+            points, shots = {}, {}
+            for m, group in sorted(groups.items()):
+                chosen = [group[i] for i in child.integers(0, len(group), size=len(group))]
+                points[m] = float(np.mean([r.successes / r.shots for r in chosen]))
+                shots[m] = sum(r.shots for r in chosen)
+            fit = fit_decay(points, binomial_weights(points, shots), n=2)
+            fits.append((fit.p, fit.r, fit.A, fit.B, fit.anchored, fit.clamped))
+        fits = np.array(fits)
+        sigmas = fits[:, :4].std(axis=0, ddof=1)
+        assert np.allclose((out.p_sigma, out.r_sigma, out.a_sigma, out.b_sigma), sigmas,
+                           rtol=1e-6, atol=1e-12)
+        assert out.anchored_frac == pytest.approx(fits[:, 4].mean())
+        assert out.clamped_frac == pytest.approx(fits[:, 5].mean())
+        assert out.failures == 0
 
     def test_zero_variance_gives_zero_width(self):
         rows = []
@@ -178,8 +226,7 @@ class TestBootstrap:
                                  np.random.default_rng(5))
         a = bootstrap(data, resamples=110, rng=np.random.default_rng(9))
         b = bootstrap(data, resamples=110, rng=np.random.default_rng(9))
-        c = bootstrap(data, resamples=110, rng=np.random.default_rng(9), threads=3)
-        assert a == b == c
+        assert a == b
 
     def test_interval_calibration(self):
         """Two-sigma bootstrap intervals cover the truth in at least 95%

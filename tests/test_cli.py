@@ -1,11 +1,15 @@
 """End-to-end command checks: exit codes, file outputs, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drbench
 from drbench.cli import main
 from drbench.io import dataset_from_jsonl
 
@@ -92,6 +96,14 @@ MANIFEST_FIELDS = {
     "experiment.circuits[0].id": lambda m: m["experiment"]["circuits"][0].pop("id"),
 }
 
+# fields simulate reads from a generated manifest, each with a value of the wrong type
+MANIFEST_BAD_TYPES = [
+    ("experiment.shots", lambda m: m["experiment"].update(shots="many")),
+    ("experiment.shots", lambda m: m["experiment"].update(shots=True)),
+    ("master_seed", lambda m: m.update(master_seed="x")),
+    ("experiment.circuits", lambda m: m["experiment"].update(circuits=5)),
+]
+
 
 class TestSimulate:
     def test_zero_model_all_success(self, tmp_path):
@@ -148,6 +160,16 @@ class TestSimulate:
         assert f"manifest lacks field {field}" in capsys.readouterr().err
         assert not (run / "dataset.jsonl").exists()
 
+    @pytest.mark.parametrize("field,corrupt", MANIFEST_BAD_TYPES)
+    def test_manifest_field_type_exit2(self, tmp_path, capsys, field, corrupt):
+        run = generate(tmp_path)
+        manifest = read_manifest(run)
+        corrupt(manifest)
+        (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
+        assert f"manifest field {field} must be of type" in capsys.readouterr().err
+        assert not (run / "dataset.jsonl").exists()
+
 
 class TestAnalyze:
     def simulate(self, run, model="main_sim", seed="5"):
@@ -169,6 +191,9 @@ class TestAnalyze:
         assert 0.0 <= fit["r"] <= 1.0
         assert fit["r_interval"][0] <= fit["r"] <= fit["r_interval"][1]
         assert fit["diagnostics"]["resamples"] == 120
+        assert fit["diagnostics"]["bootstrap_failures"] == 0
+        for key in ("bootstrap_anchored_frac", "bootstrap_clamped_frac"):
+            assert 0.0 <= fit["diagnostics"][key] <= 1.0
         csv = results.with_name("results_plot.csv")
         assert csv.exists()
         assert csv.read_text(encoding="utf-8").startswith("m,P_m,q05")
@@ -228,6 +253,23 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--resamples", "100", "--n", "2",
                      "--out", str(tmp_path / "ext_results.json")]) == 0
 
+    @pytest.mark.parametrize("flag,value", [("--n", "0"), ("--n", "-3"), ("--resamples", "50")])
+    def test_bad_flag_exit2(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "ext.jsonl"
+        path.write_text(
+            "\n".join(
+                json.dumps({"m": m, "shots": 200, "successes": s})
+                for m, s in ((0, 198), (2, 175), (4, 160), (8, 130))
+            ) + "\n",
+            encoding="utf-8",
+        )
+        results = tmp_path / "results.json"
+        args = {"--n": "2", "--resamples": "100", flag: value}
+        assert main(["analyze", str(path), "--out", str(results),
+                     *(v for item in args.items() for v in item)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not results.exists()
+
     @pytest.mark.parametrize("rows", [["nan,1", "1,0"], ["1,0", "0,inf"]])
     def test_mixing_non_finite_exit2(self, tmp_path, capsys, rows):
         path = tmp_path / "ext.jsonl"
@@ -274,3 +316,14 @@ class TestReport:
     def test_missing_results_exit4(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing.json")]) == 4
         assert "no results" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(drbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = ("import sys, drbench.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
