@@ -147,21 +147,25 @@ def cmd_simulate(args) -> int:
     gaps = dio.model_coverage_gaps(model, circuits)
     if gaps:
         raise RunFailure(f"model does not cover gate(s): {', '.join(gaps)}")
-    shots = args.shots
+    shots, source = args.shots, "--shots"
     if shots is None:
         shots = _manifest_field(manifest, "experiment.shots", kind=int)
+        source = "manifest field experiment.shots"
     if shots < 1:
-        raise ConfigError("--shots must be positive")
+        raise ConfigError(f"{source} must be positive, got {shots}")
+    protocol = _manifest_field(manifest, "experiment.protocol", kind=str)
+    if protocol not in ("DRB", "CRB"):
+        raise ConfigError(f"manifest field experiment.protocol must be DRB or CRB, "
+                          f"got {protocol!r}")
     seed = args.seed
     if seed is None:
         seed = _env_seed()
     if seed is None:
         seed = _manifest_field(manifest, "master_seed", kind=int)
-    threads = args.threads or os.cpu_count() or 1
     provenance = {
         "tool": dio.TOOL_VERSION,
         "run": run_dir.as_posix(),
-        "protocol": _manifest_field(manifest, "experiment.protocol"),
+        "protocol": protocol,
         "n": n,
         "model": args.model,
         "shots": shots,
@@ -174,7 +178,6 @@ def cmd_simulate(args) -> int:
             stream(seed, "simulate"),
             shots=shots,
             histogram=args.histogram,
-            threads=threads,
             provenance=provenance,
         )
     except Exception as exc:
@@ -190,6 +193,8 @@ def cmd_simulate(args) -> int:
             "seed": seed,
             "dataset": rel,
             "digest": digest,
+            "shot_layers": dataset.shot_layers,
+            "error_events": dataset.error_events,
         }
     )
     manifest.setdefault("outputs", {})[rel] = digest
@@ -400,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--shots", type=int, default=None, help="override design shots")
     sim.add_argument("--seed", type=int, default=None, help="simulation seed")
     sim.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: all cores; output identical)")
+                     help="accepted for compatibility and ignored")
     sim.add_argument("--histogram", action="store_true", help="record outcome histograms")
     sim.add_argument("--out", default=None, help="dataset path (default run/dataset.jsonl)")
     sim.set_defaults(func=cmd_simulate)

@@ -1,24 +1,27 @@
 """Pauli-frame Monte Carlo simulation of benchmark circuits.
 
-Errors are stochastic Paulis drawn after each ideal gate, plus optional
+Errors are stochastic Paulis drawn after each ideal layer, plus optional
 per-layer global depolarization and measurement bit flips.  The engine
 propagates a running error frame through the remaining circuit instead of
-touching state vectors: every layer maps the frame by its symplectic
-matrix (signs are irrelevant to outcomes), new errors are XORed in, and a
-shot succeeds when the frame's X support plus measurement flips vanish.
-This accounts exactly for error cancellation and for errors the final
-measurement cannot see.
+touching state vectors (signs are irrelevant to outcomes, so the frame is
+its x and z bits only).  Shots are packed 64 to a ``uint64`` word, one
+row of words per x or z part of each qubit.  Each circuit is compiled
+once into row operations: a CNOT is two row XORs and a 1Q gate its 2x2
+symplectic map on the qubit's rows.  Errors are drawn only for the shots
+they hit and XORed in; a shot succeeds when the frame's X support plus
+measurement flips vanish.  This accounts exactly for error cancellation
+and for errors the final measurement cannot see.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import GateLabel, layer_to_clifford
+from .clifford import GateLabel, standard_gate
 from .device import ring_center_edges
 from .protocols import BenchmarkCircuit
 
@@ -110,18 +113,23 @@ class DataRow:
 
 @dataclass(frozen=True)
 class Dataset:
+    """Rows plus provenance; a simulated dataset also counts its
+    shot-layers and injected error events (neither is written to JSONL)."""
+
     rows: tuple[DataRow, ...]
     provenance: dict = field(default_factory=dict)
+    shot_layers: int = 0
+    error_events: int = 0
 
 
-def layer_error_rate(model: ErrorModel, gates, include_depol: bool = True) -> float:
-    """Exact probability that a layer of gates leaves a net error.
+def _pauli_distributions(model: ErrorModel, gates) -> list[np.ndarray]:
+    """Each qubit's net Pauli distribution after a layer of gate errors.
 
-    Convolves each qubit's {I, X, Y, Z} distribution over all error
-    entries touching it, so two errors on one qubit may cancel.
+    Convolves each qubit's distribution over all error entries touching
+    it, so two errors on one qubit may cancel.  Index k encodes the Pauli
+    with (x, z) = (k >> 1, k & 1): I, Z, X, Y.
     """
-    n = model.n
-    dists = [np.array([1.0, 0.0, 0.0, 0.0]) for _ in range(n)]
+    dists = [np.array([1.0, 0.0, 0.0, 0.0]) for _ in range(model.n)]
     for gate in gates:
         for q, p in model.rates_for(gate):
             err = np.array([1.0 - p, p / 3.0, p / 3.0, p / 3.0])
@@ -131,24 +139,169 @@ def layer_error_rate(model: ErrorModel, gates, include_depol: bool = True) -> fl
                 for b in range(4):
                     new[a ^ b] += old[a] * err[b]
             dists[q] = new
-    identity_prob = math.prod(float(d[0]) for d in dists)
+    return dists
+
+
+def layer_error_rate(model: ErrorModel, gates, include_depol: bool = True) -> float:
+    """Exact probability that a layer of gates leaves a net error."""
+    n = model.n
+    identity_prob = math.prod(float(d[0]) for d in _pauli_distributions(model, gates))
     if include_depol and model.layer_depol > 0.0:
         lam = 1.0 - model.layer_depol
         identity_prob = lam * identity_prob + (1.0 - lam) * 0.25**n
     return 1.0 - identity_prob
 
 
-def _inject_gate_errors(frame: np.ndarray, gates, model: ErrorModel, rng: np.random.Generator, n: int):
-    shots = frame.shape[1]
-    for gate in gates:
-        for q, p in model.rates_for(gate):
-            if p <= 0.0:
-                continue
-            mask = rng.random(shots) < p
-            # k in 1..3 encodes Z, X, Y via (x, z) = (k >> 1, k & 1)
-            k = rng.integers(1, 4, size=shots)
-            frame[q] ^= np.where(mask, (k >> 1) & 1, 0).astype(np.uint8)
-            frame[n + q] ^= np.where(mask, k & 1, 0).astype(np.uint8)
+# the three 2x2 maps a frame applies with at most one row XOR: none,
+# x ^= z and z ^= x; with the x and z rows exchanged after, they give all six
+_XOR_MAPS = ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 1]])
+
+
+@functools.cache
+def _one_qubit_step(name: str) -> tuple[int, bool]:
+    """How the frame applies the 1Q gate ``name``: (xor, swap).
+
+    ``xor`` indexes ``_XOR_MAPS`` (0 none, 1 x ^= z, 2 z ^= x); ``swap``
+    then exchanges which stored row holds the qubit's x part and which its
+    z part.  The gate's 2x2 symplectic map comes from its CliffordOp.
+    """
+    s = standard_gate(name, (0,), 1).s.tolist()
+    for xor, m in enumerate(_XOR_MAPS):
+        if s == m:
+            return xor, False
+        if s == m[::-1]:
+            return xor, True
+    raise AssertionError(f"{name} has no symplectic 2x2 map")  # pragma: no cover
+
+
+def _compile_layer(layer, n: int, loc: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The (dst, src) row pairs that apply ``layer``: ``rows[dst] ^= rows[src]``.
+
+    ``loc[r]`` is the stored row of logical row r (x_0..x_{n-1}, then
+    z_0..z_{n-1}); gates that exchange a qubit's x and z parts update it
+    instead of moving data.  The gates act on disjoint qubits, so no row
+    is both a destination and a source.
+    """
+    dst: list[int] = []
+    src: list[int] = []
+    for gate in layer:
+        if gate.name == "CNOT":
+            c, t = gate.qubits
+            dst += (loc[t], loc[n + c])  # x_t ^= x_c; z_c ^= z_t
+            src += (loc[c], loc[n + t])
+            continue
+        (q,) = gate.qubits
+        xor, swap = _one_qubit_step(gate.name)
+        if xor:
+            x, z = loc[q], loc[n + q]
+            dst.append(x if xor == 1 else z)
+            src.append(z if xor == 1 else x)
+        if swap:
+            loc[q], loc[n + q] = loc[n + q], loc[q]
+    return np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp)
+
+
+def _compile(circ: BenchmarkCircuit, model: ErrorModel):
+    """Compile ``circ`` once into frame operations.
+
+    Returns (steps, xrows, sources).  ``steps[k]`` applies layer k, and one
+    last empty step stands for the measurement.  ``xrows`` are the stored
+    rows of the final x parts.  ``sources`` lists every error source as
+    (step, x row, z row, p), acting after that step: a gate-error entry
+    XORs in a uniform non-identity Pauli; a z row of -1 marks a readout
+    flip (X only) and an x row of -1 the layer's depolarizing channel.
+    """
+    n = circ.n
+    loc = list(range(2 * n))
+    steps, sources = [], []
+    for segment, is_core in ((circ.prep, False), (circ.core, True), (circ.meas, False)):
+        for layer in segment.layers:
+            steps.append(_compile_layer(layer, n, loc))
+            k = len(steps) - 1
+            sources += [(k, loc[q], loc[n + q], p)
+                        for gate in layer for q, p in model.rates_for(gate) if p > 0.0]
+            if is_core and model.layer_depol > 0.0:
+                sources.append((k, -1, -1, model.layer_depol))
+    steps.append(_compile_layer((), n, loc))
+    sources += [(len(steps) - 1, loc[q], -1, f) for q, f in enumerate(model.meas_flip) if f > 0.0]
+    return steps, loc[:n], sources
+
+
+def _distinct_positions(rng: np.random.Generator, shots: int, counts: np.ndarray):
+    """``counts[i]`` distinct shots drawn uniformly for each source i.
+
+    Returns (owner, pos), one entry per hit, grouped by source.  Sparse
+    sources draw with replacement and redraw repeats, which leaves every
+    subset equally likely; sources that hit over a quarter of the shots
+    sample without replacement directly.
+    """
+    owner = np.repeat(np.arange(counts.size), counts)
+    pos = rng.integers(0, shots, size=owner.size)
+    ends = np.cumsum(counts)
+    for i in np.flatnonzero(counts > shots // 4):
+        pos[ends[i] - counts[i]:ends[i]] = rng.choice(shots, counts[i], replace=False,
+                                                      shuffle=False)
+    while True:
+        key = owner * shots + pos
+        order = np.argsort(key, kind="stable")
+        repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+        if repeats.size == 0:
+            return owner, pos
+        pos[repeats] = rng.integers(0, shots, size=repeats.size)
+
+
+def _draw_hits(sources, shots: int, n: int, rng: np.random.Generator):
+    """Sample the frame bits that the error sources flip.
+
+    Returns (step, row, pos) per flipped bit and the number of error events
+    (shots hit, summed over sources).  Only hit shots are drawn: a
+    binomial count per source, then that many distinct shots, then a Pauli
+    per hit.
+    """
+    if not sources:
+        empty = np.empty(0, dtype=np.int64)
+        return (empty, empty, empty), 0
+    step, xrow, zrow, p = (np.array(column) for column in zip(*sources))
+    counts = rng.binomial(shots, p)
+    owner, pos = _distinct_positions(rng, shots, counts)
+    # k in 1..3 encodes Z, X, Y via (x, z) = (k >> 1, k & 1); a readout flip is X
+    k = rng.integers(1, 4, size=owner.size)
+    k[zrow[owner] < 0] = 2
+    gate = xrow[owner] >= 0
+    has_x = gate & (k >= 2)
+    has_z = gate & (k & 1 == 1)
+    depol = np.flatnonzero(~gate)
+    # a depolarizing hit XORs a uniformly random 2n-bit Pauli into all rows
+    hit, row = np.nonzero(rng.integers(0, 2, size=(depol.size, 2 * n), dtype=np.uint8))
+    depol = depol[hit]
+    return (
+        np.concatenate((step[owner[has_x]], step[owner[has_z]], step[owner[depol]])),
+        np.concatenate((xrow[owner[has_x]], zrow[owner[has_z]], row)),
+        np.concatenate((pos[has_x], pos[has_z], pos[depol])),
+    ), int(counts.sum())
+
+
+def _run(rows: np.ndarray, steps, step, row, pos) -> np.ndarray:
+    """Apply ``steps`` in order to the packed ``rows``, each followed by the
+    bit flips (row, pos) drawn for it; ``rows`` is updated in place."""
+    words = rows.shape[1]
+    order = np.argsort(step, kind="stable")
+    index = row[order] * words + (pos[order] >> 6)
+    bit = np.left_shift(np.uint64(1), (pos[order] & 63).astype(np.uint64))
+    bounds = np.searchsorted(step[order], np.arange(len(steps) + 1)).tolist()
+    flat = rows.reshape(-1)
+    for k, (dst, src) in enumerate(steps):
+        if dst.size:
+            rows[dst] ^= rows[src]
+        a, b = bounds[k], bounds[k + 1]
+        if a < b:
+            np.bitwise_xor.at(flat, index[a:b], bit[a:b])
+    return rows
+
+
+def _unpack(rows: np.ndarray, shots: int) -> np.ndarray:
+    """The (rows, shots) 0/1 array of packed rows; shot s is bit s % 64 of word s // 64."""
+    return np.unpackbits(rows.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :shots]
 
 
 def simulate_circuit(
@@ -157,36 +310,35 @@ def simulate_circuit(
     shots: int,
     rng: np.random.Generator,
     histogram: bool = False,
+    *,
+    tally: dict[str, int] | None = None,
 ) -> tuple[int, tuple[tuple[str, int], ...] | None]:
     """Monte Carlo estimate of the circuit's success count over ``shots``.
 
-    Returns (successes, top-64 outcome histogram or None).
+    Returns (successes, top-64 outcome histogram or None).  With ``tally``
+    given, adds the circuit's ``shot_layers`` (layers x shots) and
+    ``error_events`` (gate-error, depolarizing and readout-flip hits) to it.
     """
     n = circ.n
     if model.n != n:
         raise ValueError("model and circuit disagree on qubit count")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    frame = np.zeros((2 * n, shots), dtype=np.uint8)
-    for segment, is_core in ((circ.prep, False), (circ.core, True), (circ.meas, False)):
-        for layer in segment.layers:
-            s = layer_to_clifford(layer, n).s
-            frame = (s @ frame) % 2
-            _inject_gate_errors(frame, layer, model, rng, n)
-            if is_core and model.layer_depol > 0.0:
-                mask = (rng.random(shots) < model.layer_depol).astype(np.uint8)
-                frame ^= rng.integers(0, 2, size=(2 * n, shots), dtype=np.uint8) * mask
-    flipped = frame[:n].copy()
-    for q in range(n):
-        f = model.meas_flip[q]
-        if f > 0.0:
-            flipped[q] ^= (rng.random(shots) < f).astype(np.uint8)
-    successes = int(np.sum(~np.any(flipped, axis=0)))
+    steps, xrows, sources = _compile(circ, model)
+    (step, row, pos), events = _draw_hits(sources, shots, n, rng)
+    words = -(-shots // 64)
+    frame = _run(np.zeros((2 * n, words), dtype=np.uint64), steps, step, row, pos)
+    measured = frame[xrows]
+    failed = np.bitwise_or.reduce(measured, axis=0)
+    failed[-1] &= np.uint64((1 << (shots % 64 or 64)) - 1)
+    successes = shots - int(np.bitwise_count(failed).sum())
+    if tally is not None:
+        tally["shot_layers"] = tally.get("shot_layers", 0) + (len(steps) - 1) * shots
+        tally["error_events"] = tally.get("error_events", 0) + events
     hist = None
     if histogram:
         weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-        measured = (circ.target_bits[:, None] ^ flipped).astype(np.int64)
-        values = weights @ measured
+        values = weights @ (circ.target_bits[:, None] ^ _unpack(measured, shots)).astype(np.int64)
         uniq, counts = np.unique(values, return_counts=True)
         order = np.lexsort((uniq, -counts))[:64]
         hist = tuple(
@@ -201,34 +353,27 @@ def run_experiment(
     rng: np.random.Generator,
     shots: int,
     histogram: bool = False,
-    threads: int = 1,
     provenance: dict | None = None,
 ) -> Dataset:
     """Simulate every circuit with ``shots`` shots each.
 
-    Circuit seeds are spawned from ``rng`` up front in list order, so the
-    result is identical for any thread count.
+    Circuit seeds are spawned from ``rng`` up front in list order, so each
+    circuit's draws do not depend on the others.
     """
     children = rng.spawn(len(circuits)) if circuits else []
-
-    def one(i: int) -> DataRow:
-        successes, hist = simulate_circuit(circuits[i], model, shots, children[i], histogram)
-        c = circuits[i]
-        return DataRow(
-            circuit_id=c.circuit_id,
-            m=c.length,
-            target="".join(str(b) for b in c.target),
+    tally = {"shot_layers": 0, "error_events": 0}
+    rows = []
+    for circ, child in zip(circuits, children):
+        successes, hist = simulate_circuit(circ, model, shots, child, histogram, tally=tally)
+        rows.append(DataRow(
+            circuit_id=circ.circuit_id,
+            m=circ.length,
+            target="".join(str(b) for b in circ.target),
             shots=shots,
             successes=successes,
             histogram=hist,
-        )
-
-    if threads > 1 and len(circuits) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(one, range(len(circuits))))
-    else:
-        rows = tuple(one(i) for i in range(len(circuits)))
-    return Dataset(rows=rows, provenance=dict(provenance or {}))
+        ))
+    return Dataset(rows=tuple(rows), provenance=dict(provenance or {}), **tally)
 
 
 # ---------------------------------------------------------------------------

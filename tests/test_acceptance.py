@@ -73,8 +73,7 @@ def criterion(num: int, name: str):
 def fitted_rate(design, model, master, n):
     """Generate, simulate and bootstrap one run; returns (result, circuits)."""
     circuits, _ = generate_experiment(design)
-    data = run_experiment(circuits, model, stream(master, "sim"),
-                          shots=design.shots, threads=4)
+    data = run_experiment(circuits, model, stream(master, "sim"), shots=design.shots)
     return bootstrap(data, rng=stream(master, "boot"), n=n), circuits
 
 

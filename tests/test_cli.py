@@ -11,7 +11,7 @@ import pytest
 
 import drbench
 from drbench.cli import main
-from drbench.io import dataset_from_jsonl
+from drbench.io import circuit_from_text, dataset_from_jsonl
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -102,7 +102,15 @@ MANIFEST_BAD_TYPES = [
     ("experiment.shots", lambda m: m["experiment"].update(shots=True)),
     ("master_seed", lambda m: m.update(master_seed="x")),
     ("experiment.circuits", lambda m: m["experiment"].update(circuits=5)),
+    ("experiment.protocol", lambda m: m["experiment"].update(protocol=7)),
+    ("experiment.protocol", lambda m: m["experiment"].update(protocol=None)),
 ]
+
+
+def corrupt_manifest(run: Path, corrupt) -> None:
+    manifest = read_manifest(run)
+    corrupt(manifest)
+    (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 
 class TestSimulate:
@@ -116,6 +124,11 @@ class TestSimulate:
         manifest = read_manifest(run)
         assert manifest["simulations"][0]["dataset"] == "dataset.jsonl"
         assert "dataset.jsonl" in manifest["outputs"]
+        circuits = [circuit_from_text(path.read_text(encoding="utf-8"))
+                    for path in (run / "circuits").glob("*.txt")]
+        depth = sum(c.prep.depth + c.core.depth + c.meas.depth for c in circuits)
+        assert manifest["simulations"][0]["shot_layers"] == depth * 50
+        assert manifest["simulations"][0]["error_events"] == 0
 
     def test_thread_invariance_and_shots_override(self, tmp_path):
         run = generate(tmp_path)
@@ -128,6 +141,9 @@ class TestSimulate:
         assert out1.read_bytes() == out4.read_bytes()
         rows = dataset_from_jsonl(out1.read_text(encoding="utf-8")).rows
         assert all(r.shots == 200 for r in rows)
+        first, second = read_manifest(run)["simulations"]
+        assert first["error_events"] == second["error_events"] > 0
+        assert first["shot_layers"] == second["shot_layers"] > 0
 
     def test_histogram_flag(self, tmp_path):
         run = generate(tmp_path)
@@ -168,6 +184,30 @@ class TestSimulate:
         (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
         assert f"manifest field {field} must be of type" in capsys.readouterr().err
+        assert not (run / "dataset.jsonl").exists()
+
+    def test_manifest_protocol_value_exit2(self, tmp_path, capsys):
+        run = generate(tmp_path)
+        corrupt_manifest(run, lambda m: m["experiment"].update(protocol="QRB"))
+        assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
+        assert "experiment.protocol must be DRB or CRB" in capsys.readouterr().err
+        assert not (run / "dataset.jsonl").exists()
+
+    def test_manifest_shots_nonpositive_exit2(self, tmp_path, capsys):
+        run = generate(tmp_path)
+        corrupt_manifest(run, lambda m: m["experiment"].update(shots=0))
+        assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
+        err = capsys.readouterr().err
+        assert "manifest field experiment.shots must be positive" in err
+        assert "--shots" not in err
+        assert not (run / "dataset.jsonl").exists()
+
+    def test_flag_shots_nonpositive_exit2(self, tmp_path, capsys):
+        run = generate(tmp_path)
+        assert main(["simulate", "--run", str(run), "--model", "zero", "--shots", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert "--shots must be positive" in err
+        assert "experiment.shots" not in err
         assert not (run / "dataset.jsonl").exists()
 
 

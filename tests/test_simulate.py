@@ -1,16 +1,26 @@
 """Engine checks: exact channel math, dense-oracle equivalence, determinism."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from drbench.clifford import Circuit, GateLabel, PauliOp, circuit_to_clifford
+from drbench.clifford import Circuit, GateLabel, PauliOp, circuit_to_clifford, layer_to_clifford
 from drbench.device import all_to_all
 from drbench.protocols import BenchmarkCircuit, ExperimentDesign, generate_drb_circuit, generate_experiment
 from drbench.sampling import PCnotSampler
 from drbench.simulate import (
     Dataset,
     ErrorModel,
+    _compile,
+    _compile_layer,
+    _distinct_positions,
+    _pauli_distributions,
+    _run,
+    _unpack,
     build_model_crosstalk5,
     build_model_from_calibration,
     build_model_layer_depolarizing,
@@ -36,20 +46,53 @@ def small_design(n=2, seed=5, **kw):
     return ExperimentDesign(**base)
 
 
-def trivial_circuit(n=1, m=1):
-    """Hand-built benchmark circuit whose core is m identity layers."""
-    layer = tuple(GateLabel("I", (q,)) for q in range(n))
+def core_circuit(n, layers, meas=()):
+    """Hand-built benchmark circuit whose core is ``layers``, followed by
+    the ``meas`` layers, with target 0...0."""
     return BenchmarkCircuit(
         circuit_id="test_c000",
         protocol="DRB",
         n=n,
-        length=m,
+        length=len(layers),
         prep=Circuit(n, ()),
-        core=Circuit(n, (layer,) * m),
-        meas=Circuit(n, ()),
+        core=Circuit(n, tuple(layers)),
+        meas=Circuit(n, tuple(meas)),
         target=(0,) * n,
-        seed=(0, m, 0),
+        seed=(0, len(layers), 0),
     )
+
+
+def trivial_circuit(n=1, m=1):
+    """Hand-built benchmark circuit whose core is m identity layers."""
+    return core_circuit(n, (tuple(GateLabel("I", (q,)) for q in range(n)),) * m)
+
+
+def pack(bits):
+    """(rows, shots) 0/1 array -> (rows, ceil(shots / 64)) uint64 words,
+    shot s at bit s % 64 of word s // 64, padding bits clear."""
+    rows, shots = bits.shape
+    padded = np.zeros((rows, -(-shots // 64) * 64), dtype=np.uint8)
+    padded[:, :shots] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
+ONE_QUBIT_NAMES = ("I", "X", "Y", "Z", "H", "P") + tuple(f"C{k}" for k in range(24))
+NO_HITS = (np.empty(0, dtype=np.int64),) * 3
+
+
+@st.composite
+def random_layers(draw):
+    """(n, layers): up to 6 layers of CNOTs and 1Q gates on disjoint qubits."""
+    n = draw(st.integers(1, 5))
+    layers = []
+    for _ in range(draw(st.integers(1, 6))):
+        order = draw(st.permutations(range(n)))
+        pairs = draw(st.integers(0, n // 2))
+        layer = [GateLabel("CNOT", (order[2 * i], order[2 * i + 1])) for i in range(pairs)]
+        layer += [GateLabel(draw(st.sampled_from(ONE_QUBIT_NAMES)), (q,))
+                  for q in order[2 * pairs:]]
+        layers.append(tuple(layer))
+    return n, layers
 
 
 class TestErrorModel:
@@ -213,6 +256,117 @@ class TestSimulateCircuit:
                 assert abs(state[idx]) == pytest.approx(1.0, abs=1e-9)
 
 
+class TestPackedKernel:
+    """The packed frame against the dense update ``(s @ frame) % 2``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_layers(), st.sampled_from([1, 63, 64, 65, 200]), st.integers(0, 2**32 - 1))
+    def test_propagation_matches_dense(self, circuit, shots, seed):
+        n, layers = circuit
+        frame = np.random.default_rng(seed).integers(0, 2, size=(2 * n, shots), dtype=np.uint8)
+        start = frame.copy()
+        rows = pack(frame)
+        loc = list(range(2 * n))
+        for layer in layers:
+            _run(rows, [_compile_layer(layer, n, loc)], *NO_HITS)
+            frame = (layer_to_clifford(layer, n).s @ frame) % 2
+            assert np.array_equal(_unpack(rows[loc], shots), frame)
+            if shots % 64:
+                assert not np.any(rows[:, -1] >> np.uint64(shots % 64))
+        # the whole circuit compiled at once ends in the same x rows
+        steps, xrows, sources = _compile(core_circuit(n, layers), ErrorModel(n=n))
+        assert sources == []
+        whole = _run(pack(start), steps, *NO_HITS)
+        assert np.array_equal(_unpack(whole[xrows], shots), frame[:n])
+
+    def test_zero_noise_65_shots(self, rng):
+        circ = generate_drb_circuit(small_design(seed=9), 4, rng)
+        tally = {}
+        successes, hist = simulate_circuit(circ, ErrorModel(n=2), 65, rng, histogram=True,
+                                           tally=tally)
+        target = "".join(str(b) for b in circ.target)
+        assert successes == 65
+        assert hist == ((target, 65),)
+        depth = circ.prep.depth + circ.core.depth + circ.meas.depth
+        assert tally == {"shot_layers": depth * 65, "error_events": 0}
+
+    def test_certain_flip_on_one_qubit(self, rng):
+        model = ErrorModel(n=3, meas_flip=(0.0, 1.0, 0.0))
+        tally = {}
+        successes, hist = simulate_circuit(trivial_circuit(n=3), model, 100, rng,
+                                           histogram=True, tally=tally)
+        assert successes == 0
+        assert hist == (("010", 100),)
+        assert tally["error_events"] == 100
+
+    def test_certain_errors_hit_every_shot(self, rng):
+        # two p = 1 entries on qubit 0 plus one on qubit 1, over two layers
+        model = ErrorModel(n=2, gate_errors={
+            ("1Q", (0,)): ((0, 1.0),), ("1Q", (1,)): ((1, 1.0), (0, 1.0))})
+        for shots in (1, 64, 130):
+            tally = {}
+            simulate_circuit(trivial_circuit(n=2, m=2), model, shots, rng, tally=tally)
+            assert tally["error_events"] == 6 * shots
+
+    def test_errors_act_after_the_layer_on_their_qubit(self, rng):
+        # the H gate's entry hits qubit 1, the CNOT control in the same
+        # layer: after the layer, an X part flips qubit 1 alone
+        model = ErrorModel(n=3, gate_errors={("1Q", (0,)): ((1, 1.0),)})
+        layer = (GateLabel("H", (0,)), GateLabel("CNOT", (1, 2)))
+        _, hist = simulate_circuit(core_circuit(3, [layer]), model, 300, rng, histogram=True)
+        assert {bits for bits, _ in hist} == {"000", "010"}
+
+    def test_depolarizing_randomizes_z_parts(self, rng):
+        # a certain depolarizing event after the core layer, then H on both
+        # qubits: only the z parts reach the measurement, so P = 1/4
+        model = build_model_layer_depolarizing(2, 0.0)
+        idle = (GateLabel("I", (0,)), GateLabel("I", (1,)))
+        hadamards = (GateLabel("H", (0,)), GateLabel("H", (1,)))
+        shots = 4000
+        tally = {}
+        successes, _ = simulate_circuit(core_circuit(2, [idle], meas=[hadamards]), model, shots,
+                                        rng, tally=tally)
+        assert tally["error_events"] == shots
+        assert abs(successes / shots - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / shots)
+
+    def test_distinct_positions(self):
+        rng = np.random.default_rng(3)
+        counts = np.array([0, 1, 3, 8, 200, 256, 5, 0, 64])
+        owner, pos = _distinct_positions(rng, 256, counts)
+        assert np.array_equal(owner, np.repeat(np.arange(counts.size), counts))
+        assert pos.min() >= 0 and pos.max() < 256
+        for i, k in enumerate(counts):
+            assert len(set(pos[owner == i].tolist())) == k
+
+    def test_distinct_positions_uniform(self):
+        # 20000 sources each hit 2 of 8 shots (the redraw path): all 28
+        # pairs equally likely, chi-square with 27 dof below its 0.1% point
+        rng = np.random.default_rng(11)
+        owner, pos = _distinct_positions(rng, 8, np.full(20000, 2))
+        pairs = np.sort(pos.reshape(-1, 2), axis=1)
+        observed = np.bincount(pairs[:, 0] * 8 + pairs[:, 1], minlength=64)
+        observed = observed[[a * 8 + b for a in range(8) for b in range(a + 1, 8)]]
+        expected = 20000 / 28
+        assert observed.sum() == 20000
+        assert ((observed - expected) ** 2 / expected).sum() < 55.48
+
+    def test_crosstalk5_layer_matches_closed_form(self):
+        # center CNOT 4 -> 0 spreads crosstalk over ring qubits 0-3; the 1Q
+        # gates on 1-3 add a second error source on those qubits
+        model = build_model_crosstalk5()
+        layer = (GateLabel("CNOT", (4, 0)), GateLabel("H", (1,)), GateLabel("P", (2,)),
+                 GateLabel("C3", (3,)))
+        expected = 1.0
+        for d, f in zip(_pauli_distributions(model, layer), model.meas_flip):
+            no_x = d[0] + d[1]
+            expected *= no_x * (1 - f) + (1 - no_x) * f
+        shots = 200_000
+        successes, _ = simulate_circuit(core_circuit(5, [layer]), model, shots,
+                                        stream(2024, "crosstalk5"))
+        sigma = math.sqrt(expected * (1 - expected) / shots)
+        assert abs(successes / shots - expected) <= 3 * sigma
+
+
 class TestRunExperiment:
     def test_empty(self):
         data = run_experiment([], ErrorModel(n=2), np.random.default_rng(0), shots=10)
@@ -224,19 +378,15 @@ class TestRunExperiment:
         assert [r.circuit_id for r in data.rows] == [c.circuit_id for c in circuits]
         assert all(r.shots == 25 and r.successes == 25 for r in data.rows)
 
-    def test_thread_count_invariance(self):
-        circuits, _ = generate_experiment(small_design(seed=4))
-        model = build_model_main_sim(2)
-        d1 = run_experiment(circuits, model, np.random.default_rng(7), shots=100, threads=1)
-        d4 = run_experiment(circuits, model, np.random.default_rng(7), shots=100, threads=4)
-        assert d1 == d4
-
     def test_same_seed_identical(self):
         circuits, _ = generate_experiment(small_design(seed=4))
         model = build_model_main_sim(2)
         d1 = run_experiment(circuits, model, np.random.default_rng(7), shots=100)
         d2 = run_experiment(circuits, model, np.random.default_rng(7), shots=100)
         assert d1 == d2
+        depth = sum(c.prep.depth + c.core.depth + c.meas.depth for c in circuits)
+        assert d1.shot_layers == depth * 100
+        assert d1.error_events > 0
 
     def test_provenance_attached(self):
         data = run_experiment([], ErrorModel(n=1), np.random.default_rng(0), shots=1,
