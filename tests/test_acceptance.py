@@ -273,7 +273,7 @@ def test_criterion_6_crb_drb_consistency():
         drb = ExperimentDesign(
             protocol="DRB", device=device, sampler=sampler,
             lengths=tuple(range(0, 66, 6)), circuits_per_length=30,
-            shots=200, seed=6001)
+            shots=1000, seed=6001)
         dboot, _ = fitted_rate(drb, model, 6001, 2)
         eps_omega = predict_r_from_rates(sampler, device, model)
         assert eps_omega == pytest.approx((1 - lam) * (1 - 0.25 ** 2), abs=1e-15)
