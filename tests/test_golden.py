@@ -23,6 +23,41 @@ CONFIGS = {
         "circuits_per_length": 2,
         "compile": {"trials": 3},
     },
+    "drb_ring4_c24_frames": {
+        "protocol": "DRB",
+        "device": {"preset": "ring", "n": 4, "gate_set": "C24"},
+        "sampler": {"kind": "pcnot", "p_cnot": 0.3},
+        "lengths": [0, 4, 8],
+        "circuits_per_length": 2,
+        "frame_randomization": True,
+        "compile": {"trials": 3},
+    },
+    "drb_ring4_c24_frame_gates": {
+        "protocol": "DRB",
+        "device": {"preset": "ring", "n": 4, "gate_set": "C24"},
+        "sampler": {"kind": "pcnot", "p_cnot": 0.3},
+        "lengths": [0, 4, 8],
+        "circuits_per_length": 2,
+        "frame_randomization": True,
+        "emit_frame_gates": True,
+        "compile": {"trials": 3},
+    },
+    "drb_all8_pairing": {
+        "protocol": "DRB",
+        "device": {"preset": "all_to_all", "n": 8, "gate_set": "C24"},
+        "sampler": {"kind": "pairing", "p_cnot": 0.5},
+        "lengths": [0, 3, 6],
+        "circuits_per_length": 2,
+        "compile": {"trials": 1},
+    },
+    "drb_ring4_hpi": {
+        "protocol": "DRB",
+        "device": {"preset": "ring", "n": 4, "gate_set": "HPI"},
+        "sampler": {"kind": "pcnot", "p_cnot": 0.3},
+        "lengths": [0, 4, 8],
+        "circuits_per_length": 2,
+        "compile": {"trials": 3},
+    },
     "crb_ring4_c24": {
         "protocol": "CRB",
         "device": {"preset": "ring", "n": 4, "gate_set": "C24"},
@@ -43,6 +78,10 @@ SEED = 5
 
 GOLDEN = {
     "drb_ring4_c24": "767348fa370ca27e6cde4572751082411d8ee8b1616c94935318376f307fdbf8",
+    "drb_ring4_c24_frames": "30475c2fa55266d66e7b3d533ec526dee2d3f59a2ff31a292f6351e526741d91",
+    "drb_ring4_c24_frame_gates": "3dc892d1e95f2fc37b81205fde05cd93b3bbe79c1504e9fa598f93d06e85486e",
+    "drb_all8_pairing": "834d3f368f4464852086b60458efc22b0b9423e965fd7e31d1fea793f6549f04",
+    "drb_ring4_hpi": "d079635cf740c80f33b100d6f1eef1f94eb202687c7eda6b2940b7a95dff5d0b",
     "crb_ring4_c24": "88f085323040318cf863066642a0e6c38738b9dfe61ba59a3092c75eab8b5746",
     "crb_ring3_hpi": "de707ab69e33280ee962ee9804306473b67d60673c49d0ccbb587fa57c771d0a",
 }
