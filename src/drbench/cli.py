@@ -128,9 +128,15 @@ def _load_run(run_dir: Path):
         if not path.exists():
             raise ConfigError(f"circuit file {path} listed in the manifest is missing")
         try:
-            circuits.append(dio.circuit_from_text(path.read_text(encoding="utf-8")))
+            circ = dio.circuit_from_text(path.read_text(encoding="utf-8"))
         except dio.FormatError as exc:
             raise ConfigError(f"{path}: {exc}") from None
+        target = _manifest_field(entry, "target", f"experiment.circuits[{i}].", kind=str)
+        found = "".join(str(b) for b in circ.target)
+        if target != found:
+            raise ConfigError(f"manifest field experiment.circuits[{i}].target is {target!r} "
+                              f"but {path} has target {found!r}")
+        circuits.append(circ)
     if not circuits:
         raise ConfigError(f"manifest in {run_dir} lists no circuits")
     return manifest, circuits

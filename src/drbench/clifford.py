@@ -10,6 +10,21 @@ parametrization, so equality of (s, v) is equality of the physical map.
 
 Bit vectors are packed as (x | z): indices [0, n) are X components and
 [n, 2n) are Z components.
+
+Circuits are tracked with one in-place kernel, :class:`PauliRows`, in the
+manner of the CHP tableau (Aaronson & Gottesman, quant-ph/0406196).  It
+holds a stack of Pauli rows ``i**r[k] * W(b[k])``: ``b`` is a (rows, 2n)
+uint8 array in the (x | z) packing, so ``b[:, :n]`` and ``b[:, n:]`` are
+the x and z bit columns, and ``r`` is an int64 vector of i-powers in the
+convention above (X left of Z), reduced mod 4 when read out.  A gate
+conjugates every row at once through a lookup table indexed by the row's
+bits on the gate's qubits, ``e = sum_j c_j 2**j`` over the local (x | z)
+bits c: entry e holds the image's local bits and the power of i the image
+adds to the row's phase.  A 1Q gate's table has 4 entries and CNOT's 16.
+The tables are built on first use from :func:`standard_gate`'s local
+(s, v), so gate definitions live in one place.  The stabilizer generators
+of a state are n rows; the Clifford of a circuit is the 2n identity rows
+W(e_j) carried through it, read back as the columns of (s, v).
 """
 
 from __future__ import annotations
@@ -22,6 +37,7 @@ import numpy as np
 
 __all__ = [
     "PauliOp",
+    "PauliRows",
     "CliffordOp",
     "StabilizerState",
     "GateLabel",
@@ -186,17 +202,22 @@ class CliffordOp:
         parity = np.einsum("ij,ij->j", self.s[:n].astype(np.int64), self.s[n:].astype(np.int64)) % 2
         return bool(np.all(self.v % 2 == parity))
 
-    def _phase_of(self, c: np.ndarray) -> int:
-        """Phase exponent of the image of the phase-free Pauli W(c)."""
+    def _phase_of(self, c: np.ndarray) -> np.ndarray:
+        """Phase exponents of the images of the phase-free Paulis W(c), one
+        per (x | z) vector along the last axis of ``c``.
+
+        W(c) is the product of the generators in c's support in index order,
+        so its image is the ordered product of the columns' images; moving
+        each column's X part past the Z parts of the earlier columns costs
+        i**2 per overlap.  That is the quadratic form
+        ``c.v + 2 c^T triu(S_z^T S_x, 1) c`` (Dehaene & De Moor,
+        quant-ph/0304125).
+        """
         n = self.n
-        support = np.flatnonzero(c)
-        phase = 0
-        u = np.zeros(2 * n, dtype=np.uint8)
-        for j in support:
-            # W(u) W(col_j) = i**(2 u_z.col_x) W(u xor col_j)
-            phase += int(self.v[j]) + 2 * int(u[n:] @ self.s[:n, j])
-            u ^= self.s[:, j]
-        return phase % 4
+        c = np.asarray(c, dtype=np.int64)
+        s = self.s.astype(np.int64)
+        form = np.triu(s[n:].T @ s[:n], 1)
+        return (c @ self.v + 2 * ((c @ form) * c).sum(axis=-1)) % 4
 
     def conjugate_pauli(self, p: PauliOp) -> PauliOp:
         """Return U p U^dagger for this Clifford U."""
@@ -205,7 +226,7 @@ class CliffordOp:
         n = self.n
         vec = p.vec
         image = (self.s.astype(np.int64) @ vec) % 2
-        phase = (p.phase + self._phase_of(vec)) % 4
+        phase = p.phase + int(self._phase_of(vec))
         return PauliOp(n, image[:n].astype(np.uint8), image[n:].astype(np.uint8), phase)
 
     def compose(self, other: "CliffordOp") -> "CliffordOp":
@@ -213,17 +234,14 @@ class CliffordOp:
         if self.n != other.n:
             raise ValueError("qubit-count mismatch")
         s = (self.s.astype(np.int64) @ other.s.astype(np.int64)) % 2
-        v = np.array(
-            [(int(other.v[j]) + self._phase_of(other.s[:, j])) % 4 for j in range(2 * self.n)],
-            dtype=np.int64,
-        )
+        v = (other.v + self._phase_of(other.s.T)) % 4
         return CliffordOp(self.n, s.astype(np.uint8), v, validate=False)
 
     def invert(self) -> "CliffordOp":
         n = self.n
         lam = _lambda_matrix(n)
         s_inv = (lam @ self.s.T.astype(np.int64) @ lam) % 2
-        v = np.array([(-self._phase_of(s_inv[:, j])) % 4 for j in range(2 * n)], dtype=np.int64)
+        v = -self._phase_of(s_inv.T) % 4
         return CliffordOp(n, s_inv.astype(np.uint8), v, validate=False)
 
     @property
@@ -420,17 +438,118 @@ class Circuit:
         return "\n".join("; ".join(str(g) for g in layer) for layer in self.layers)
 
 
+# ---------------------------------------------------------------------------
+# Row-stack kernel
+
+# gate names the kernel knows, by number of qubits
+_KERNEL_GATES = {
+    1: ("I", "X", "Y", "Z", "H", "P", *(f"C{k}" for k in range(24))),
+    2: ("CNOT",),
+}
+
+
+@functools.cache
+def _gate_lookup(k: int) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """(offsets, table, weights): the lookup tables of every k-qubit gate.
+
+    Gate ``name`` owns the 4**k rows of ``table`` from ``offsets[name]`` on.
+    Row ``offsets[name] + e`` is for a Pauli row whose local (x | z) bits
+    on the gate's qubits are c, with ``e = c @ weights = sum_j c_j 2**j``:
+    it holds the image's 2k local bits, then the power of i the image adds.
+    """
+    weights = 1 << np.arange(2 * k)
+    local = (np.arange(4**k)[:, None] >> np.arange(2 * k)) & 1
+    offsets: dict[str, int] = {}
+    parts = []
+    for i, name in enumerate(_KERNEL_GATES[k]):
+        op = standard_gate(name, tuple(range(k)), k)
+        offsets[name] = i * 4**k
+        parts.append(np.column_stack([(local @ op.s.T.astype(np.int64)) % 2, op._phase_of(local)]))
+    return offsets, np.concatenate(parts).astype(np.uint8), weights
+
+
+def _conjugate_rows(b: np.ndarray, r: np.ndarray | None, gates: Iterable[GateLabel], n: int):
+    """Conjugate every row of ``(b, r)`` in place by the gates of one layer.
+
+    The gates act on disjoint qubits, so their order does not matter and
+    all gates with the same number of qubits go through one table lookup.
+    With ``r`` None only the bits are updated.
+    """
+    groups: dict[int, tuple[list[tuple[int, ...]], list[str]]] = {}
+    for gate in gates:
+        q = gate.qubits
+        cols, names = groups.setdefault(len(q), ([], []))
+        cols.append((*q, *(n + j for j in q)))
+        names.append(gate.name)
+    for k, (cols, names) in groups.items():
+        try:
+            offsets, table, weights = _gate_lookup(k)
+            start = [offsets[name] for name in names]
+        except KeyError:
+            for name, c in zip(names, cols):
+                standard_gate(name, c[:k], n)  # raises the gate's own error
+            raise  # pragma: no cover
+        cols = np.array(cols)
+        idx = b[:, cols] @ weights
+        idx += start
+        image = table[idx]
+        b[:, cols] = image[..., :-1]
+        if r is not None:
+            r += image[..., -1].sum(axis=1, dtype=np.int64)
+
+
+class PauliRows:
+    """A stack of Pauli rows ``i**r[k] * W(b[k])``, conjugated in place gate
+    by gate (see the module docstring for the layout)."""
+
+    __slots__ = ("n", "b", "r")
+
+    def __init__(self, n: int, b: np.ndarray, r: Sequence[int] | np.ndarray):
+        self.n = int(n)
+        self.b = np.array(b, dtype=np.uint8)
+        self.r = np.array(r, dtype=np.int64)
+
+    @classmethod
+    def of(cls, paulis: Sequence[PauliOp]) -> "PauliRows":
+        return cls(paulis[0].n, np.stack([p.vec for p in paulis]), [p.phase for p in paulis])
+
+    @classmethod
+    def identity(cls, n: int) -> "PauliRows":
+        """The 2n rows W(e_j), whose images under a Clifford are its columns."""
+        return cls(n, np.eye(2 * n, dtype=np.uint8), np.zeros(2 * n, dtype=np.int64))
+
+    def apply_layer(self, gates: Iterable[GateLabel]):
+        """Conjugate every row by the gates of one layer (disjoint qubits)."""
+        _conjugate_rows(self.b, self.r, gates, self.n)
+
+    def apply_circuit(self, circuit: Circuit):
+        for layer in circuit.layers:
+            _conjugate_rows(self.b, self.r, layer, self.n)
+
+    def multiply_row(self, k: int, p: PauliOp):
+        """Row k becomes ``p`` times row k."""
+        n = self.n
+        # W(a) W(b) = i**(2 a_z.b_x) W(a xor b)
+        self.r[k] += p.phase + 2 * int(p.z @ self.b[k, :n])
+        self.b[k] ^= p.vec
+
+    def pauli(self, k: int) -> PauliOp:
+        n = self.n
+        return PauliOp(n, self.b[k, :n], self.b[k, n:], int(self.r[k]))
+
+    def paulis(self) -> list[PauliOp]:
+        return [self.pauli(k) for k in range(len(self.r))]
+
+    def clifford(self) -> CliffordOp:
+        """The Clifford whose columns are these 2n rows."""
+        return CliffordOp(self.n, self.b.T, self.r % 4, validate=False)
+
+
 def layer_to_clifford(layer: Layer, n: int) -> CliffordOp:
     """Compose the disjoint gates of one layer into a single CliffordOp."""
-    s = np.eye(2 * n, dtype=np.uint8)
-    v = np.zeros(2 * n, dtype=np.int64)
-    for gate in layer:
-        k = len(gate.qubits)
-        local = standard_gate(gate.name, tuple(range(k)), k)
-        idx = np.array([*gate.qubits, *(n + q for q in gate.qubits)], dtype=np.intp)
-        s[np.ix_(idx, idx)] = local.s
-        v[idx] = local.v
-    return CliffordOp(n, s, v, validate=False)
+    rows = PauliRows.identity(n)
+    rows.apply_layer(layer)
+    return rows.clifford()
 
 
 def circuit_to_clifford(circuit: Circuit, n: int | None = None) -> CliffordOp:
@@ -438,10 +557,9 @@ def circuit_to_clifford(circuit: Circuit, n: int | None = None) -> CliffordOp:
     width = circuit.n if n is None else n
     if width != circuit.n:
         raise ValueError("width mismatch")
-    acc = CliffordOp.identity(width)
-    for layer in circuit.layers:
-        acc = layer_to_clifford(layer, width).compose(acc)
-    return acc
+    rows = PauliRows.identity(width)
+    rows.apply_circuit(circuit)
+    return rows.clifford()
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +671,22 @@ class StabilizerState:
     def apply(self, c: CliffordOp) -> "StabilizerState":
         if c.n != self.n:
             raise ValueError("qubit-count mismatch")
-        return StabilizerState([c.conjugate_pauli(g) for g in self.generators], canonical=False, validate=False)
+        rows = self._matrix()
+        image = (rows.astype(np.int64) @ c.s.T) % 2
+        phases = [g.phase for g in self.generators] + c._phase_of(rows)
+        n = self.n
+        return StabilizerState(
+            [PauliOp(n, image[k, :n], image[k, n:], phases[k]) for k in range(n)],
+            canonical=False,
+            validate=False,
+        )
+
+    def apply_circuit(self, circuit: Circuit) -> "StabilizerState":
+        """The state after ``circuit``, its generators carried through the
+        row kernel layer by layer."""
+        rows = PauliRows.of(self.generators)
+        rows.apply_circuit(circuit)
+        return StabilizerState(rows.paulis(), canonical=False, validate=False)
 
     def canonicalize(self) -> "StabilizerState":
         if self.canonical:

@@ -27,9 +27,9 @@ from .clifford import (
     Circuit,
     CliffordOp,
     GateLabel,
-    PauliOp,
+    PauliRows,
     StabilizerState,
-    _gf2_row_reduce_with_phases,
+    _conjugate_rows,
     _gf2_rref,
     circuit_to_clifford,
     compose,
@@ -280,7 +280,19 @@ def _one_qubit_index() -> dict[str, int]:
 def _one_qubit_products() -> tuple[tuple[int, ...], ...]:
     """``product[a][b]``: position of C<a> after C<b>."""
     table = one_qubit_clifford_table()
-    return tuple(tuple(table.index(compose(a, b)) for b in table) for a in table)
+    position = {(op.s.tobytes(), op.v.tobytes()): k for k, op in enumerate(table)}
+    # the columns of every C<b>, two rows each, carried through each C<a>
+    columns = np.concatenate([op.s.T for op in table])
+    phases = np.concatenate([op.v for op in table])
+    product = []
+    for a in range(len(table)):
+        rows = PauliRows(1, columns, phases)
+        rows.apply_layer((GateLabel(f"C{a}", (0,)),))
+        product.append(tuple(
+            position[rows.b[2 * b:2 * b + 2].T.tobytes(), (rows.r[2 * b:2 * b + 2] % 4).tobytes()]
+            for b in range(len(table))
+        ))
+    return tuple(product)
 
 
 @functools.cache
@@ -583,77 +595,42 @@ def _albert_factor(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def _relabel_state(state: StabilizerState, order: list[int]) -> StabilizerState:
-    gens = [PauliOp(state.n, g.x[order], g.z[order], g.phase) for g in state.generators]
-    return StabilizerState(gens, validate=False)
+def _meas_sequence(b: np.ndarray, device: DeviceSpec, options: CompileOptions) -> list[GateLabel]:
+    """Gates mapping the state whose generators have (x | z) rows ``b`` to
+    a computational basis state, in the form [1Q block][CNOT block][1Q block].
 
-
-@functools.lru_cache(maxsize=8192)
-def _embedded_gate(name: str, qubits: tuple[int, ...], n: int) -> CliffordOp:
-    return standard_gate(name, qubits, n)
-
-
-class _TrackedState:
-    """Generators conjugated gate by gate while a circuit is built."""
-
-    def __init__(self, state: StabilizerState, n: int):
-        self.n = n
-        self.gens = list(state.generators)
-
-    def apply(self, gate: GateLabel):
-        op = _embedded_gate(gate.name, gate.qubits, self.n)
-        self.gens = [op.conjugate_pauli(g) for g in self.gens]
-
-    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        mat = np.stack([g.vec for g in self.gens])
-        return mat[:, : self.n], mat[:, self.n :]
-
-    def state(self) -> StabilizerState:
-        return StabilizerState(self.gens, validate=False)
-
-
-def _meas_sequence(state: StabilizerState, device: DeviceSpec, options: CompileOptions) -> list[GateLabel]:
-    """Gates mapping ``state`` to a computational basis state, in the form
-    [1Q block][CNOT block][1Q block]."""
+    Gate choice reads only the bits, so the rows are tracked without
+    phases; the caller replays the chosen gates with phases.
+    """
     n = device.n
-    work = _TrackedState(state, n)
+    b = b.copy()
     seq: list[GateLabel] = []
 
-    def emit(gate: GateLabel):
-        work.apply(gate)
-        seq.append(gate)
+    def emit(layer: list[GateLabel] | tuple[GateLabel, ...]):
+        _conjugate_rows(b, None, layer, n)
+        seq.extend(layer)
 
     # H on qubits without an X-block pivot makes the X block invertible.
-    xblock, _ = work.blocks()
-    pivots = set(_gf2_rref(xblock)[2])
-    for q in range(n):
-        if q not in pivots:
-            emit(GateLabel("H", (q,)))
+    pivots = set(_gf2_rref(b[:, :n])[2])
+    emit([GateLabel("H", (q,)) for q in range(n) if q not in pivots])
     # Re-mix generators so the X block becomes the identity (no gates).
-    work.gens = _gf2_row_reduce_with_phases(work.gens)
-    xblock, zblock = work.blocks()
-    if not np.array_equal(xblock, np.eye(n, dtype=np.uint8)):
+    b = _gf2_rref(b)[0]
+    if not np.array_equal(b[:, :n], np.eye(n, dtype=np.uint8)):
         raise RuntimeError("X block did not reduce to the identity")
     # With X = I the Z block is symmetric; P gates make it invertible.
-    for q, flip in enumerate(_diagonal_for_invertibility(zblock)):
-        if flip:
-            emit(GateLabel("P", (q,)))
-    _, zblock = work.blocks()
+    flips = _diagonal_for_invertibility(b[:, n:])
+    emit([GateLabel("P", (q,)) for q in range(n) if flips[q]])
     # Factor Z = M M^T and run a CNOT word with column action M on the X
     # block, taking both blocks to M.
-    m = _albert_factor(zblock)
+    m = _albert_factor(b[:, n:])
     cnot_circ = compile_cnot_circuit(m.T, device, options)
     for layer in cnot_circ.layers:
-        for gate in layer:
-            emit(gate)
-    xblock, zblock = work.blocks()
-    if not (np.array_equal(xblock, m) and np.array_equal(zblock, m)):
+        emit(layer)
+    if not (np.array_equal(b[:, :n], m) and np.array_equal(b[:, n:], m)):
         raise RuntimeError("CNOT stage did not align the X and Z blocks")
     # P everywhere cancels the Z block; H everywhere moves X to Z.
-    for q in range(n):
-        emit(GateLabel("P", (q,)))
-    for q in range(n):
-        emit(GateLabel("H", (q,)))
+    seq.extend(GateLabel("P", (q,)) for q in range(n))
+    seq.extend(GateLabel("H", (q,)) for q in range(n))
     return seq
 
 
@@ -663,18 +640,19 @@ def _best_meas_sequence(
     n = device.n
     canon = state.canonicalize()
     digest = _digest(
-        np.stack([g.vec for g in canon.generators]).tobytes(),
+        canon._matrix().tobytes(),
         np.array([g.phase for g in canon.generators]).tobytes(),
     )
+    bits = state._matrix()
     best_seq = None
     best_key = None
     for order in _elimination_orders(n, device, options, digest):
         pos = [0] * n
         for k, q in enumerate(order):
             pos[q] = k
-        state2 = _relabel_state(state, order)
+        idx = np.array([*order, *(n + q for q in order)], dtype=np.intp)
         dev2 = _relabeled_device(device, pos)
-        seq2 = _meas_sequence(state2, dev2, options)
+        seq2 = _meas_sequence(bits[:, idx], dev2, options)
         seq = [GateLabel(g.name, tuple(order[q] for q in g.qubits)) for g in seq2]
         circ = _pack_layers(_merge_one_qubit_runs(seq, device), n)
         key = _cost_key(circ, options.cost)
@@ -699,11 +677,7 @@ def compile_stabilizer_meas(
         raise ValueError("state and device disagree on qubit count")
     seq = _best_meas_sequence(state, device, options)
     circuit = _pack_layers(_merge_one_qubit_runs(seq, device), device.n)
-    tracked = _TrackedState(state, device.n)
-    for layer in circuit.layers:
-        for gate in layer:
-            tracked.apply(gate)
-    bits = tracked.state().to_basis_bits()
+    bits = state.apply_circuit(circuit).to_basis_bits()
     if bits is None:
         raise RuntimeError("measurement circuit did not produce a basis state")
     return circuit, bits, circuit_stats(circuit, options.cost)
@@ -721,13 +695,11 @@ def compile_stabilizer_prep(
     seq = [g for g in reversed(meas_seq)]
     # Reversing H/P/CNOT gates inverts the symplectic action; the sign
     # mismatch left over is a single Pauli, solved from the canonical forms.
-    tracked = _TrackedState(StabilizerState.zero_state(n), n)
-    for gate in seq:
-        tracked.apply(gate)
-    got = tracked.state().canonicalize()
+    zero = StabilizerState.zero_state(n)
+    got = zero.apply_circuit(_pack_layers(seq, n)).canonicalize()
     want = state.canonicalize()
-    mat_got = np.stack([g.vec for g in got.generators])
-    mat_want = np.stack([g.vec for g in want.generators])
+    mat_got = got._matrix()
+    mat_want = want._matrix()
     if not np.array_equal(mat_got, mat_want):
         raise RuntimeError("prep candidate stabilizes the wrong group")
     rhs = np.array(
@@ -738,6 +710,6 @@ def compile_stabilizer_prep(
     q = _gf2_solve(rows, rhs)
     seq = seq + _pauli_gates(q[:n], q[n:])
     circuit = _pack_layers(_merge_one_qubit_runs(seq, device), n)
-    if StabilizerState.zero_state(n).apply(circuit_to_clifford(circuit)) != state:
+    if zero.apply_circuit(circuit) != state:
         raise RuntimeError("prep circuit does not prepare the target state")
     return circuit, circuit_stats(circuit, options.cost)

@@ -143,7 +143,11 @@ def circuit_from_text(text: str) -> BenchmarkCircuit:
         m = int(headers["m"])
     except ValueError:
         raise FormatError("circuit headers 'n' and 'm' must be integers") from None
-    target = tuple(int(b) for b in headers["target"])
+    target_text = headers["target"]
+    if len(target_text) != n or set(target_text) - {"0", "1"}:
+        raise FormatError(f"circuit header 'target' must be {n} characters, each 0 or 1, "
+                          f"got {target_text!r}")
+    target = tuple(int(b) for b in target_text)
     seed = _int_tuple(headers["seed"], "seed")
     segments = _int_tuple(headers["segments"], "segments")
     if len(seed) != 3:

@@ -17,11 +17,10 @@ from .clifford import (
     Circuit,
     CliffordOp,
     PauliOp,
+    PauliRows,
     StabilizerState,
-    circuit_to_clifford,
     compose,
     invert,
-    layer_to_clifford,
 )
 from .compiling import (
     CompileOptions,
@@ -131,15 +130,8 @@ class BenchmarkCircuit:
         return np.array(self.target, dtype=np.uint8)
 
 
-def _pauli_as_clifford(p: PauliOp) -> CliffordOp:
-    n = p.n
-    v = 2 * np.concatenate([p.z, p.x]).astype(np.int64)
-    return CliffordOp(n, np.eye(2 * n, dtype=np.uint8), v, validate=False)
-
-
 def _check_composition(circ: BenchmarkCircuit):
-    final = StabilizerState.zero_state(circ.n).apply(circuit_to_clifford(circ.full_circuit))
-    bits = final.to_basis_bits()
+    bits = StabilizerState.zero_state(circ.n).apply_circuit(circ.full_circuit).to_basis_bits()
     if bits is None or not np.array_equal(bits, circ.target_bits):
         raise RuntimeError(f"{circ.circuit_id}: composition does not reach the target bitstring")
 
@@ -171,21 +163,22 @@ def generate_drb_circuit(
         ]
 
     prep, _ = compile_stabilizer_prep(psi, device, design.compile_options)
-    state = psi
-    acc = PauliOp.identity(n)
+    # rows 0..n-1 are the state's generators; row n accumulates the frame
+    rows = PauliRows.of([*psi.generators, PauliOp.identity(n)])
     core_layers: list = []
     for i, layer in enumerate(layers):
-        op = layer_to_clifford(layer, n)
-        state = state.apply(op)
+        rows.apply_layer(layer)
         core_layers.append(layer)
         if frames is not None:
-            acc = op.conjugate_pauli(acc)
-            acc = frames[i] * acc
+            rows.multiply_row(n, frames[i])
             if design.emit_frame_gates:
                 block = pauli_block(frames[i].x, frames[i].z, device)
                 core_layers.extend(block.layers)
-    # the state the measurement stage must rotate, frame included
-    state = state.apply(_pauli_as_clifford(acc))
+    # the state the measurement stage must rotate, frame included:
+    # conjugating by the frame flips the generators it anticommutes with
+    acc = rows.pauli(n)
+    rows.r[:n] += 2 * ((rows.b[:n, :n] @ acc.z + rows.b[:n, n:] @ acc.x) % 2)
+    state = StabilizerState(rows.paulis()[:n], validate=False)
     meas, bits, _ = compile_stabilizer_meas(state, device, design.compile_options)
     if frames is not None and not design.emit_frame_gates:
         meas = fold_pauli_before_circuit(meas, acc.x, acc.z, device)
@@ -251,8 +244,9 @@ def generate_crb_circuit(
 
 
 def generate_experiment(design: ExperimentDesign) -> tuple[list[BenchmarkCircuit], dict]:
-    """All circuits of a design plus a manifest of ids, lengths, targets
-    and per-circuit seed keys.
+    """All circuits of a design plus a manifest of ids, lengths, targets,
+    per-circuit seed keys and the CNOT count and depth of each segment
+    (prep, core, meas).
 
     Circuit (length, index) pairs map to independent child streams of the
     master seed, so generation can be parallelized or partially repeated
@@ -277,6 +271,8 @@ def generate_experiment(design: ExperimentDesign) -> tuple[list[BenchmarkCircuit
                 "m": c.length,
                 "target": "".join(str(b) for b in c.target),
                 "seed": list(c.seed),
+                "segment_cnots": [seg.cnot_count for seg in (c.prep, c.core, c.meas)],
+                "segment_depths": [seg.depth for seg in (c.prep, c.core, c.meas)],
             }
             for c in circuits
         ],

@@ -232,3 +232,17 @@ def decay_sse(ms, ys, w, p: float, floor: float | None = None) -> float:
     coef = np.linalg.lstsq(design * sw[:, None], target * sw, rcond=None)[0]
     res = sw * (design @ coef - target)
     return float(res @ res)
+
+
+def phase_of_loop(s: np.ndarray, v: np.ndarray, c: np.ndarray) -> int:
+    """Phase exponent of the image of W(c) under the Clifford (s, v), one
+    support bit at a time: the product of the images of c's generators in
+    index order, each step moving the new X part past the Z part so far."""
+    n = len(v) // 2
+    phase = 0
+    u = np.zeros(2 * n, dtype=np.int64)
+    for j in np.flatnonzero(c):
+        # W(u) W(col_j) = i**(2 u_z.col_x) W(u xor col_j)
+        phase += int(v[j]) + 2 * int(u[n:] @ s[:n, j])
+        u = (u + s[:, j]) % 2
+    return phase % 4

@@ -94,6 +94,7 @@ MANIFEST_FIELDS = {
     "experiment.protocol": lambda m: m["experiment"].pop("protocol"),
     "experiment.circuits": lambda m: m["experiment"].pop("circuits"),
     "experiment.circuits[0].id": lambda m: m["experiment"]["circuits"][0].pop("id"),
+    "experiment.circuits[0].target": lambda m: m["experiment"]["circuits"][0].pop("target"),
 }
 
 # fields simulate reads from a generated manifest, each with a value of the wrong type
@@ -104,7 +105,11 @@ MANIFEST_BAD_TYPES = [
     ("experiment.circuits", lambda m: m["experiment"].update(circuits=5)),
     ("experiment.protocol", lambda m: m["experiment"].update(protocol=7)),
     ("experiment.protocol", lambda m: m["experiment"].update(protocol=None)),
+    ("experiment.circuits[0].target", lambda m: m["experiment"]["circuits"][0].update(target=1)),
 ]
+
+# malformed target headers of a circuit file on n = 3
+BAD_TARGETS = ["0x1", "0121", "2", ""]
 
 
 def corrupt_manifest(run: Path, corrupt) -> None:
@@ -129,6 +134,13 @@ class TestSimulate:
         depth = sum(c.prep.depth + c.core.depth + c.meas.depth for c in circuits)
         assert manifest["simulations"][0]["shot_layers"] == depth * 50
         assert manifest["simulations"][0]["error_events"] == 0
+        for entry in manifest["experiment"]["circuits"]:
+            circ = circuit_from_text(
+                (run / "circuits" / f"{entry['id']}.txt").read_text(encoding="utf-8"))
+            segments = (circ.prep, circ.core, circ.meas)
+            assert entry["segment_cnots"] == [seg.cnot_count for seg in segments]
+            assert entry["segment_depths"] == [seg.depth for seg in segments]
+        assert any(entry["segment_cnots"][0] for entry in manifest["experiment"]["circuits"])
 
     def test_thread_invariance_and_shots_override(self, tmp_path):
         run = generate(tmp_path)
@@ -184,6 +196,33 @@ class TestSimulate:
         (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
         assert f"manifest field {field} must be of type" in capsys.readouterr().err
+        assert not (run / "dataset.jsonl").exists()
+
+    @staticmethod
+    def set_first_target(run: Path, target: str) -> str:
+        """Rewrite the target header of the run's first circuit file; returns
+        the target the manifest records for it."""
+        entry = read_manifest(run)["experiment"]["circuits"][0]
+        path = run / "circuits" / f"{entry['id']}.txt"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace(f"# target={entry['target']}\n", f"# target={target}\n"),
+                        encoding="utf-8")
+        return entry["target"]
+
+    @pytest.mark.parametrize("target", BAD_TARGETS)
+    def test_malformed_circuit_target_exit2(self, tmp_path, capsys, target):
+        run = generate(tmp_path, device={"n": 3, "preset": "all_to_all", "gate_set": "HPI"})
+        self.set_first_target(run, target)
+        assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
+        assert "circuit header 'target' must be 3 characters, each 0 or 1" in capsys.readouterr().err
+        assert not (run / "dataset.jsonl").exists()
+
+    def test_circuit_target_disagrees_with_manifest_exit2(self, tmp_path, capsys):
+        run = generate(tmp_path, device={"n": 3, "preset": "all_to_all", "gate_set": "HPI"})
+        recorded = read_manifest(run)["experiment"]["circuits"][0]["target"]
+        self.set_first_target(run, str(1 - int(recorded[0])) + recorded[1:])
+        assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
+        assert "manifest field experiment.circuits[0].target" in capsys.readouterr().err
         assert not (run / "dataset.jsonl").exists()
 
     def test_manifest_protocol_value_exit2(self, tmp_path, capsys):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from drbench.clifford import (
@@ -11,6 +13,7 @@ from drbench.clifford import (
     CliffordOp,
     GateLabel,
     PauliOp,
+    PauliRows,
     StabilizerState,
     apply_clifford,
     circuit_to_clifford,
@@ -325,3 +328,89 @@ class TestStabilizerState:
             StabilizerState([PauliOp.from_label("ZI"), PauliOp.from_label("ZI")])
         with pytest.raises(ValueError):
             StabilizerState([PauliOp(1, [1], [0], 1)])  # iX not Hermitian
+
+
+ONE_QUBIT_NAMES = ("I", "X", "Y", "Z", "H", "P") + tuple(f"C{k}" for k in range(24))
+
+
+@st.composite
+def random_circuits(draw, n: int | None = None, max_depth: int = 5) -> Circuit:
+    """Circuits on n qubits (1 to 5 when not given): layers of CNOTs and
+    any of the 30 1Q gates on disjoint qubits."""
+    if n is None:
+        n = draw(st.integers(1, 5))
+    layers = []
+    for _ in range(draw(st.integers(0, max_depth))):
+        order = draw(st.permutations(range(n)))
+        pairs = draw(st.integers(0, n // 2))
+        layer = [GateLabel("CNOT", (order[2 * i], order[2 * i + 1])) for i in range(pairs)]
+        layer += [GateLabel(draw(st.sampled_from(ONE_QUBIT_NAMES)), (q,))
+                  for q in order[2 * pairs:]]
+        layers.append(tuple(layer))
+    return Circuit(n, tuple(layers))
+
+
+@st.composite
+def paulis(draw, n: int) -> PauliOp:
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return PauliOp(n, draw(bits), draw(bits), draw(st.integers(0, 3)))
+
+
+class TestRowKernel:
+    """The in-place row-stack kernel against dense conjugation."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_rows_match_dense_conjugation(self, data):
+        circ = data.draw(random_circuits())
+        rows_in = data.draw(st.lists(paulis(circ.n), min_size=1, max_size=2))
+        rows = PauliRows.of(rows_in)
+        rows.apply_circuit(circ)
+        u = oracles.circuit_unitary(circ)
+        for k, p in enumerate(rows_in):
+            x, z, phase = oracles.decompose_pauli(u @ oracles.pauli_op_matrix(p) @ u.conj().T, circ.n)
+            assert rows.pauli(k) == PauliOp(circ.n, x, z, phase)
+
+    def test_identity_rows_give_the_layer_clifford(self):
+        layer = (GateLabel("C5", (0,)), GateLabel("CNOT", (2, 1)))
+        rows = PauliRows.identity(3)
+        rows.apply_layer(layer)
+        assert rows.clifford() == compose(standard_gate("CNOT", (2, 1), 3), standard_gate("C5", (0,), 3))
+
+    def test_unknown_gates_raise_the_gate_error(self):
+        rows = PauliRows.identity(2)
+        with pytest.raises(ValueError, match="unknown gate name"):
+            rows.apply_layer((GateLabel("T", (0,)),))
+        with pytest.raises(ValueError, match="H takes exactly one qubit"):
+            rows.apply_layer((GateLabel("H", (0, 1)),))
+
+    def test_multiply_row_matches_pauli_product(self):
+        a, b = PauliOp.from_label("XZY"), PauliOp.from_label("-iYYZ")
+        rows = PauliRows.of([b])
+        rows.multiply_row(0, a)
+        assert rows.pauli(0) == a * b
+
+
+class TestBatchedAlgebra:
+    """The batched phase form, compose and invert against reference copies."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_phase_form_matches_support_loop(self, data):
+        op = circuit_to_clifford(data.draw(random_circuits(max_depth=8)))
+        n = op.n
+        c = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n),
+                                        min_size=1, max_size=6)))
+        assert op._phase_of(c).tolist() == [oracles.phase_of_loop(op.s, op.v, row) for row in c]
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_compose_and_invert_match_dense(self, data):
+        n = data.draw(st.integers(1, 5))
+        a, b = data.draw(random_circuits(n)), data.draw(random_circuits(n))
+        ua, ub = oracles.circuit_unitary(a), oracles.circuit_unitary(b)
+        ca, cb = circuit_to_clifford(a), circuit_to_clifford(b)
+        s, v = oracles.clifford_of_unitary(ua @ ub, n)
+        assert compose(ca, cb) == CliffordOp(n, s, v)
+        s, v = oracles.clifford_of_unitary(ua.conj().T, n)
+        assert invert(ca) == CliffordOp(n, s, v)

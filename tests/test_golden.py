@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from drbench.cli import main
+from drbench.clifford import CliffordOp
 
 CONFIGS = {
     "drb_ring4_c24": {
@@ -105,3 +106,28 @@ def generate_digest(tmp_path: Path, name: str) -> str:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_circuit_files_match_golden_digest(tmp_path, name):
     assert generate_digest(tmp_path, name) == GOLDEN[name]
+
+
+# Calls of CliffordOp.conjugate_pauli and CliffordOp.compose while generating
+# a config.  DRB tracks states through the row-stack kernel and makes none;
+# CRB composes its sampled elements and fixes each compiled element's signs
+# with one compose.  A return to per-Pauli tracking shows up here as a count.
+WORK_COUNTS = {
+    "drb_ring4_c24": {"conjugate_pauli": 0, "compose": 0},
+    "crb_ring4_c24": {"conjugate_pauli": 0, "compose": 16},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORK_COUNTS))
+def test_clifford_work_counts(tmp_path, monkeypatch, name):
+    counts = dict.fromkeys(WORK_COUNTS[name], 0)
+    for method in counts:
+        original = getattr(CliffordOp, method)
+
+        def counted(*args, _original=original, _method=method, **kwargs):
+            counts[_method] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(CliffordOp, method, counted)
+    assert generate_digest(tmp_path, name) == GOLDEN[name]
+    assert counts == WORK_COUNTS[name]
