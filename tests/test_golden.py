@@ -73,6 +73,56 @@ CONFIGS = {
         "circuits_per_length": 2,
         "compile": {"trials": 3},
     },
+    "drb_ring4_c24_trials10": {
+        "protocol": "DRB",
+        "device": {"preset": "ring", "n": 4, "gate_set": "C24"},
+        "sampler": {"kind": "pcnot", "p_cnot": 0.3},
+        "lengths": [0, 4, 8],
+        "circuits_per_length": 2,
+        "compile": {"trials": 10},
+    },
+    "crb_ring4_c24_trials10": {
+        "protocol": "CRB",
+        "device": {"preset": "ring", "n": 4, "gate_set": "C24"},
+        "lengths": [1, 2],
+        "circuits_per_length": 2,
+        "compile": {"trials": 10},
+    },
+    # on C24 every 1Q word is one gate, so depth and gates order ring-4
+    # trials like CNOTs do; HPI words of several gates tell them apart
+    "drb_ring4_hpi_cost_depth": {
+        "protocol": "DRB",
+        "device": {"preset": "ring", "n": 4, "gate_set": "HPI"},
+        "sampler": {"kind": "pcnot", "p_cnot": 0.3},
+        "lengths": [0, 4, 8],
+        "circuits_per_length": 2,
+        "compile": {"trials": 3, "cost": "depth"},
+    },
+    "drb_ring4_hpi_cost_gates": {
+        "protocol": "DRB",
+        "device": {"preset": "ring", "n": 4, "gate_set": "HPI"},
+        "sampler": {"kind": "pcnot", "p_cnot": 0.3},
+        "lengths": [0, 4, 8],
+        "circuits_per_length": 2,
+        "compile": {"trials": 3, "cost": "gates"},
+    },
+    "drb_ring4_c24_any_connectivity": {
+        "protocol": "DRB",
+        "device": {"preset": "ring", "n": 4, "gate_set": "C24"},
+        "sampler": {"kind": "pcnot", "p_cnot": 0.3},
+        "lengths": [0, 4, 8],
+        "circuits_per_length": 2,
+        "compile": {"trials": 3, "respect_connectivity": False},
+    },
+    # a ring's eccentricity order is 0..n-1, so the heuristic only changes
+    # the first elimination order on a less symmetric device: a 4-qubit line
+    "crb_line4_c24_no_heuristic": {
+        "protocol": "CRB",
+        "device": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "gate_set": "C24"},
+        "lengths": [1, 2],
+        "circuits_per_length": 2,
+        "compile": {"trials": 3, "use_heuristic": False},
+    },
 }
 
 SEED = 5
@@ -85,6 +135,12 @@ GOLDEN = {
     "drb_ring4_hpi": "d079635cf740c80f33b100d6f1eef1f94eb202687c7eda6b2940b7a95dff5d0b",
     "crb_ring4_c24": "88f085323040318cf863066642a0e6c38738b9dfe61ba59a3092c75eab8b5746",
     "crb_ring3_hpi": "de707ab69e33280ee962ee9804306473b67d60673c49d0ccbb587fa57c771d0a",
+    "drb_ring4_c24_trials10": "4c1affb8764f078926ea3dd5c63578f775d49575df3d52a43838a9573b5c5826",
+    "crb_ring4_c24_trials10": "48fac8072ed2f5551d39b515af21168e0f39a2ef6f860c4c600cfa95228b1f75",
+    "drb_ring4_hpi_cost_depth": "4fe8112e061b72781d836c56d44023e96a00abc5d1e42a6c553cef1e6f8e345d",
+    "drb_ring4_hpi_cost_gates": "c0aa3e0f297757167af0a1c1f8ebcd9714f2af39e6cdcd3cfe5ca042b07bd2fe",
+    "drb_ring4_c24_any_connectivity": "793a92bdb75e125d7157fcdaecaa5c4866725fe22b181f7bc417f68ad988934b",
+    "crb_line4_c24_no_heuristic": "6db8faa1a93eedc75ea3cea9d4272dc37bf8cb5a1f16cab0cc7685d7dbfe5761",
 }
 
 
