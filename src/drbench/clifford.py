@@ -468,12 +468,11 @@ def _gate_lookup(k: int) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
     return offsets, np.concatenate(parts).astype(np.uint8), weights
 
 
-def _conjugate_rows(b: np.ndarray, r: np.ndarray | None, gates: Iterable[GateLabel], n: int):
+def _conjugate_rows(b: np.ndarray, r: np.ndarray, gates: Iterable[GateLabel], n: int):
     """Conjugate every row of ``(b, r)`` in place by the gates of one layer.
 
     The gates act on disjoint qubits, so their order does not matter and
     all gates with the same number of qubits go through one table lookup.
-    With ``r`` None only the bits are updated.
     """
     groups: dict[int, tuple[list[tuple[int, ...]], list[str]]] = {}
     for gate in gates:
@@ -494,8 +493,7 @@ def _conjugate_rows(b: np.ndarray, r: np.ndarray | None, gates: Iterable[GateLab
         idx += start
         image = table[idx]
         b[:, cols] = image[..., :-1]
-        if r is not None:
-            r += image[..., -1].sum(axis=1, dtype=np.int64)
+        r += image[..., -1].sum(axis=1, dtype=np.int64)
 
 
 class PauliRows:
@@ -566,34 +564,65 @@ def circuit_to_clifford(circuit: Circuit, n: int | None = None) -> CliffordOp:
 # Stabilizer states
 
 
+def _pack_rows(m: np.ndarray) -> list[int]:
+    """Row k of the binary matrix m as a Python int whose bit j is m[k, j].
+
+    Ints have no width limit, so rows of any length pack without overflow.
+    """
+    packed = np.packbits(np.asarray(m, dtype=np.uint8), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unpack_rows(rows: Sequence[int], width: int) -> np.ndarray:
+    """Inverse of :func:`_pack_rows`: the low ``width`` bits of each row."""
+    nbytes = (width + 7) // 8
+    buf = b"".join(v.to_bytes(nbytes, "little") for v in rows)
+    bits = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(bits, axis=1, bitorder="little")[:, :width]
+
+
+def _gf2_eliminate(rows: list[int], cols: int) -> list[int]:
+    """Bring int rows (bit j is column j) to reduced row echelon form over
+    their low ``cols`` bits, in place, and return the pivot columns.
+
+    Row i < len(pivots) ends with its leading one in column pivots[i] and
+    the remaining rows are zero in those bits.  Bits from ``cols`` up are
+    carried along by every row operation, so appending the identity there
+    records the row transform.
+    """
+    pivots: list[int] = []
+    count = len(rows)
+    for c in range(cols):
+        k = len(pivots)
+        if k == count:
+            break
+        bit = 1 << c
+        p = next((i for i in range(k, count) if rows[i] & bit), None)
+        if p is None:
+            continue
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        for i in range(count):
+            if i != k and rows[i] & bit:
+                rows[i] ^= pivot
+        pivots.append(c)
+    return pivots
+
+
 def _gf2_rref(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Reduced row echelon form of a binary matrix over GF(2).
 
     Returns (r, t, pivots): r is the RREF, t the invertible row transform
     with ``t @ m = r`` (mod 2), and row i < len(pivots) of r has its
-    leading one in column pivots[i]; the remaining rows are zero.
+    leading one in column pivots[i]; the remaining rows are zero.  The
+    elimination runs on the rows of [m | I] packed into ints.
     """
     r = np.asarray(m, dtype=np.uint8) % 2
     rows, cols = r.shape
-    t = np.eye(rows, dtype=np.uint8)
-    pivots: list[int] = []
-    for c in range(cols):
-        k = len(pivots)
-        if k == rows:
-            break
-        hits = np.flatnonzero(r[k:, c])
-        if not hits.size:
-            continue
-        p = k + int(hits[0])
-        if p != k:
-            r[[k, p]] = r[[p, k]]
-            t[[k, p]] = t[[p, k]]
-        others = r[:, c].astype(bool)
-        others[k] = False
-        r[others] ^= r[k]
-        t[others] ^= t[k]
-        pivots.append(c)
-    return r, t, pivots
+    aug = _pack_rows(np.hstack([r, np.eye(rows, dtype=np.uint8)]))
+    pivots = _gf2_eliminate(aug, cols)
+    out = _unpack_rows(aug, cols + rows)
+    return out[:, :cols], out[:, cols:], pivots
 
 
 def _gf2_row_reduce_with_phases(paulis: Sequence[PauliOp]) -> list[PauliOp]:

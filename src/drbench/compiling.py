@@ -13,10 +13,28 @@ the leftover sign data with one Pauli correction that is merged into the
 neighboring 1Q gates.  Stabilizer prep and measurement circuits come out
 in 1Q / CNOT-block / 1Q form; on devices whose gate set needs multi-gate
 words for a general 1Q Clifford, each "1Q layer" may span a few layers.
+
+Trials.  Each compiler tries ``options.trials`` elimination orders and
+keeps the cheapest candidate; a stabilizer compile also runs a CNOT
+compile of its own inside every order.  A trial reads only GF(2) bits,
+so it works on Python-int rows (bit j of a row is column j; row
+operations are XORs and the CHP-style gate updates are shifts, in the
+manner of Aaronson & Gottesman, quant-ph/0406196), and it never builds a
+Circuit: its cost key (cnots, depth, gates) is read off its merged gate
+sequence, with depth by the same greedy earliest-layer rule that
+``_pack_layers`` uses, so the key equals that of the packed circuit.
+Only the winner is packed and validated as a Circuit, and only the
+winner is replayed with phases: the Clifford compiler derives its Pauli
+sign fix from it and checks the result against the target; prep and
+meas circuits are checked by carrying the state through them.  An order
+that repeats an earlier one is drawn (so the stream does not change) but
+not evaluated: it would rebuild the same candidate, and a tie never
+replaces the incumbent, so skipping it cannot change any circuit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import zlib
 from dataclasses import dataclass
@@ -29,8 +47,9 @@ from .clifford import (
     GateLabel,
     PauliRows,
     StabilizerState,
-    _conjugate_rows,
+    _gf2_eliminate,
     _gf2_rref,
+    _pack_rows,
     circuit_to_clifford,
     compose,
     invert,
@@ -72,22 +91,41 @@ class CompileOptions:
     seed: int = 0
 
     def __post_init__(self):
+        # every message starts with the option's name
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("respect_connectivity", "use_heuristic"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
         if self.cost not in COST_METRICS:
-            raise ValueError(f"cost must be one of {COST_METRICS}")
+            raise ValueError(f"cost must be one of {COST_METRICS}, got {self.cost!r}")
 
 
 @dataclass(frozen=True)
 class CompileStats:
     """Size measures of a compiled circuit; ``alpha`` is the value of the
     configured cost metric (the per-element depth measure used when
-    rescaling group-benchmark error rates)."""
+    rescaling group-benchmark error rates).
+
+    ``trials`` counts the candidates evaluated to find the circuit: the
+    distinct elimination orders, plus for stabilizer circuits the CNOT
+    eliminations each order ran.  It describes the search, not the
+    circuit, so it takes no part in equality; :func:`circuit_stats`
+    leaves it 0.
+    """
 
     cnots: int
     gates: int
     depth: int
     alpha: float
+    trials: int = dataclasses.field(default=0, compare=False)
 
 
 def circuit_stats(circ: Circuit, cost: str = "cnots") -> CompileStats:
@@ -100,10 +138,38 @@ def circuit_stats(circ: Circuit, cost: str = "cnots") -> CompileStats:
     )
 
 
-def _cost_key(circ: Circuit, cost: str) -> tuple[int, int, int]:
-    values = {"cnots": circ.cnot_count, "depth": circ.depth, "gates": circ.num_gates}
-    order = {"cnots": ("cnots", "depth", "gates"), "depth": ("depth", "cnots", "gates"), "gates": ("gates", "depth", "cnots")}
-    return tuple(values[k] for k in order[cost])
+def _cost_key(cnots: int, depth: int, gates: int, cost: str) -> tuple[int, int, int]:
+    if cost == "cnots":
+        return cnots, depth, gates
+    if cost == "depth":
+        return depth, cnots, gates
+    return gates, depth, cnots
+
+
+def _sequence_cost(seq: list[GateLabel], n: int, cost: str) -> tuple[int, int, int]:
+    """The cost key of ``_pack_layers(seq, n)``, read off the sequence.
+
+    Depth follows the same greedy earliest-layer rule: ``level[q]`` is the
+    number of layers qubit q occupies so far.
+    """
+    level = [0] * n
+    cnots = 0
+    for gate in seq:
+        q = gate.qubits
+        if len(q) == 2:
+            a, b = q
+            level[a] = level[b] = max(level[a], level[b]) + 1
+            cnots += 1
+        else:
+            level[q[0]] += 1
+    return _cost_key(cnots, max(level), len(seq), cost)
+
+
+@functools.cache
+def _gate(name: str, qubits: tuple[int, ...]) -> GateLabel:
+    """One shared GateLabel per (name, qubits): trials build the same few
+    labels over and over."""
+    return GateLabel(name, qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +194,24 @@ def _gf2_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = np.zeros(a.shape[1], dtype=np.uint8)
     x[pivots] = tb[: len(pivots)]
     return x
+
+
+def _gather_bits(row: int, idx: list[int]) -> int:
+    """The int whose bit j is bit idx[j] of ``row``."""
+    out = 0
+    for j, c in enumerate(idx):
+        out |= (row >> c & 1) << j
+    return out
+
+
+def _permuted(rows: list[int], idx: list[int]) -> list[int]:
+    """Int rows of m[np.ix_(idx, idx)], for m given as int rows."""
+    return [_gather_bits(rows[i], idx) for i in idx]
+
+
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """Int rows of the transpose of a matrix given as int rows."""
+    return [sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(width)]
 
 
 def _digest(*parts: bytes) -> int:
@@ -165,14 +249,14 @@ def _cnot_realization(device: DeviceSpec, control: int, target: int) -> tuple[Ga
     with per-step direction fixes.
     """
     if device.has_edge(control, target):
-        return (GateLabel("CNOT", (control, target)),)
+        return (_gate("CNOT", (control, target)),)
     if device.has_edge(target, control):
         return (
-            GateLabel("H", (control,)),
-            GateLabel("H", (target,)),
-            GateLabel("CNOT", (target, control)),
-            GateLabel("H", (control,)),
-            GateLabel("H", (target,)),
+            _gate("H", (control,)),
+            _gate("H", (target,)),
+            _gate("CNOT", (target, control)),
+            _gate("H", (control,)),
+            _gate("H", (target,)),
         )
     path = device.shortest_path(control, target)
     gates: list[GateLabel] = []
@@ -182,11 +266,21 @@ def _cnot_realization(device: DeviceSpec, control: int, target: int) -> tuple[Ga
 
 
 def _elimination_orders(n: int, device: DeviceSpec, options: CompileOptions, digest: int) -> list[list[int]]:
+    """The distinct elimination orders to try, in draw order.
+
+    All ``trials - 1`` random orders are drawn, so the stream never
+    depends on which repeat; a repeat is dropped because it would rebuild
+    the same candidate, which cannot beat the first under strict ``<``.
+    """
     first = device.eccentricity_order() if options.use_heuristic else list(range(n))
     orders = [first]
+    seen = {tuple(first)}
     rng = stream(options.seed, "compile-orders", digest)
     for _ in range(options.trials - 1):
-        orders.append([int(q) for q in rng.permutation(n)])
+        order = tuple(int(q) for q in rng.permutation(n))
+        if order not in seen:
+            seen.add(order)
+            orders.append(list(order))
     return orders
 
 
@@ -199,29 +293,54 @@ def _relabeled_device(device: DeviceSpec, pos: list[int]) -> DeviceSpec:
     )
 
 
-def _cnot_ge_ops(m: np.ndarray) -> list[tuple[int, int]]:
+def _cnot_ge_ops(w: list[int]) -> list[tuple[int, int]]:
     """Row operations (as CNOT (control, target) pairs, in application
-    order onto the matrix) reducing an invertible m to the identity."""
-    w = m.copy()
-    n = w.shape[0]
+    order onto the matrix) reducing an invertible matrix, given as int
+    rows (bit j is column j), to the identity."""
+    w = list(w)
+    n = len(w)
     ops: list[tuple[int, int]] = []
-
-    def add_row(c: int, t: int):
-        w[t] ^= w[c]
-        ops.append((c, t))
-
     for k in range(n):
-        if w[k, k] == 0:
+        bit = 1 << k
+        if not w[k] & bit:
             # a pivot below the diagonal always exists for invertible m;
             # rows above would re-pollute processed columns
-            pivot = next((i for i in range(k + 1, n) if w[i, k]), None)
+            pivot = next((i for i in range(k + 1, n) if w[i] & bit), None)
             if pivot is None:
                 raise ValueError("matrix is singular over GF(2)")
-            add_row(pivot, k)
+            w[k] ^= w[pivot]
+            ops.append((pivot, k))
+        row = w[k]
         for i in range(n):
-            if i != k and w[i, k]:
-                add_row(k, i)
+            if i != k and w[i] & bit:
+                w[i] ^= row
+                ops.append((k, i))
     return ops
+
+
+def _cnot_sequence(rows: list[int], device: DeviceSpec, options: CompileOptions) -> tuple[list[GateLabel], int]:
+    """The cheapest device gate sequence realizing |x> -> |m x> over the
+    elimination orders, for m given as int rows, and the number of orders
+    evaluated."""
+    n = device.n
+    digest = _digest(bytes(row >> j & 1 for row in rows for j in range(n)))
+    orders = _elimination_orders(n, device, options, digest)
+    best_seq: list[GateLabel] = []
+    best_key = None
+    for order in orders:
+        # The matrix equals the product of the recorded operations applied
+        # in reverse, so emit them reversed and in physical labels.
+        seq: list[GateLabel] = []
+        for c, t in reversed(_cnot_ge_ops(_permuted(rows, order))):
+            pc, pt = order[c], order[t]
+            if options.respect_connectivity:
+                seq.extend(_cnot_realization(device, pc, pt))
+            else:
+                seq.append(_gate("CNOT", (pc, pt)))
+        key = _sequence_cost(seq, n, options.cost)
+        if best_key is None or key < best_key:
+            best_seq, best_key = seq, key
+    return best_seq, len(orders)
 
 
 def compile_cnot_circuit(matrix: np.ndarray, device: DeviceSpec, options: CompileOptions | None = None) -> Circuit:
@@ -237,29 +356,8 @@ def compile_cnot_circuit(matrix: np.ndarray, device: DeviceSpec, options: Compil
     if m.shape != (n, n):
         raise ValueError(f"matrix must be {n} x {n} for this device")
     _gf2_inv(m)  # raises when singular
-    orders = _elimination_orders(n, device, options, _digest(m.tobytes()))
-    best = None
-    best_key = None
-    for order in orders:
-        pos = [0] * n
-        for k, q in enumerate(order):
-            pos[q] = k
-        m2 = m[np.ix_(order, order)]
-        ops = _cnot_ge_ops(m2)
-        # The matrix equals the product of the recorded operations applied
-        # in reverse, so emit them reversed and in physical labels.
-        seq: list[GateLabel] = []
-        for c, t in reversed(ops):
-            pc, pt = order[c], order[t]
-            if options.respect_connectivity:
-                seq.extend(_cnot_realization(device, pc, pt))
-            else:
-                seq.append(GateLabel("CNOT", (pc, pt)))
-        circ = _pack_layers(seq, n)
-        key = _cost_key(circ, options.cost)
-        if best_key is None or key < best_key:
-            best, best_key = circ, key
-    return best
+    seq, _ = _cnot_sequence(_pack_rows(m), device, options)
+    return _pack_layers(seq, n)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +429,7 @@ def _merge_one_qubit_runs(seq: list[GateLabel], device: DeviceSpec) -> list[Gate
     def flush(q: int):
         k = pending.pop(q, identity)
         if k != identity:
-            out.extend(GateLabel(name, (q,)) for name in words[k])
+            out.extend(_gate(name, (q,)) for name in words[k])
 
     for gate in seq:
         if len(gate.qubits) == 2:
@@ -364,11 +462,11 @@ def _pauli_gates(x: np.ndarray, z: np.ndarray) -> list[GateLabel]:
     gates = []
     for q in range(len(x)):
         if x[q] and z[q]:
-            gates.append(GateLabel("Y", (q,)))
+            gates.append(_gate("Y", (q,)))
         elif x[q]:
-            gates.append(GateLabel("X", (q,)))
+            gates.append(_gate("X", (q,)))
         elif z[q]:
-            gates.append(GateLabel("Z", (q,)))
+            gates.append(_gate("Z", (q,)))
     return gates
 
 
@@ -389,8 +487,9 @@ def fold_pauli_before_circuit(circ: Circuit, x: np.ndarray, z: np.ndarray, devic
 # Clifford compilation
 
 
-def _gge_ops(s: np.ndarray, n: int) -> list[tuple[str, tuple[int, ...]]]:
-    """Gate row-operations reducing the symplectic matrix s to the identity.
+def _gge_ops(rows: list[int], n: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Gate row-operations reducing a symplectic matrix, given as int rows
+    (bit j is column j), to the identity.
 
     Rows j and n+j of the working matrix are qubit j's X and Z rows.  The
     left action of a gate is: H(q) swaps rows q and n+q; P(q) adds row q
@@ -399,11 +498,11 @@ def _gge_ops(s: np.ndarray, n: int) -> list[tuple[str, tuple[int, ...]]]:
     later operations only mix rows of unprocessed qubits, where processed
     columns are zero by symplectic orthogonality.
     """
-    a = s.copy()
+    a = list(rows)
     ops: list[tuple[str, tuple[int, ...]]] = []
 
     def h(q: int):
-        a[[q, n + q]] = a[[n + q, q]]
+        a[q], a[n + q] = a[n + q], a[q]
         ops.append(("H", (q,)))
 
     def p(q: int):
@@ -416,25 +515,26 @@ def _gge_ops(s: np.ndarray, n: int) -> list[tuple[str, tuple[int, ...]]]:
         ops.append(("CNOT", (c, t)))
 
     for j in range(n):
+        xj, zj = 1 << j, 1 << (n + j)
         # put a 1 at (j, j)
-        if a[j, j] == 0:
-            xi = next((i for i in range(j + 1, n) if a[i, j]), None)
+        if not a[j] & xj:
+            xi = next((i for i in range(j + 1, n) if a[i] & xj), None)
             if xi is not None:
                 cnot(xi, j)
-            elif a[n + j, j]:
+            elif a[n + j] & xj:
                 h(j)
             else:
-                zi = next(i for i in range(j + 1, n) if a[n + i, j])
+                zi = next(i for i in range(j + 1, n) if a[n + i] & xj)
                 h(zi)
                 cnot(zi, j)
         # clear the rest of column j's X part
         for i in range(j + 1, n):
-            if a[i, j]:
+            if a[i] & xj:
                 cnot(j, i)
         # clear column j's Z part
-        if a[n + j, j]:
+        if a[n + j] & xj:
             p(j)
-        spread = [i for i in range(j + 1, n) if a[n + i, j]]
+        spread = [i for i in range(j + 1, n) if a[n + i] & xj]
         if spread:
             h(j)
             for i in spread:
@@ -442,20 +542,20 @@ def _gge_ops(s: np.ndarray, n: int) -> list[tuple[str, tuple[int, ...]]]:
             h(j)
         # column n+j: clear its Z part off the diagonal
         for i in range(j + 1, n):
-            if a[n + i, n + j]:
+            if a[n + i] & zj:
                 cnot(i, j)
         # clear its X part
-        if a[j, n + j]:
+        if a[j] & zj:
             h(j)
             p(j)
             h(j)
-        tail = [i for i in range(j + 1, n) if a[i, n + j]]
+        tail = [i for i in range(j + 1, n) if a[i] & zj]
         if tail:
             h(j)
             for i in tail:
                 cnot(j, i)
             h(j)
-    if not np.array_equal(a, np.eye(2 * n, dtype=np.uint8)):
+    if a != [1 << i for i in range(2 * n)]:
         raise RuntimeError("symplectic reduction failed to reach the identity")
     return ops
 
@@ -474,7 +574,7 @@ def _expand_ops(
         if name == "CNOT" and options.respect_connectivity:
             seq.extend(_cnot_realization(device, *physical))
         else:
-            seq.append(GateLabel(name, physical))
+            seq.append(_gate(name, physical))
     return seq
 
 
@@ -487,19 +587,18 @@ def compile_clifford(
     if op.n != n:
         raise ValueError("operator and device disagree on qubit count")
     digest = _digest(op.s.tobytes(), op.v.tobytes())
-    best = None
+    rows = _pack_rows(op.s)
+    orders = _elimination_orders(n, device, options, digest)
     best_key = None
-    for order in _elimination_orders(n, device, options, digest):
-        idx = np.array([*order, *(n + q for q in order)], dtype=np.intp)
-        s2 = op.s[np.ix_(idx, idx)]
-        ops = _gge_ops(s2, n)
-        seq = _expand_ops(ops, order, device, options)
-        circ = _pack_layers(_merge_one_qubit_runs(seq, device), n)
-        key = _cost_key(circ, options.cost)
+    for order in orders:
+        idx = [*order, *(n + q for q in order)]
+        seq = _expand_ops(_gge_ops(_permuted(rows, idx), n), order, device, options)
+        merged = _merge_one_qubit_runs(seq, device)
+        key = _sequence_cost(merged, n, options.cost)
         if best_key is None or key < best_key:
-            best, best_key, best_seq = circ, key, seq
+            best_key, best_seq, best_merged = key, seq, merged
     # one Pauli correction fixes the phase vector
-    realized = circuit_to_clifford(best)
+    realized = circuit_to_clifford(_pack_layers(best_merged, n))
     fix = compose(invert(realized), op)
     pauli = fix.pauli_part()
     seq = _pauli_gates(pauli.x, pauli.z) + best_seq
@@ -507,160 +606,190 @@ def compile_clifford(
     final = circuit_to_clifford(circuit)
     if final != op:
         raise RuntimeError("compiled circuit does not match the target Clifford")
-    return circuit, circuit_stats(circuit, options.cost)
+    return circuit, dataclasses.replace(circuit_stats(circuit, options.cost), trials=len(orders))
 
 
 # ---------------------------------------------------------------------------
 # Stabilizer prep and measurement
 
 
-def _diagonal_for_invertibility(a: np.ndarray) -> np.ndarray:
-    """d with a + diag(d) invertible, for symmetric a over GF(2).
+def _diagonal_for_invertibility(a: list[int]) -> list[int]:
+    """d with a + diag(d) invertible, for symmetric a over GF(2) given as
+    int rows.
 
-    Chosen so every leading principal minor is invertible: with the
-    leading j x j block L fixed and b the next column, the bordered
-    determinant is d_j-adjustable via the Schur complement c + b' L^-1 b.
-    This also forces the (0, 0) entry to 1, so the result is never
+    Chosen so every leading principal minor is invertible, which fixes d:
+    Gaussian elimination without pivoting leaves the Schur complement
+    c + b' L^-1 b of the leading j x j block L at (j, j), and d_j sets it
+    to 1.  This also forces the (0, 0) entry to 1, so the result is never
     alternating.
     """
-    n = a.shape[0]
-    d = np.zeros(n, dtype=np.uint8)
-    for j in range(n):
-        if j == 0:
-            d[0] = (a[0, 0] + 1) % 2
-            continue
-        lead = (a[:j, :j] + np.diag(d[:j])) % 2
-        b = a[:j, j]
-        y = _gf2_solve(lead, b)
-        schur = (int(a[j, j]) + int(b @ y)) % 2
-        d[j] = (schur + 1) % 2
+    rows = list(a)
+    d = []
+    for j, bit in enumerate(1 << k for k in range(len(rows))):
+        d.append(0 if rows[j] & bit else 1)
+        rows[j] |= bit
+        for i in range(j + 1, len(rows)):
+            if rows[i] & bit:
+                rows[i] ^= rows[j]
     return d
 
 
-def _albert_factor(a: np.ndarray) -> np.ndarray:
-    """Invertible m with m m^T = a, for invertible symmetric non-alternating a.
+def _albert_factor(a: list[int]) -> list[int]:
+    """Int rows of an invertible m with m m^T = a, for invertible symmetric
+    non-alternating a given as int rows.
 
     Congruence-orthonormalization: find a basis that is orthonormal under
     the bilinear form a.  When only hyperbolic pairs remain, borrow an
     already-normalized vector u: for a pair (p, q), the triple
     (u+p+q, u+p, u+q) is orthonormal.
     """
-    n = a.shape[0]
-    basis = np.eye(n, dtype=np.uint8)
+    n = len(a)
+    basis = [1 << i for i in range(n)]
 
-    def gram() -> np.ndarray:
-        return (basis.astype(np.int64) @ a.astype(np.int64) @ basis.T.astype(np.int64) % 2).astype(np.uint8)
+    def form(rows: list[int], cols: list[int]) -> list[list[int]]:
+        """rows a cols^T over GF(2), entry by entry."""
+        images = [sum(((r & v).bit_count() & 1) << k for k, r in enumerate(a)) for v in cols]
+        return [[(u & w).bit_count() & 1 for w in images] for u in rows]
 
     processed: list[int] = []
     unprocessed = list(range(n))
-    g = gram()
+    g = form(basis, basis)
     while unprocessed:
-        i = next((k for k in unprocessed if g[k, k] == 1), None)
+        i = next((k for k in unprocessed if g[k][k]), None)
         if i is not None:
             for j in unprocessed:
-                if j != i and g[j, i]:
+                if j != i and g[j][i]:
                     basis[j] ^= basis[i]
             unprocessed.remove(i)
             processed.append(i)
-            g = gram()
+            g = form(basis, basis)
             continue
-        pair = next(
-            (p, q) for pi, p in enumerate(unprocessed) for q in unprocessed[pi + 1 :] if g[p, q]
+        p, q = next(
+            (p, q) for pi, p in enumerate(unprocessed) for q in unprocessed[pi + 1 :] if g[p][q]
         )
-        p, q = pair
         for j in unprocessed:
             if j in (p, q):
                 continue
-            if g[j, p]:
+            if g[j][p]:
                 basis[j] ^= basis[q]
-            if g[j, q]:
+            if g[j][q]:
                 basis[j] ^= basis[p]
-        g = gram()
+        g = form(basis, basis)
         if not processed:
             raise ValueError("matrix is alternating; no factorization exists")
         u = processed[0]
-        bu, bp, bq = basis[u].copy(), basis[p].copy(), basis[q].copy()
+        bu, bp, bq = basis[u], basis[p], basis[q]
         basis[u] = bu ^ bp ^ bq
         basis[p] = bu ^ bp
         basis[q] = bu ^ bq
         unprocessed.remove(p)
         unprocessed.remove(q)
         processed.extend([p, q])
-        g = gram()
-    if not np.array_equal(g, np.eye(n, dtype=np.uint8)):
+        g = form(basis, basis)
+    if g != [[int(i == k) for k in range(n)] for i in range(n)]:
         raise RuntimeError("orthonormalization failed")
-    m = _gf2_inv(basis)
-    if not np.array_equal((m.astype(np.int64) @ m.T.astype(np.int64)) % 2, a):
+    # m is the inverse of the basis: eliminate [basis | I]
+    aug = [row | 1 << (n + i) for i, row in enumerate(basis)]
+    if len(_gf2_eliminate(aug, n)) != n:
+        raise RuntimeError("orthonormal basis is singular")
+    m = [row >> n for row in aug]
+    if [sum(((mi & mk).bit_count() & 1) << k for k, mk in enumerate(m)) for mi in m] != a:
         raise RuntimeError("factor check failed")
     return m
 
 
-def _meas_sequence(b: np.ndarray, device: DeviceSpec, options: CompileOptions) -> list[GateLabel]:
-    """Gates mapping the state whose generators have (x | z) rows ``b`` to
-    a computational basis state, in the form [1Q block][CNOT block][1Q block].
+def _conjugate_bits(rows: list[int], gates: list[GateLabel], n: int):
+    """Conjugate phase-free Pauli rows in place by H, P and CNOT gates, in
+    order.  Bit q of a row is its x_q and bit n+q its z_q."""
+    for gate in gates:
+        if gate.name == "CNOT":
+            c, t = gate.qubits
+            for k, r in enumerate(rows):
+                # x_t ^= x_c and z_c ^= z_t
+                rows[k] = r ^ (r >> c & 1) << t ^ (r >> (n + t) & 1) << (n + c)
+        elif gate.name == "H":
+            (q,) = gate.qubits
+            for k, r in enumerate(rows):
+                # swap x_q and z_q
+                flip = (r >> q ^ r >> (n + q)) & 1
+                rows[k] = r ^ flip << q ^ flip << (n + q)
+        elif gate.name == "P":
+            (q,) = gate.qubits
+            for k, r in enumerate(rows):
+                # z_q ^= x_q
+                rows[k] = r ^ (r >> q & 1) << (n + q)
+        else:
+            raise ValueError(f"bit tracking takes H, P and CNOT, not {gate.name!r}")
+
+
+def _meas_sequence(rows: list[int], device: DeviceSpec, options: CompileOptions) -> tuple[list[GateLabel], int]:
+    """Gates mapping the state whose generators have (x | z) int rows
+    ``rows`` to a computational basis state, in the form [1Q block][CNOT
+    block][1Q block], and the number of CNOT eliminations run.
 
     Gate choice reads only the bits, so the rows are tracked without
     phases; the caller replays the chosen gates with phases.
     """
     n = device.n
-    b = b.copy()
+    xmask = (1 << n) - 1
+    rows = list(rows)
     seq: list[GateLabel] = []
 
-    def emit(layer: list[GateLabel] | tuple[GateLabel, ...]):
-        _conjugate_rows(b, None, layer, n)
-        seq.extend(layer)
+    def emit(gates: list[GateLabel]):
+        _conjugate_bits(rows, gates, n)
+        seq.extend(gates)
 
     # H on qubits without an X-block pivot makes the X block invertible.
-    pivots = set(_gf2_rref(b[:, :n])[2])
-    emit([GateLabel("H", (q,)) for q in range(n) if q not in pivots])
+    pivots = set(_gf2_eliminate([r & xmask for r in rows], n))
+    emit([_gate("H", (q,)) for q in range(n) if q not in pivots])
     # Re-mix generators so the X block becomes the identity (no gates).
-    b = _gf2_rref(b)[0]
-    if not np.array_equal(b[:, :n], np.eye(n, dtype=np.uint8)):
+    _gf2_eliminate(rows, 2 * n)
+    if any(r & xmask != 1 << i for i, r in enumerate(rows)):
         raise RuntimeError("X block did not reduce to the identity")
     # With X = I the Z block is symmetric; P gates make it invertible.
-    flips = _diagonal_for_invertibility(b[:, n:])
-    emit([GateLabel("P", (q,)) for q in range(n) if flips[q]])
+    flips = _diagonal_for_invertibility([r >> n for r in rows])
+    emit([_gate("P", (q,)) for q in range(n) if flips[q]])
     # Factor Z = M M^T and run a CNOT word with column action M on the X
     # block, taking both blocks to M.
-    m = _albert_factor(b[:, n:])
-    cnot_circ = compile_cnot_circuit(m.T, device, options)
-    for layer in cnot_circ.layers:
-        emit(layer)
-    if not (np.array_equal(b[:, :n], m) and np.array_equal(b[:, n:], m)):
+    m = _albert_factor([r >> n for r in rows])
+    cnots, trials = _cnot_sequence(_transpose(m, n), device, options)
+    emit(cnots)
+    if rows != [r | r << n for r in m]:
         raise RuntimeError("CNOT stage did not align the X and Z blocks")
     # P everywhere cancels the Z block; H everywhere moves X to Z.
-    seq.extend(GateLabel("P", (q,)) for q in range(n))
-    seq.extend(GateLabel("H", (q,)) for q in range(n))
-    return seq
+    seq.extend(_gate("P", (q,)) for q in range(n))
+    seq.extend(_gate("H", (q,)) for q in range(n))
+    return seq, trials
 
 
 def _best_meas_sequence(
     state: StabilizerState, device: DeviceSpec, options: CompileOptions
-) -> list[GateLabel]:
+) -> tuple[list[GateLabel], int]:
+    """The cheapest measurement sequence over the elimination orders, and
+    the candidates evaluated: the orders plus their CNOT eliminations."""
     n = device.n
     canon = state.canonicalize()
     digest = _digest(
         canon._matrix().tobytes(),
         np.array([g.phase for g in canon.generators]).tobytes(),
     )
-    bits = state._matrix()
-    best_seq = None
+    rows = _pack_rows(state._matrix())
+    orders = _elimination_orders(n, device, options, digest)
+    trials = len(orders)
     best_key = None
-    for order in _elimination_orders(n, device, options, digest):
+    for order in orders:
         pos = [0] * n
         for k, q in enumerate(order):
             pos[q] = k
-        idx = np.array([*order, *(n + q for q in order)], dtype=np.intp)
+        idx = [*order, *(n + q for q in order)]
         dev2 = _relabeled_device(device, pos)
-        seq2 = _meas_sequence(bits[:, idx], dev2, options)
-        seq = [GateLabel(g.name, tuple(order[q] for q in g.qubits)) for g in seq2]
-        circ = _pack_layers(_merge_one_qubit_runs(seq, device), n)
-        key = _cost_key(circ, options.cost)
+        seq2, inner = _meas_sequence([_gather_bits(r, idx) for r in rows], dev2, options)
+        trials += inner
+        seq = [_gate(g.name, tuple(order[q] for q in g.qubits)) for g in seq2]
+        key = _sequence_cost(_merge_one_qubit_runs(seq, device), n, options.cost)
         if best_key is None or key < best_key:
             best_seq, best_key = seq, key
-    if best_seq is None:
-        raise RuntimeError("no measurement sequence found")
-    return best_seq
+    return best_seq, trials
 
 
 def compile_stabilizer_meas(
@@ -675,12 +804,12 @@ def compile_stabilizer_meas(
     options = options or CompileOptions()
     if state.n != device.n:
         raise ValueError("state and device disagree on qubit count")
-    seq = _best_meas_sequence(state, device, options)
+    seq, trials = _best_meas_sequence(state, device, options)
     circuit = _pack_layers(_merge_one_qubit_runs(seq, device), device.n)
     bits = state.apply_circuit(circuit).to_basis_bits()
     if bits is None:
         raise RuntimeError("measurement circuit did not produce a basis state")
-    return circuit, bits, circuit_stats(circuit, options.cost)
+    return circuit, bits, dataclasses.replace(circuit_stats(circuit, options.cost), trials=trials)
 
 
 def compile_stabilizer_prep(
@@ -691,8 +820,8 @@ def compile_stabilizer_prep(
     n = device.n
     if state.n != n:
         raise ValueError("state and device disagree on qubit count")
-    meas_seq = _best_meas_sequence(state, device, options)
-    seq = [g for g in reversed(meas_seq)]
+    meas_seq, trials = _best_meas_sequence(state, device, options)
+    seq = meas_seq[::-1]
     # Reversing H/P/CNOT gates inverts the symplectic action; the sign
     # mismatch left over is a single Pauli, solved from the canonical forms.
     zero = StabilizerState.zero_state(n)
@@ -712,4 +841,4 @@ def compile_stabilizer_prep(
     circuit = _pack_layers(_merge_one_qubit_runs(seq, device), n)
     if zero.apply_circuit(circuit) != state:
         raise RuntimeError("prep circuit does not prepare the target state")
-    return circuit, circuit_stats(circuit, options.cost)
+    return circuit, dataclasses.replace(circuit_stats(circuit, options.cost), trials=trials)

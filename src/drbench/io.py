@@ -323,6 +323,11 @@ def design_from_config(obj: dict) -> ExperimentDesign:
             raise FormatError(f"unknown config field 'compile.{key}'")
     try:
         options = CompileOptions(**compile_obj)
+    except ValueError as exc:
+        # CompileOptions starts each message with the option's name
+        name, _, problem = str(exc).partition(" ")
+        raise FormatError(f"config field 'compile.{name}' {problem}") from None
+    try:
         return ExperimentDesign(
             protocol=protocol,
             device=device,

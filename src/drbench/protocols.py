@@ -105,7 +105,10 @@ class BenchmarkCircuit:
     ``target`` is the bitstring whose observation counts as success.
     ``sampled_layers`` records the raw core layers (before any frame
     gates); ``element_cnots`` / ``element_depths`` hold the per-element
-    compilation sizes for group-benchmark circuits.
+    compilation sizes for group-benchmark circuits.  ``segment_trials``
+    counts the compile candidates evaluated for prep, core and meas
+    (:attr:`CompileStats.trials`); it records how the circuit was found,
+    is not written to the circuit file and takes no part in equality.
     """
 
     circuit_id: str
@@ -120,6 +123,7 @@ class BenchmarkCircuit:
     sampled_layers: tuple[str, ...] = ()
     element_cnots: tuple[int, ...] = ()
     element_depths: tuple[int, ...] = ()
+    segment_trials: tuple[int, int, int] = field(default=(0, 0, 0), compare=False)
 
     @property
     def full_circuit(self) -> Circuit:
@@ -162,7 +166,7 @@ def generate_drb_circuit(
             for _ in range(m)
         ]
 
-    prep, _ = compile_stabilizer_prep(psi, device, design.compile_options)
+    prep, prep_stats = compile_stabilizer_prep(psi, device, design.compile_options)
     # rows 0..n-1 are the state's generators; row n accumulates the frame
     rows = PauliRows.of([*psi.generators, PauliOp.identity(n)])
     core_layers: list = []
@@ -179,7 +183,7 @@ def generate_drb_circuit(
     acc = rows.pauli(n)
     rows.r[:n] += 2 * ((rows.b[:n, :n] @ acc.z + rows.b[:n, n:] @ acc.x) % 2)
     state = StabilizerState(rows.paulis()[:n], validate=False)
-    meas, bits, _ = compile_stabilizer_meas(state, device, design.compile_options)
+    meas, bits, meas_stats = compile_stabilizer_meas(state, device, design.compile_options)
     if frames is not None and not design.emit_frame_gates:
         meas = fold_pauli_before_circuit(meas, acc.x, acc.z, device)
     core = Circuit(n, tuple(core_layers))
@@ -194,6 +198,7 @@ def generate_drb_circuit(
         target=tuple(int(b) for b in bits),
         seed=(design.seed, m, index),
         sampled_layers=tuple(_layer_text(layer) for layer in layers),
+        segment_trials=(prep_stats.trials, 0, meas_stats.trials),
     )
     _check_composition(circ)
     return circ
@@ -221,11 +226,13 @@ def generate_crb_circuit(
     core = Circuit(n, ())
     cnots = []
     depths = []
+    trials = 0
     for op in elements:
         sub, stats = compile_clifford(op, device, design.compile_options)
         core = core.concat(sub)
         cnots.append(stats.cnots)
         depths.append(stats.depth)
+        trials += stats.trials
     circ = BenchmarkCircuit(
         circuit_id=_circuit_id("CRB", m, index),
         protocol="CRB",
@@ -238,6 +245,7 @@ def generate_crb_circuit(
         seed=(design.seed, m, index),
         element_cnots=tuple(cnots),
         element_depths=tuple(depths),
+        segment_trials=(0, trials, 0),
     )
     _check_composition(circ)
     return circ
@@ -245,8 +253,8 @@ def generate_crb_circuit(
 
 def generate_experiment(design: ExperimentDesign) -> tuple[list[BenchmarkCircuit], dict]:
     """All circuits of a design plus a manifest of ids, lengths, targets,
-    per-circuit seed keys and the CNOT count and depth of each segment
-    (prep, core, meas).
+    per-circuit seed keys and, for each segment (prep, core, meas), its
+    CNOT count, its depth and the compile candidates evaluated for it.
 
     Circuit (length, index) pairs map to independent child streams of the
     master seed, so generation can be parallelized or partially repeated
@@ -273,6 +281,7 @@ def generate_experiment(design: ExperimentDesign) -> tuple[list[BenchmarkCircuit
                 "seed": list(c.seed),
                 "segment_cnots": [seg.cnot_count for seg in (c.prep, c.core, c.meas)],
                 "segment_depths": [seg.depth for seg in (c.prep, c.core, c.meas)],
+                "segment_trials": list(c.segment_trials),
             }
             for c in circuits
         ],

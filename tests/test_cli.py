@@ -50,6 +50,21 @@ def generate(tmp_path: Path, name="run", **overrides) -> Path:
     return run
 
 
+# compile options of a config with a value of the wrong type or range; each
+# must end in exit 2 naming the field, neither failing late nor being coerced
+BAD_COMPILE_FIELDS = [
+    ("trials", 2.5),
+    ("trials", "x"),
+    ("trials", True),
+    ("trials", 0),
+    ("seed", -1),
+    ("seed", 1.5),
+    ("respect_connectivity", "no"),
+    ("use_heuristic", 0),
+    ("cost", "swaps"),
+]
+
+
 class TestGenerate:
     def test_writes_circuits_and_manifest(self, tmp_path, capsys):
         run = generate(tmp_path)
@@ -85,6 +100,14 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         missing = tmp_path / "absent.json"
         assert main(["generate", "--config", str(missing), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("field,value", BAD_COMPILE_FIELDS)
+    def test_malformed_compile_field_exit2(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path / "bad.json", compile={field: value})
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"compile.{field}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # fields simulate reads from a generated manifest, each with a way to delete it
@@ -141,6 +164,11 @@ class TestSimulate:
             assert entry["segment_cnots"] == [seg.cnot_count for seg in segments]
             assert entry["segment_depths"] == [seg.depth for seg in segments]
         assert any(entry["segment_cnots"][0] for entry in manifest["experiment"]["circuits"])
+        # DRB compiles prep and meas, each over at least one elimination
+        # order and one CNOT elimination; the sampled core is not compiled
+        for entry in manifest["experiment"]["circuits"]:
+            prep, core, meas = entry["segment_trials"]
+            assert prep >= 2 and core == 0 and meas >= 2
 
     def test_thread_invariance_and_shots_override(self, tmp_path):
         run = generate(tmp_path)

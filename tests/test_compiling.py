@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from drbench.clifford import (
@@ -13,13 +15,17 @@ from drbench.clifford import (
     standard_gate,
 )
 from drbench.compiling import (
+    COST_METRICS,
     CompileOptions,
     CompileStats,
     _cnot_realization,
+    _cost_key,
     _long_range_cnot_steps,
     _merge_one_qubit_runs,
     _one_qubit_index,
     _one_qubit_products,
+    _pack_layers,
+    _sequence_cost,
     _word_table,
     circuit_stats,
     compile_clifford,
@@ -356,3 +362,107 @@ class TestStats:
         )
         stats = circuit_stats(Circuit(2, layers))
         assert stats == CompileStats(cnots=1, gates=3, depth=2, alpha=1.0)
+
+
+@st.composite
+def compile_setups(draw, max_n: int = 4):
+    """A device (ring or all-to-all, C24 or HPI, 1 to max_n qubits), compile
+    options over every cost metric and both connectivity modes, and a
+    generator for the target."""
+    n = draw(st.integers(1, max_n))
+    maker = draw(st.sampled_from((ring, all_to_all)))
+    device = maker(n, draw(st.sampled_from(("C24", "HPI"))))
+    options = CompileOptions(
+        trials=draw(st.integers(1, 4)),
+        respect_connectivity=draw(st.booleans()),
+        use_heuristic=draw(st.booleans()),
+        cost=draw(st.sampled_from(COST_METRICS)),
+        seed=draw(st.integers(0, 3)),
+    )
+    return device, options, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def assert_gates_legal(circ, device, options):
+    """1Q gates come from the gate set; with connectivity respected every
+    CNOT sits on a declared edge."""
+    for g in gates_of(circ):
+        if len(g.qubits) == 1:
+            assert device.allows_one_qubit_gate(g.name), f"illegal 1Q gate {g.name}"
+        else:
+            assert g.name == "CNOT"
+            assert device.has_edge(*g.qubits) or not options.respect_connectivity
+
+
+def basis_index(bits) -> int:
+    # oracles put qubit 0 on the most significant bit
+    return int("".join(str(int(b)) for b in bits) or "0", 2)
+
+
+class TestCompilerProperties:
+    """Every compiler against the dense oracles, over random small devices,
+    gate sets, cost metrics and connectivity modes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(compile_setups())
+    def test_cnot_circuit_realizes_matrix(self, setup):
+        device, options, rng = setup
+        n = device.n
+        m = random_invertible(n, rng)
+        circ = compile_cnot_circuit(m, device, options)
+        u = oracles.circuit_unitary(circ)
+        for x in range(2**n):
+            bits = [(x >> (n - 1 - q)) & 1 for q in range(n)]
+            assert np.isclose(abs(u[basis_index(m.astype(int) @ bits % 2), x]), 1.0)
+        assert_gates_legal(circ, device, options)
+
+    @settings(max_examples=25, deadline=None)
+    @given(compile_setups())
+    def test_clifford_matches_dense_unitary(self, setup):
+        device, options, rng = setup
+        n = device.n
+        target = sample_clifford_uniform(n, rng)
+        circ, stats = compile_clifford(target, device, options)
+        s, v = oracles.clifford_of_unitary(oracles.circuit_unitary(circ), n)
+        assert CliffordOp(n, s, v) == target
+        assert stats == circuit_stats(circ, options.cost)
+        assert 1 <= stats.trials <= options.trials
+        assert_gates_legal(circ, device, options)
+
+    @settings(max_examples=30, deadline=None)
+    @given(compile_setups())
+    def test_stabilizer_prep_and_meas_match_dense_states(self, setup):
+        device, options, rng = setup
+        n = device.n
+        state = sample_stabilizer_state_uniform(n, rng)
+        proj = oracles.stabilizer_projector(state)
+        prep, prep_stats = compile_stabilizer_prep(state, device, options)
+        vec = oracles.circuit_unitary(prep)[:, 0]
+        assert np.allclose(proj @ vec, vec)
+        meas, bits, meas_stats = compile_stabilizer_meas(state, device, options)
+        u = oracles.circuit_unitary(meas)
+        target = np.zeros((2**n, 2**n), dtype=complex)
+        target[basis_index(bits), basis_index(bits)] = 1.0
+        assert np.allclose(u @ proj @ u.conj().T, target)
+        # each distinct order runs at least one CNOT elimination
+        for stats in (prep_stats, meas_stats):
+            assert 2 <= stats.trials <= options.trials * (1 + options.trials)
+        assert_gates_legal(prep, device, options)
+        assert_gates_legal(meas, device, options)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sequence_cost_matches_packed_circuit(self, data):
+        # trials are costed from their gate sequences and only the winner
+        # is packed, so the two keys must agree for the output to stay put
+        n = data.draw(st.integers(1, 5))
+        one_qubit = st.builds(lambda name, q: GateLabel(name, (q,)),
+                              st.sampled_from(("H", "P", "C3", "X")), st.integers(0, n - 1))
+        gates = [one_qubit]
+        if n > 1:
+            gates.append(st.builds(lambda pair: GateLabel("CNOT", tuple(pair)),
+                                   st.permutations(range(n)).map(lambda p: p[:2])))
+        seq = data.draw(st.lists(st.one_of(gates), max_size=25))
+        circ = _pack_layers(seq, n)
+        for cost in COST_METRICS:
+            assert _sequence_cost(seq, n, cost) == _cost_key(
+                circ.cnot_count, circ.depth, circ.num_gates, cost)

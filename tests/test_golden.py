@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from drbench import compiling
 from drbench.cli import main
 from drbench.clifford import CliffordOp
 
@@ -187,3 +188,30 @@ def test_clifford_work_counts(tmp_path, monkeypatch, name):
         monkeypatch.setattr(CliffordOp, method, counted)
     assert generate_digest(tmp_path, name) == GOLDEN[name]
     assert counts == WORK_COUNTS[name]
+
+
+# Calls of the compilers' packing and elimination steps while generating a
+# config.  Trials are costed from their gate sequences, so only winners are
+# packed into circuits (DRB: meas once, prep twice for the phase replay and
+# the result; CRB: each element twice, before and after its sign fix), and
+# repeated elimination orders are skipped (at trials 3 every segment would
+# otherwise run 3 outer orders of 3 CNOT eliminations each: 108, not 103).
+COMPILE_COUNTS = {
+    "drb_ring4_c24": {"_pack_layers": 18, "_cnot_ge_ops": 103, "_gge_ops": 0},
+    "crb_ring4_c24": {"_pack_layers": 20, "_cnot_ge_ops": 0, "_gge_ops": 29},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPILE_COUNTS))
+def test_compile_work_counts(tmp_path, monkeypatch, name):
+    counts = dict.fromkeys(COMPILE_COUNTS[name], 0)
+    for step in counts:
+        original = getattr(compiling, step)
+
+        def counted(*args, _original=original, _step=step, **kwargs):
+            counts[_step] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(compiling, step, counted)
+    assert generate_digest(tmp_path, name) == GOLDEN[name]
+    assert counts == COMPILE_COUNTS[name]
