@@ -625,7 +625,8 @@ def _diagonal_for_invertibility(a: list[int]) -> list[int]:
     """
     rows = list(a)
     d = []
-    for j, bit in enumerate(1 << k for k in range(len(rows))):
+    for j in range(len(rows)):
+        bit = 1 << j
         d.append(0 if rows[j] & bit else 1)
         rows[j] |= bit
         for i in range(j + 1, len(rows)):
@@ -646,14 +647,14 @@ def _albert_factor(a: list[int]) -> list[int]:
     n = len(a)
     basis = [1 << i for i in range(n)]
 
-    def form(rows: list[int], cols: list[int]) -> list[list[int]]:
-        """rows a cols^T over GF(2), entry by entry."""
-        images = [sum(((r & v).bit_count() & 1) << k for k, r in enumerate(a)) for v in cols]
-        return [[(u & w).bit_count() & 1 for w in images] for u in rows]
+    def gram() -> list[list[int]]:
+        """basis a basis^T over GF(2), entry by entry."""
+        images = [sum(((r & v).bit_count() & 1) << k for k, r in enumerate(a)) for v in basis]
+        return [[(u & w).bit_count() & 1 for w in images] for u in basis]
 
     processed: list[int] = []
     unprocessed = list(range(n))
-    g = form(basis, basis)
+    g = gram()
     while unprocessed:
         i = next((k for k in unprocessed if g[k][k]), None)
         if i is not None:
@@ -662,7 +663,7 @@ def _albert_factor(a: list[int]) -> list[int]:
                     basis[j] ^= basis[i]
             unprocessed.remove(i)
             processed.append(i)
-            g = form(basis, basis)
+            g = gram()
             continue
         p, q = next(
             (p, q) for pi, p in enumerate(unprocessed) for q in unprocessed[pi + 1 :] if g[p][q]
@@ -674,7 +675,7 @@ def _albert_factor(a: list[int]) -> list[int]:
                 basis[j] ^= basis[q]
             if g[j][q]:
                 basis[j] ^= basis[p]
-        g = form(basis, basis)
+        g = gram()
         if not processed:
             raise ValueError("matrix is alternating; no factorization exists")
         u = processed[0]
@@ -685,7 +686,7 @@ def _albert_factor(a: list[int]) -> list[int]:
         unprocessed.remove(p)
         unprocessed.remove(q)
         processed.extend([p, q])
-        g = form(basis, basis)
+        g = gram()
     if g != [[int(i == k) for k in range(n)] for i in range(n)]:
         raise RuntimeError("orthonormalization failed")
     # m is the inverse of the basis: eliminate [basis | I]
