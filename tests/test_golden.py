@@ -124,6 +124,21 @@ CONFIGS = {
         "circuits_per_length": 2,
         "compile": {"trials": 3, "use_heuristic": False},
     },
+    # the category sampler on the ring-plus-hub layout: ring edges and
+    # hub edges as two CNOT categories next to the all-1Q one
+    "drb_rwc5_category": {
+        "protocol": "DRB",
+        "device": {"preset": "ring_with_center", "n": 5, "gate_set": "HPI"},
+        "sampler": {
+            "kind": "category",
+            "probabilities": [0.5, 0.25, 0.25],
+            "edge_groups": [[[0, 1], [1, 2], [2, 3], [3, 0]],
+                            [[4, 0], [4, 1], [4, 2], [4, 3]]],
+        },
+        "lengths": [0, 4, 8],
+        "circuits_per_length": 2,
+        "compile": {"trials": 3},
+    },
 }
 
 SEED = 5
@@ -142,6 +157,7 @@ GOLDEN = {
     "drb_ring4_hpi_cost_gates": "c0aa3e0f297757167af0a1c1f8ebcd9714f2af39e6cdcd3cfe5ca042b07bd2fe",
     "drb_ring4_c24_any_connectivity": "793a92bdb75e125d7157fcdaecaa5c4866725fe22b181f7bc417f68ad988934b",
     "crb_line4_c24_no_heuristic": "6db8faa1a93eedc75ea3cea9d4272dc37bf8cb5a1f16cab0cc7685d7dbfe5761",
+    "drb_rwc5_category": "d652d522d284981f6bf1e2dd35d5501ac461aa07c0d699a10715358f26cfc07e",
 }
 
 
