@@ -240,7 +240,9 @@ def _long_range_cnot_steps(path: list[int]) -> list[tuple[int, int]]:
     return [(path[i], path[i + 1]) for i in idx]
 
 
-@functools.cache
+# Stabilizer compiles relabel the device per elimination order; 512 entries
+# hold a 4-qubit ring's 24 relabelings x 12 ordered pairs, and bound the rest.
+@functools.lru_cache(maxsize=512)
 def _cnot_realization(device: DeviceSpec, control: int, target: int) -> tuple[GateLabel, ...]:
     """Device gates implementing CNOT(control -> target) exactly.
 

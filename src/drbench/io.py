@@ -26,7 +26,7 @@ from .protocols import (
     BenchmarkCircuit,
     ExperimentDesign,
 )
-from .sampling import CategorySampler, PairingSampler, PCnotSampler, SamplerSpec
+from .sampling import SAMPLERS, SamplerSpec
 from .simulate import (
     DataRow,
     Dataset,
@@ -280,25 +280,22 @@ def _sampler_from_config(obj, device: DeviceSpec, path: str = "sampler") -> Samp
     if not isinstance(obj, dict):
         raise FormatError(f"missing config field '{path}'")
     kind = _get(obj, "kind", f"{path}.kind", required=True)
-    pool = _get(obj, "pool", f"{path}.pool", default=device.gate_set)
+    cls = SAMPLERS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise FormatError(f"unknown '{path}.kind' value {kind!r}")
+    names = [f.name for f in dataclasses.fields(cls)]
+    for key in obj:
+        if key != "kind" and key not in names:
+            raise FormatError(f"unknown config field '{path}.{key}'")
+    values = {name: _get(obj, name, f"{path}.{name}", required=True) for name in names if name != "pool"}
     try:
-        if kind == "pcnot":
-            return PCnotSampler(pool=pool, p_cnot=_get(obj, "p_cnot", f"{path}.p_cnot", required=True))
-        if kind == "pairing":
-            return PairingSampler(pool=pool, p_cnot=_get(obj, "p_cnot", f"{path}.p_cnot", required=True))
-        if kind == "category":
-            probs = _get(obj, "probabilities", f"{path}.probabilities", required=True)
-            groups = _get(obj, "edge_groups", f"{path}.edge_groups", required=True)
-            return CategorySampler(
-                pool=pool,
-                probabilities=tuple(float(p) for p in probs),
-                edge_groups=tuple(tuple((int(a), int(b)) for a, b in grp) for grp in groups),
-            )
-    except FormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"invalid '{path}': {exc}") from None
-    raise FormatError(f"unknown '{path}.kind' value {kind!r}")
+        spec = cls(pool=obj.get("pool", device.gate_set), **values)
+        spec.check_device(device)
+    except ValueError as exc:
+        # sampler messages start with the field's name
+        name, _, problem = str(exc).partition(" ")
+        raise FormatError(f"config field '{path}.{name}' {problem}") from None
+    return spec
 
 
 _COMPILE_FIELDS = ("trials", "respect_connectivity", "use_heuristic", "cost", "seed")
@@ -365,17 +362,7 @@ def design_to_config(design: ExperimentDesign) -> dict:
         "compile": {key: getattr(design.compile_options, key) for key in _COMPILE_FIELDS},
     }
     spec = design.sampler
-    if spec is None:
-        out["sampler"] = None
-    elif isinstance(spec, CategorySampler):
-        out["sampler"] = {
-            "kind": spec.kind,
-            "pool": spec.pool,
-            "probabilities": list(spec.probabilities),
-            "edge_groups": [[list(e) for e in grp] for grp in spec.edge_groups],
-        }
-    else:
-        out["sampler"] = {"kind": spec.kind, "pool": spec.pool, "p_cnot": spec.p_cnot}
+    out["sampler"] = None if spec is None else {"kind": spec.kind, **dataclasses.asdict(spec)}
     return out
 
 

@@ -7,18 +7,38 @@ index below that order maps to a distinct element through a transvection
 construction (map e1 to an arbitrary nonzero vector, fix the conjugate
 basis vector with one more transvection, recurse on the direct summand).
 Drawing the index uniformly therefore draws the element uniformly.
+
+A layer sampler fills every qubit a layer's CNOTs leave free with an
+independent uniform gate from its pool, so its law is fixed by the
+probability of each placement P, a set of k disjoint declared CNOT edges:
+
+- pcnot: 1 - p_cnot for no CNOT, p_cnot / |E| for each single edge;
+- category: probabilities[0] for no CNOT; for one edge, the sum of
+  probabilities[j] / |edge_groups[j-1]| over the groups that hold it;
+- pairing: the product of p_cnot / |orientations of the pair| over P, times
+  (1 - p_cnot)^(n//2 - k) for the other pairs, times the share of qubit
+  pairings that hold P's pairs, pairings(n - 2k) / pairings(n).
+
+A layer then has its placement's probability times |pool|^-(n - 2k).
+``SamplerSpec.check_device`` rejects a sampler that could draw a layer the
+device cannot run: a pool the device lacks, a category edge it does not
+declare, p_cnot > 0 with no edges (pcnot) or with two unlinked qubits
+(pairing).  Configs run it when the design is built, so each of these is a
+config error naming the field.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
 from .clifford import CliffordOp, GateLabel, Layer, StabilizerState, layer_to_clifford
-from .device import DeviceSpec, pool_gate_names
+from .device import GATE_SET_IDS, DeviceSpec, pool_gate_names
 
 __all__ = [
     "symplectic_group_order",
@@ -32,6 +52,7 @@ __all__ = [
     "PCnotSampler",
     "CategorySampler",
     "PairingSampler",
+    "SAMPLERS",
     "sample_layer",
     "layer_probability",
     "cnot_placement_distribution",
@@ -205,14 +226,44 @@ def sample_stabilizer_state_uniform(n: int, rng: np.random.Generator) -> Stabili
 # Layer samplers
 
 
+def _is_number(value, kind=numbers.Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_sequence(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
 @dataclass(frozen=True)
 class SamplerSpec:
-    """Base for layer-distribution descriptions; ``pool`` names the 1Q set."""
+    """Base for layer-distribution descriptions; ``pool`` names the 1Q set.
 
+    Each subclass holds its whole law in ``_draw`` (one layer's gates) and
+    ``placement_probability``.  Every ValueError from construction or
+    ``check_device`` starts with the name of the field at fault.
+    """
+
+    kind: ClassVar[str]
+    max_cnots: ClassVar[float] = math.inf  # most CNOTs one layer can hold
     pool: str = "C24"
 
     def __post_init__(self):
-        pool_gate_names(self.pool)  # raises on unknown id
+        if self.pool not in GATE_SET_IDS:
+            raise ValueError(f"pool must be one of {GATE_SET_IDS}, got {self.pool!r}")
+
+    def check_device(self, device: DeviceSpec) -> None:
+        """Raise ValueError unless ``device`` runs every layer the sampler
+        can draw."""
+        _check_pool(self, device)
+
+    def _draw(self, device: DeviceSpec, names: Sequence[str], rng: np.random.Generator) -> list[GateLabel]:
+        raise NotImplementedError
+
+    def placement_probability(self, device: DeviceSpec, placement: tuple[tuple[int, int], ...]) -> float:
+        """Chance that a draw's CNOTs sit on exactly ``placement``, a sorted
+        tuple of at most ``max_cnots`` disjoint declared edges (laws in the
+        module docstring)."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -221,13 +272,31 @@ class PCnotSampler(SamplerSpec):
     the device's directed edges) and independent uniform pool gates on all
     other qubits; otherwise pool gates on every qubit."""
 
+    kind: ClassVar[str] = "pcnot"
+    max_cnots: ClassVar[float] = 1
     p_cnot: float = 0.0
-    kind: str = "pcnot"
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 <= self.p_cnot <= 1.0:
-            raise ValueError("p_cnot must be in [0, 1]")
+        if not (_is_number(self.p_cnot) and 0 <= self.p_cnot <= 1):
+            raise ValueError(f"p_cnot must be a number in [0, 1], got {self.p_cnot!r}")
+
+    def check_device(self, device: DeviceSpec) -> None:
+        super().check_device(device)
+        if self.p_cnot > 0 and not device.edges:
+            raise ValueError("p_cnot is positive on a device without CNOT edges")
+
+    def _draw(self, device, names, rng):
+        if rng.random() < self.p_cnot:
+            if not device.edges:
+                raise ValueError("p_cnot > 0 on a device without CNOT edges")
+            c, t = device.edges[int(rng.integers(len(device.edges)))]
+            rest = set(range(device.n)) - {c, t}
+            return [GateLabel("CNOT", (c, t))] + _fill_one_qubit(rest, names, rng)
+        return _fill_one_qubit(range(device.n), names, rng)
+
+    def placement_probability(self, device, placement):
+        return self.p_cnot / len(device.edges) if placement else 1.0 - self.p_cnot
 
 
 @dataclass(frozen=True)
@@ -235,86 +304,85 @@ class CategorySampler(SamplerSpec):
     """Pick a layer category from ``probabilities``: category 0 is all-1Q,
     category k >= 1 places one uniform CNOT from ``edge_groups[k-1]``."""
 
+    kind: ClassVar[str] = "category"
+    max_cnots: ClassVar[float] = 1
     probabilities: tuple[float, ...] = (1.0,)
     edge_groups: tuple[tuple[tuple[int, int], ...], ...] = ()
-    kind: str = "category"
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "probabilities", tuple(float(p) for p in self.probabilities))
-        object.__setattr__(
-            self,
-            "edge_groups",
-            tuple(tuple((int(a), int(b)) for a, b in grp) for grp in self.edge_groups),
-        )
+        probs, groups = self.probabilities, self.edge_groups
+        if not (_is_sequence(probs) and all(_is_number(p) and 0 <= p <= 1 for p in probs)):
+            raise ValueError(f"probabilities must be a list of numbers in [0, 1], got {probs!r}")
+        if not (_is_sequence(groups) and all(
+                _is_sequence(grp) and grp and all(_is_sequence(e) and len(e) == 2 for e in grp)
+                and all(_is_number(q, numbers.Integral) for e in grp for q in e) for grp in groups)):
+            raise ValueError("edge_groups must be nonempty lists of [control, target] integer pairs")
+        object.__setattr__(self, "probabilities", tuple(float(p) for p in probs))
+        object.__setattr__(self, "edge_groups", tuple(tuple((int(a), int(b)) for a, b in grp) for grp in groups))
         if len(self.probabilities) != len(self.edge_groups) + 1:
-            raise ValueError("need one probability per category (all-1Q first)")
-        if any(p < 0 for p in self.probabilities) or abs(sum(self.probabilities) - 1.0) > 1e-9:
-            raise ValueError("category probabilities must be nonnegative and sum to 1")
-        if any(len(grp) == 0 for grp in self.edge_groups):
-            raise ValueError("edge groups must be nonempty")
+            raise ValueError("probabilities must have one entry per category (all-1Q first)")
+        if abs(sum(self.probabilities) - 1.0) > 1e-9:
+            raise ValueError("probabilities must sum to 1")
+        if any(len(set(grp)) < len(grp) for grp in self.edge_groups):
+            raise ValueError("edge_groups repeats an edge within a group")
 
+    def check_device(self, device: DeviceSpec) -> None:
+        super().check_device(device)
+        for c, t in (edge for grp in self.edge_groups for edge in grp):
+            if not device.has_edge(c, t):
+                raise ValueError(f"edge_groups holds ({c}, {t}), which the device does not declare")
 
-@dataclass(frozen=True)
-class PairingSampler(SamplerSpec):
-    """Draw a uniformly random pairing of the qubits; each pair becomes a
-    CNOT with probability p_cnot (orientation uniform over the declared
-    directed edges for that pair), everything else gets pool gates."""
-
-    p_cnot: float = 0.0
-    kind: str = "pairing"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0.0 <= self.p_cnot <= 1.0:
-            raise ValueError("p_cnot must be in [0, 1]")
-
-
-def _check_pool(spec: SamplerSpec, device: DeviceSpec) -> tuple[str, ...]:
-    names = pool_gate_names(spec.pool)
-    if not all(device.allows_one_qubit_gate(name) for name in names):
-        raise ValueError(f"pool {spec.pool!r} not available on a {device.gate_set!r} device")
-    return names
-
-
-def _fill_one_qubit(qubits: Iterable[int], names: Sequence[str], rng: np.random.Generator) -> list[GateLabel]:
-    return [GateLabel(names[int(rng.integers(len(names)))], (q,)) for q in sorted(qubits)]
-
-
-def _canonical_layer(gates: Iterable[GateLabel]) -> Layer:
-    return tuple(sorted(gates, key=lambda g: min(g.qubits)))
-
-
-def sample_layer(spec: SamplerSpec, device: DeviceSpec, rng: np.random.Generator) -> Layer:
-    """One layer from the sampler's distribution, gates sorted by qubit."""
-    names = _check_pool(spec, device)
-    n = device.n
-    if isinstance(spec, PCnotSampler):
-        if rng.random() < spec.p_cnot:
-            if not device.edges:
-                raise ValueError("p_cnot > 0 on a device without CNOT edges")
-            c, t = device.edges[int(rng.integers(len(device.edges)))]
-            rest = set(range(n)) - {c, t}
-            return _canonical_layer([GateLabel("CNOT", (c, t))] + _fill_one_qubit(rest, names, rng))
-        return _canonical_layer(_fill_one_qubit(range(n), names, rng))
-    if isinstance(spec, CategorySampler):
+    def _draw(self, device, names, rng):
         u = rng.random()
         acc = 0.0
-        category = len(spec.probabilities) - 1
-        for k, p in enumerate(spec.probabilities):
+        category = len(self.probabilities) - 1
+        for k, p in enumerate(self.probabilities):
             acc += p
             if u < acc:
                 category = k
                 break
         if category == 0:
-            return _canonical_layer(_fill_one_qubit(range(n), names, rng))
-        group = spec.edge_groups[category - 1]
+            return _fill_one_qubit(range(device.n), names, rng)
+        group = self.edge_groups[category - 1]
         c, t = group[int(rng.integers(len(group)))]
         if not device.has_edge(c, t):
             raise ValueError(f"category edge ({c}, {t}) not declared by the device")
-        rest = set(range(n)) - {c, t}
-        return _canonical_layer([GateLabel("CNOT", (c, t))] + _fill_one_qubit(rest, names, rng))
-    if isinstance(spec, PairingSampler):
+        rest = set(range(device.n)) - {c, t}
+        return [GateLabel("CNOT", (c, t))] + _fill_one_qubit(rest, names, rng)
+
+    def placement_probability(self, device, placement):
+        if not placement:
+            return self.probabilities[0]
+        groups = zip(self.probabilities[1:], self.edge_groups)
+        return sum(p / len(group) for p, group in groups if placement[0] in group)
+
+
+@dataclass(frozen=True)
+class PairingSampler(SamplerSpec):
+    """Draw a uniformly random pairing of the qubits (one left out when n
+    is odd); each pair becomes a CNOT with probability p_cnot (orientation
+    uniform over the declared directed edges for that pair), everything
+    else gets pool gates.  A pair drawn for a CNOT must be linked."""
+
+    kind: ClassVar[str] = "pairing"
+    p_cnot: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (_is_number(self.p_cnot) and 0 <= self.p_cnot <= 1):
+            raise ValueError(f"p_cnot must be a number in [0, 1], got {self.p_cnot!r}")
+
+    def check_device(self, device: DeviceSpec) -> None:
+        super().check_device(device)
+        pairs = itertools.combinations(range(device.n), 2)
+        unlinked = [pair for pair in pairs if not device.has_link(*pair)]
+        if self.p_cnot > 0 and unlinked:
+            raise ValueError(f"p_cnot is positive but a pairing can draw qubits {unlinked[0]}, "
+                             "which have no CNOT edge")
+
+    def _draw(self, device, names, rng):
+        n = device.n
         perm = rng.permutation(n)
         pairs = sorted(
             (tuple(sorted((int(perm[2 * i]), int(perm[2 * i + 1])))) for i in range(n // 2)),
@@ -323,7 +391,7 @@ def sample_layer(spec: SamplerSpec, device: DeviceSpec, rng: np.random.Generator
         leftover = int(perm[-1]) if n % 2 else None
         gates: list[GateLabel] = []
         for a, b in pairs:
-            if rng.random() < spec.p_cnot:
+            if rng.random() < self.p_cnot:
                 orients = device.orientations(a, b)
                 if not orients:
                     raise ValueError(f"pair ({a}, {b}) drawn for a CNOT but no edge is declared")
@@ -333,160 +401,97 @@ def sample_layer(spec: SamplerSpec, device: DeviceSpec, rng: np.random.Generator
                 gates.extend(_fill_one_qubit((a, b), names, rng))
         if leftover is not None:
             gates.extend(_fill_one_qubit((leftover,), names, rng))
-        return _canonical_layer(gates)
-    raise TypeError(f"unknown sampler spec {type(spec).__name__}")
+        return gates
+
+    def placement_probability(self, device, placement):
+        prob = 1.0
+        for c, t in placement:
+            prob *= self.p_cnot / (1 + device.has_edge(t, c))  # (c, t) is declared
+        k = len(placement)
+        share = _pairings(device.n - 2 * k) / _pairings(device.n)
+        return prob * share * (1.0 - self.p_cnot) ** (device.n // 2 - k)
 
 
-def _double_factorial(k: int) -> int:
-    if k <= 0:
-        return 1
-    return k * _double_factorial(k - 2)
+SAMPLERS = {cls.kind: cls for cls in (PCnotSampler, CategorySampler, PairingSampler)}
 
 
-def _parse_layer(layer: Layer, n: int, names: Sequence[str]):
-    """Split into (cnot qubit pairs, 1q names); None when not a pool layer."""
+def _pairings(m: int) -> int:
+    """Pairings of m qubits, one of them left out when m is odd."""
+    if m % 2:
+        return m * _pairings(m - 1)
+    return math.prod(range(m - 1, 0, -2))
+
+
+def _check_pool(spec: SamplerSpec, device: DeviceSpec) -> tuple[str, ...]:
+    names = pool_gate_names(spec.pool)
+    if not all(device.allows_one_qubit_gate(name) for name in names):
+        raise ValueError(f"pool is {spec.pool!r}, which a {device.gate_set!r} device lacks")
+    return names
+
+
+def _fill_one_qubit(qubits: Iterable[int], names: Sequence[str], rng: np.random.Generator) -> list[GateLabel]:
+    return [GateLabel(names[int(rng.integers(len(names)))], (q,)) for q in sorted(qubits)]
+
+
+def sample_layer(spec: SamplerSpec, device: DeviceSpec, rng: np.random.Generator) -> Layer:
+    """One layer from the sampler's distribution, gates sorted by qubit."""
+    gates = spec._draw(device, _check_pool(spec, device), rng)
+    return tuple(sorted(gates, key=lambda g: min(g.qubits)))
+
+
+def _placement(layer: Layer, device: DeviceSpec, names: Sequence[str]):
+    """The layer's CNOT edges, sorted; None unless it covers every qubit
+    once with declared CNOTs and pool gates."""
     cnots = []
-    oneq = {}
     seen: set[int] = set()
     for g in layer:
         if any(q in seen for q in g.qubits):
             return None
         seen.update(g.qubits)
-        if g.name == "CNOT":
+        if g.name == "CNOT" and device.has_edge(*g.qubits):
             cnots.append(g.qubits)
-        elif len(g.qubits) == 1 and g.name in names:
-            oneq[g.qubits[0]] = g.name
-        else:
+        elif len(g.qubits) != 1 or g.name not in names:
             return None
-    if len(seen) != n:
+    if len(seen) != device.n:
         return None
-    return cnots, oneq
+    return tuple(sorted(cnots))
 
 
 def layer_probability(spec: SamplerSpec, device: DeviceSpec, layer: Layer) -> float:
     """Exact probability of drawing ``layer`` from the sampler; 0 when
     unreachable."""
     names = _check_pool(spec, device)
-    n = device.n
-    g = len(names)
-    parsed = _parse_layer(layer, n, names)
-    if parsed is None:
+    placement = _placement(layer, device, names)
+    if placement is None or len(placement) > spec.max_cnots:
         return 0.0
-    cnots, oneq = parsed
-    if isinstance(spec, PCnotSampler):
-        if not cnots:
-            return (1.0 - spec.p_cnot) * g ** -n
-        if len(cnots) == 1 and device.has_edge(*cnots[0]):
-            return spec.p_cnot / len(device.edges) * g ** -(n - 2)
-        return 0.0
-    if isinstance(spec, CategorySampler):
-        if len(cnots) > 1:
-            return 0.0
-        if not cnots:
-            return spec.probabilities[0] * g ** -n
-        edge = cnots[0]
-        total = 0.0
-        for k, group in enumerate(spec.edge_groups):
-            if edge in group and device.has_edge(*edge):
-                total += spec.probabilities[k + 1] / len(group) * g ** -(n - 2)
-        return total
-    if isinstance(spec, PairingSampler):
-        k = len(cnots)
-        npairs = n // 2
-        if k > npairs:
-            return 0.0
-        prob = 1.0
-        for c, t in cnots:
-            orients = device.orientations(c, t)
-            if (c, t) not in orients:
-                return 0.0
-            prob *= spec.p_cnot / len(orients)
-        r = n - 2 * k
-        if n % 2 == 0:
-            matchings = _double_factorial(r - 1) / _double_factorial(n - 1)
-        else:
-            matchings = (r * _double_factorial(r - 2)) / (n * _double_factorial(n - 2))
-        return prob * matchings * (1.0 - spec.p_cnot) ** (npairs - k) * g ** -r
-    raise TypeError(f"unknown sampler spec {type(spec).__name__}")
-
-
-def _matchings(qubits: tuple[int, ...]):
-    """All pairings of the listed qubits (one qubit left out when odd),
-    each as a tuple of sorted pairs."""
-    if len(qubits) <= 1:
-        yield ()
-        return
-    first, rest = qubits[0], qubits[1:]
-    if len(qubits) % 2 == 1:
-        # the left-out qubit can be any of them
-        for i in range(len(qubits)):
-            remaining = qubits[:i] + qubits[i + 1 :]
-            yield from _matchings(remaining)
-        return
-    for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1 :]
-        for sub in _matchings(remaining):
-            yield ((first, partner),) + sub
+    return spec.placement_probability(device, placement) * len(names) ** -(device.n - 2 * len(placement))
 
 
 def cnot_placement_distribution(spec: SamplerSpec, device: DeviceSpec) -> list[tuple[tuple[tuple[int, int], ...], float]]:
-    """The distribution over CNOT placements (tuples of directed edges)
-    induced by the sampler, marginalized over 1Q gate choices.
+    """The distribution over CNOT placements (sorted tuples of directed
+    edges) induced by the sampler, marginalized over 1Q gate choices, in
+    lexicographic order.
 
     Used for exact layer-averaged error rates: with per-qubit 1Q error
     rates, a layer's error probability depends only on where the CNOTs sit.
     """
-    if isinstance(spec, PCnotSampler):
-        out = [((), 1.0 - spec.p_cnot)]
-        if spec.p_cnot > 0:
-            if not device.edges:
-                raise ValueError("p_cnot > 0 on a device without CNOT edges")
-            out.extend((((c, t),), spec.p_cnot / len(device.edges)) for c, t in device.edges)
-        return _merge_placements(out)
-    if isinstance(spec, CategorySampler):
-        out = [((), spec.probabilities[0])]
-        for k, group in enumerate(spec.edge_groups):
-            out.extend((((c, t),), spec.probabilities[k + 1] / len(group)) for c, t in group)
-        return _merge_placements(out)
-    if isinstance(spec, PairingSampler):
-        n = device.n
-        qubits = tuple(range(n))
-        if n % 2 == 0:
-            total_matchings = _double_factorial(n - 1)
-        else:
-            total_matchings = n * _double_factorial(n - 2)
-        out = []
-        count = 0
-        for matching in _matchings(qubits):
-            count += 1
-            base = 1.0 / total_matchings
-            # expand CNOT on/off and orientation per pair
-            configs: list[tuple[tuple[tuple[int, int], ...], float]] = [((), base)]
-            for a, b in matching:
-                nxt = []
-                for placed, p in configs:
-                    nxt.append((placed, p * (1.0 - spec.p_cnot)))
-                    if spec.p_cnot > 0:
-                        orients = device.orientations(a, b)
-                        if not orients:
-                            raise ValueError(
-                                f"pair ({a}, {b}) can be drawn for a CNOT but no edge is declared"
-                            )
-                        for e in orients:
-                            nxt.append((placed + (e,), p * spec.p_cnot / len(orients)))
-                configs = nxt
-            out.extend(configs)
-        assert count == total_matchings
-        return _merge_placements(out)
-    raise TypeError(f"unknown sampler spec {type(spec).__name__}")
+    spec.check_device(device)
+    edges = sorted(device.edges)
+    out = []
 
+    def grow(placement, start, used):
+        p = spec.placement_probability(device, placement)
+        if p > 0:
+            out.append((placement, p))
+        if len(placement) == spec.max_cnots:
+            return
+        for i in range(start, len(edges)):
+            c, t = edges[i]
+            if c not in used and t not in used:
+                grow(placement + ((c, t),), i + 1, used | {c, t})
 
-def _merge_placements(items: list[tuple[tuple[tuple[int, int], ...], float]]):
-    merged: dict[tuple[tuple[int, int], ...], float] = {}
-    for placement, p in items:
-        key = tuple(sorted(placement))
-        merged[key] = merged.get(key, 0.0) + p
-    return sorted(merged.items())
+    grow((), 0, frozenset())
+    return out
 
 
 # ---------------------------------------------------------------------------

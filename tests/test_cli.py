@@ -65,6 +65,22 @@ BAD_COMPILE_FIELDS = [
 ]
 
 
+# sampler sections that are malformed or that the device cannot run, with
+# the field each must name: before the design-time checks they exited 3
+# (pool, undeclared edge, unlinked pairing pair) or 0 (the rest)
+RING3 = {"n": 3, "preset": "ring", "gate_set": "HPI"}
+BAD_SAMPLERS = [
+    ({"kind": "pcnot", "p_cnot": 0.5, "pool": "C24"}, RING3, "pool"),
+    ({"kind": "category", "probabilities": [0.5, 0.5], "edge_groups": [[[0, 2]]]}, RING3,
+     "edge_groups"),
+    ({"kind": "pairing", "p_cnot": 0.5}, {"n": 4, "preset": "ring", "gate_set": "HPI"}, "p_cnot"),
+    ({"kind": "category", "probabilities": [float("nan"), 0.5], "edge_groups": [[[0, 1]]]}, RING3,
+     "probabilities"),
+    ({"kind": "pcnot", "p_cnot": True}, RING3, "p_cnot"),
+    ({"kind": "pcnot", "p_cnot": 0.5, "p_cnto": 0.1}, RING3, "p_cnto"),
+]
+
+
 class TestGenerate:
     def test_writes_circuits_and_manifest(self, tmp_path, capsys):
         run = generate(tmp_path)
@@ -107,6 +123,14 @@ class TestGenerate:
         out = tmp_path / "run"
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"compile.{field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sampler,device,field", BAD_SAMPLERS)
+    def test_malformed_sampler_exit2(self, tmp_path, capsys, sampler, device, field):
+        cfg = write_config(tmp_path / "bad.json", sampler=sampler, device=device)
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"sampler.{field}" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drbench.clifford import GateLabel
 from drbench.device import all_to_all
@@ -23,8 +25,9 @@ from drbench.io import (
     render_decay_svg,
 )
 from drbench.protocols import ExperimentDesign, generate_experiment
-from drbench.sampling import PCnotSampler
+from drbench.sampling import PCnotSampler, sample_layer
 from drbench.simulate import DataRow, Dataset
+from drbench.streams import stream
 
 
 def design(protocol="DRB", **kw):
@@ -128,7 +131,9 @@ class TestConfig:
         cfg = {
             "protocol": "DRB",
             "device": {"n": 5, "preset": "ring_with_center", "gate_set": "HPI"},
-            "sampler": {"kind": "pairing", "p_cnot": 0.5},
+            # a pairing can draw the unlinked ring qubits 0 and 2, so this
+            # device takes the pcnot sampler
+            "sampler": {"kind": "pcnot", "p_cnot": 0.5},
             "lengths": [0, 2],
             "circuits_per_length": 1,
             "shots": 10,
@@ -172,6 +177,62 @@ class TestConfig:
         d = design_from_config(cfg)
         assert d.sampler.kind == "category"
         assert d.sampler.edge_groups == (((0, 1), (1, 0)),)
+        assert design_from_config(design_to_config(d)) == d
+
+
+# JSON values of every type, nested, with NaN and infinities among the
+# floats, and values shaped like valid sampler fields
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["pcnot", "pairing", "category", "HPI", "C24"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=8,
+)
+SAMPLER_VALUES = st.one_of(
+    JSON_VALUES,
+    st.floats(0, 1),
+    st.sampled_from([[1.0], [0.5, 0.5], [0.25, 0.75], [0.5, 0.25, 0.25]]),
+    st.lists(
+        st.lists(st.sampled_from([[0, 1], [1, 0], [1, 2], [2, 0], [2, 3], [3, 0]]), min_size=1, max_size=3),
+        max_size=2,
+    ),
+)
+SAMPLER_DEVICES = [
+    {"n": 4, "preset": "ring", "gate_set": "HPI"},
+    {"n": 3, "preset": "all_to_all", "gate_set": "C24"},
+]
+# a valid section per kind on both devices; the fuzz overrides its fields,
+# the kind among them, and adds unknown ones
+VALID_SAMPLERS = {
+    "pcnot": {"p_cnot": 0.5},
+    "pairing": {"p_cnot": 0.0},
+    "category": {"probabilities": [0.5, 0.5], "edge_groups": [[[0, 1]]]},
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    device=st.sampled_from(SAMPLER_DEVICES),
+    kind=st.sampled_from(sorted(VALID_SAMPLERS)),
+    overrides=st.dictionaries(
+        st.sampled_from(["kind", "pool", "p_cnot", "probabilities", "edge_groups", "p_cnto", ""]),
+        SAMPLER_VALUES,
+        max_size=2,
+    ),
+)
+def test_sampler_config_fuzz(device, kind, overrides):
+    """Any sampler section builds a design that draws layers, or fails with
+    a FormatError naming a sampler field; nothing else escapes."""
+    sampler = {"kind": kind, **VALID_SAMPLERS.get(kind, {}), **overrides}
+    try:
+        d = design_from_config({"device": device, "sampler": sampler})
+    except FormatError as exc:
+        assert "'sampler." in str(exc), str(exc)
+        return
+    assert d.sampler.kind == sampler["kind"]
+    assert design_from_config(design_to_config(d)) == d
+    for i in range(5):
+        sample_layer(d.sampler, d.device, stream(i))
 
 
 class TestModelFiles:

@@ -229,33 +229,130 @@ class TestLayerSamplers:
         with pytest.raises(ValueError):
             CategorySampler(probabilities=(0.7, 0.5), edge_groups=(((0, 1),),))
 
-
-class TestLayerProbability:
     @pytest.mark.parametrize(
-        "spec,device",
+        "make,field",
         [
-            (PCnotSampler(p_cnot=0.35, pool="HPI"), all_to_all(2, "HPI")),
-            (PCnotSampler(p_cnot=0.0, pool="HPI"), all_to_all(2, "HPI")),
-            (PCnotSampler(p_cnot=0.6, pool="HPI"), ring(3, "HPI")),
-            (PairingSampler(p_cnot=0.5, pool="HPI"), all_to_all(2, "HPI")),
-            (PairingSampler(p_cnot=0.5, pool="HPI"), all_to_all(3, "HPI")),
-            (PairingSampler(p_cnot=0.7, pool="HPI"), all_to_all(4, "HPI")),
-            (
-                CategorySampler(
-                    probabilities=(0.5, 0.3, 0.2),
-                    edge_groups=(((0, 1), (1, 2)), ((2, 0),)),
-                    pool="HPI",
-                ),
-                all_to_all(3, "HPI"),
-            ),
+            (lambda: CategorySampler(probabilities=(float("nan"), 0.5), edge_groups=(((0, 1),),)),
+             "probabilities"),
+            (lambda: CategorySampler(probabilities=(0.5, 0.5), edge_groups=(((0, 1), (0, 1)),)),
+             "edge_groups"),
+            (lambda: CategorySampler(probabilities=(0.5, 0.5), edge_groups=((("0", 1),),)),
+             "edge_groups"),
+            (lambda: PCnotSampler(p_cnot=True), "p_cnot"),
+            (lambda: PairingSampler(p_cnot=float("inf")), "p_cnot"),
+            (lambda: PCnotSampler(pool="XYZ"), "pool"),
         ],
     )
+    def test_malformed_values_name_the_field(self, make, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            make()
+
+    def test_kind_is_not_a_field(self):
+        assert [PCnotSampler.kind, CategorySampler.kind, PairingSampler.kind] == [
+            "pcnot", "category", "pairing"]
+        with pytest.raises(TypeError):
+            PCnotSampler(p_cnot=0.5, kind="pairing")
+
+
+RING_EDGES, CENTER_EDGES = ring_center_edges(4)
+
+# every kind on all_to_all(2..4), ring(3) and ring_with_center(4), HPI pool;
+# a pairing with p_cnot > 0 can draw the unlinked ring-with-center qubits
+# 0 and 2, so there it runs at p_cnot = 0 only
+LAW_CASES = [
+    (PCnotSampler(p_cnot=0.35, pool="HPI"), all_to_all(2, "HPI")),
+    (PCnotSampler(p_cnot=0.0, pool="HPI"), all_to_all(2, "HPI")),
+    (PCnotSampler(p_cnot=0.6, pool="HPI"), ring(3, "HPI")),
+    (PairingSampler(p_cnot=0.5, pool="HPI"), all_to_all(2, "HPI")),
+    (PairingSampler(p_cnot=0.5, pool="HPI"), all_to_all(3, "HPI")),
+    (PairingSampler(p_cnot=0.7, pool="HPI"), all_to_all(4, "HPI")),
+    (
+        CategorySampler(
+            probabilities=(0.5, 0.3, 0.2),
+            edge_groups=(((0, 1), (1, 2)), ((2, 0),)),
+            pool="HPI",
+        ),
+        all_to_all(3, "HPI"),
+    ),
+    (PCnotSampler(p_cnot=0.4, pool="HPI"), all_to_all(3, "HPI")),
+    (PCnotSampler(p_cnot=0.5, pool="HPI"), all_to_all(4, "HPI")),
+    (PCnotSampler(p_cnot=0.3, pool="HPI"), ring_with_center(4, "HPI")),
+    (PairingSampler(p_cnot=0.5, pool="HPI"), ring(3, "HPI")),
+    (PairingSampler(p_cnot=0.0, pool="HPI"), ring_with_center(4, "HPI")),
+    (
+        CategorySampler(probabilities=(0.4, 0.6), edge_groups=(((0, 1), (1, 0)),), pool="HPI"),
+        all_to_all(2, "HPI"),
+    ),
+    (
+        # edge (0, 1) sits in both groups, so its probability is a sum
+        CategorySampler(
+            probabilities=(0.2, 0.5, 0.3),
+            edge_groups=(((0, 1), (2, 3)), ((1, 2), (0, 1))),
+            pool="HPI",
+        ),
+        all_to_all(4, "HPI"),
+    ),
+    (
+        CategorySampler(probabilities=(0.5, 0.5), edge_groups=(((0, 1), (1, 2), (2, 0)),), pool="HPI"),
+        ring(3, "HPI"),
+    ),
+    (
+        CategorySampler(
+            probabilities=(0.5, 0.25, 0.25),
+            edge_groups=(RING_EDGES, CENTER_EDGES),
+            pool="HPI",
+        ),
+        ring_with_center(4, "HPI"),
+    ),
+]
+
+
+def placement_of(layer):
+    return tuple(sorted(g.qubits for g in layer if g.name == "CNOT"))
+
+
+class TestLayerProbability:
+    @pytest.mark.parametrize("spec,device", LAW_CASES)
     def test_normalization_by_enumeration(self, spec, device):
         total = sum(
             layer_probability(spec, device, layer)
             for layer in enumerate_layers(device.n, "HPI", device)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("spec,device", LAW_CASES)
+    def test_marginal_over_fillings_is_placement_distribution(self, spec, device):
+        marginal = {}
+        for layer in enumerate_layers(device.n, "HPI", device):
+            key = placement_of(layer)
+            marginal[key] = marginal.get(key, 0.0) + layer_probability(spec, device, layer)
+        dist = dict(cnot_placement_distribution(spec, device))
+        assert set(dist) <= set(marginal)
+        for placement, p in marginal.items():
+            assert dist.get(placement, 0.0) == pytest.approx(p, abs=1e-12), placement
+
+    @pytest.mark.parametrize("spec,device", LAW_CASES)
+    def test_sample_frequencies_match_law(self, spec, device):
+        # Poisson-style bounds: a count misses its mean by more than
+        # 5 sqrt(mean) + 4 with probability below 1e-6 at any mean, so the
+        # few thousand comparisons over all cases fail by chance well under
+        # 1% of the time
+        draws = 4000
+        rng = stream(17, "law")
+        counts, placements = {}, {}
+        for _ in range(draws):
+            layer = sample_layer(spec, device, rng)
+            counts[layer] = counts.get(layer, 0) + 1
+            key = placement_of(layer)
+            placements[key] = placements.get(key, 0) + 1
+        for layer in enumerate_layers(device.n, "HPI", device):
+            mean = draws * layer_probability(spec, device, layer)
+            assert abs(counts.pop(layer, 0) - mean) <= 5 * np.sqrt(mean) + 4, layer
+        assert not counts  # every drawn layer is one of the enumerated
+        for placement, p in cnot_placement_distribution(spec, device):
+            mean = draws * p
+            assert abs(placements.pop(placement, 0) - mean) <= 5 * np.sqrt(mean) + 4, placement
+        assert not placements
 
     def test_matches_empirical_frequency(self, rng):
         device = all_to_all(3, "HPI")
@@ -292,6 +389,15 @@ class TestLayerProbability:
         ):
             dist = cnot_placement_distribution(spec, device)
             assert sum(p for _, p in dist) == pytest.approx(1.0, abs=1e-12)
+
+    def test_placement_distribution_checks_device(self):
+        undeclared = CategorySampler(probabilities=(0.5, 0.5), edge_groups=(((0, 2),),), pool="HPI")
+        with pytest.raises(ValueError, match="edge_groups"):
+            cnot_placement_distribution(undeclared, ring(3, "HPI"))
+        with pytest.raises(ValueError, match="p_cnot"):
+            cnot_placement_distribution(PairingSampler(p_cnot=0.5, pool="HPI"), ring(4, "HPI"))
+        with pytest.raises(ValueError, match="pool"):
+            cnot_placement_distribution(PCnotSampler(p_cnot=0.5, pool="C24"), ring(3, "HPI"))
 
     def test_placement_pairing_saturated(self):
         device = all_to_all(4, "HPI")
