@@ -52,10 +52,9 @@ def _env_seed() -> int | None:
     raw = os.environ.get("DRBENCH_SEED")
     if raw is None:
         return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"DRBENCH_SEED must be an integer, got {raw!r}") from None
+    if not raw.strip().isdecimal():
+        raise ConfigError(f"DRBENCH_SEED must be an integer >= 0, got {raw!r}")
+    return int(raw)
 
 
 def _load_json(path: Path, what: str):

@@ -22,9 +22,18 @@ bits on the gate's qubits, ``e = sum_j c_j 2**j`` over the local (x | z)
 bits c: entry e holds the image's local bits and the power of i the image
 adds to the row's phase.  A 1Q gate's table has 4 entries and CNOT's 16.
 The tables are built on first use from :func:`standard_gate`'s local
-(s, v), so gate definitions live in one place.  The stabilizer generators
-of a state are n rows; the Clifford of a circuit is the 2n identity rows
-W(e_j) carried through it, read back as the columns of (s, v).
+(s, v), so gate definitions live in one place.  The Clifford of a circuit
+is the 2n identity rows W(e_j) carried through it, read back as the
+columns of (s, v).
+
+A :class:`StabilizerState` stores its n generators as one read-only stack
+in the same layout: ``b`` is the (n, 2n) (x | z) matrix and ``r`` the
+phases mod 4, and ``generators`` builds PauliOps from them only when
+asked.  A circuit runs through the row kernel.  Canonicalizing brings
+``b`` to reduced row echelon form over GF(2) and takes each new row's
+phase from the elimination transform by one quadratic form,
+:func:`_product_phases`, which also gives the phases of a Clifford's
+images of products of generators.
 """
 
 from __future__ import annotations
@@ -152,6 +161,23 @@ class PauliOp:
         return _PHASE_STR[disp] + letters
 
 
+def _product_phases(b: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Phase exponents of the products of the rows ``i**r[k] * W(b[k])``
+    that each 0/1 selector along the last axis of ``c`` picks, multiplied
+    in index order.
+
+    Moving each row's X part past the Z parts of the earlier rows costs
+    i**2 per overlap, so the exponent is the quadratic form
+    ``c.r + 2 c^T triu(B_z B_x^T, 1) c`` (Dehaene & De Moor,
+    quant-ph/0304125).
+    """
+    n = b.shape[1] // 2
+    b = b.astype(np.int64)
+    c = np.asarray(c, dtype=np.int64)
+    form = np.triu(b[:, n:] @ b[:, :n].T, 1)
+    return (c @ r + 2 * ((c @ form) * c).sum(axis=-1)) % 4
+
+
 def _lambda_matrix(n: int) -> np.ndarray:
     lam = np.zeros((2 * n, 2 * n), dtype=np.uint8)
     lam[:n, n:] = np.eye(n, dtype=np.uint8)
@@ -207,17 +233,9 @@ class CliffordOp:
         per (x | z) vector along the last axis of ``c``.
 
         W(c) is the product of the generators in c's support in index order,
-        so its image is the ordered product of the columns' images; moving
-        each column's X part past the Z parts of the earlier columns costs
-        i**2 per overlap.  That is the quadratic form
-        ``c.v + 2 c^T triu(S_z^T S_x, 1) c`` (Dehaene & De Moor,
-        quant-ph/0304125).
+        so its image is the ordered product of the columns' images.
         """
-        n = self.n
-        c = np.asarray(c, dtype=np.int64)
-        s = self.s.astype(np.int64)
-        form = np.triu(s[n:].T @ s[:n], 1)
-        return (c @ self.v + 2 * ((c @ form) * c).sum(axis=-1)) % 4
+        return _product_phases(self.s.T, self.v, c)
 
     def conjugate_pauli(self, p: PauliOp) -> PauliOp:
         """Return U p U^dagger for this Clifford U."""
@@ -535,9 +553,6 @@ class PauliRows:
         n = self.n
         return PauliOp(n, self.b[k, :n], self.b[k, n:], int(self.r[k]))
 
-    def paulis(self) -> list[PauliOp]:
-        return [self.pauli(k) for k in range(len(self.r))]
-
     def clifford(self) -> CliffordOp:
         """The Clifford whose columns are these 2n rows."""
         return CliffordOp(self.n, self.b.T, self.r % 4, validate=False)
@@ -625,31 +640,18 @@ def _gf2_rref(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     return out[:, :cols], out[:, cols:], pivots
 
 
-def _gf2_row_reduce_with_phases(paulis: Sequence[PauliOp]) -> list[PauliOp]:
-    """Commuting Hermitian generators re-mixed so their (x | z) matrix is in RREF.
-
-    Row i becomes the product of the generators that row i of the
-    elimination transform selects; the generators commute, so the order
-    of that product does not change its phase.
-    """
-    _, t, _ = _gf2_rref(np.stack([g.vec for g in paulis]))
-    return [
-        functools.reduce(PauliOp.__mul__, (paulis[k] for k in np.flatnonzero(sel)))
-        for sel in t
-    ]
-
-
 class StabilizerState:
     """An n-qubit stabilizer state given by n independent commuting generators.
 
-    Each generator is a Hermitian PauliOp with eigenvalue +1 on the state.
-    ``canonical`` records whether the tableau is in reduced row echelon
-    form over the (x | z) columns.
+    Each generator is a Hermitian Pauli with eigenvalue +1 on the state.
+    The generators are one read-only row stack in the :class:`PauliRows`
+    layout: row k of the (n, 2n) uint8 matrix ``b`` is generator k's
+    (x | z) vector and ``r[k]`` its power of i, mod 4.
     """
 
-    __slots__ = ("n", "generators", "canonical")
+    __slots__ = ("n", "b", "r")
 
-    def __init__(self, generators: Iterable[PauliOp], canonical: bool = False, validate: bool = True):
+    def __init__(self, generators: Iterable[PauliOp]):
         gens = tuple(generators)
         if not gens:
             raise ValueError("need at least one generator")
@@ -658,84 +660,81 @@ class StabilizerState:
             raise ValueError("generator width mismatch")
         if len(gens) != n:
             raise ValueError(f"need exactly {n} generators, got {len(gens)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "canonical", bool(canonical))
-        if validate:
-            if any(not g.is_hermitian for g in gens):
-                raise ValueError("generators must be Hermitian")
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if not gens[i].commutes(gens[j]):
-                        raise ValueError("generators must commute")
-            if self._rank() != n:
-                raise ValueError("generators must be independent")
+        self._store(np.stack([g.vec for g in gens]), [g.phase for g in gens])
+        x, z = self.b[:, :n].astype(np.int64), self.b[:, n:].astype(np.int64)
+        if np.any(self.r % 2 != np.einsum("ij,ij->i", x, z) % 2):
+            raise ValueError("generators must be Hermitian")
+        if np.any((x @ z.T + z @ x.T) % 2):
+            raise ValueError("generators must commute")
+        if len(_gf2_rref(self.b)[2]) != n:
+            raise ValueError("generators must be independent")
+
+    @classmethod
+    def from_rows(cls, b: np.ndarray, r: Sequence[int] | np.ndarray) -> "StabilizerState":
+        """The state whose generators are the rows ``i**r[k] * W(b[k])``,
+        unchecked: they must be n Hermitian, commuting, independent Paulis."""
+        state = cls.__new__(cls)
+        state._store(b, r)
+        return state
+
+    def _store(self, b, r):
+        b = np.array(b, dtype=np.uint8)
+        r = np.array(r, dtype=np.int64) % 4
+        b.setflags(write=False)
+        r.setflags(write=False)
+        object.__setattr__(self, "n", b.shape[1] // 2)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "r", r)
 
     def __setattr__(self, name, value):
         raise AttributeError("StabilizerState is immutable")
 
-    def _matrix(self) -> np.ndarray:
-        return np.stack([g.vec for g in self.generators])
-
-    def _rank(self) -> int:
-        return len(_gf2_rref(self._matrix())[2])
+    @property
+    def generators(self) -> tuple[PauliOp, ...]:
+        n = self.n
+        return tuple(PauliOp(n, row[:n], row[n:], int(k)) for row, k in zip(self.b, self.r))
 
     @classmethod
     def zero_state(cls, n: int) -> "StabilizerState":
-        gens = [
-            PauliOp(n, np.zeros(n, dtype=np.uint8), np.eye(n, dtype=np.uint8)[q], 0)
-            for q in range(n)
-        ]
-        return cls(gens, canonical=True, validate=False)
+        return cls.basis_state([0] * n)
 
     @classmethod
     def basis_state(cls, bits: Sequence[int]) -> "StabilizerState":
         n = len(bits)
-        gens = [
-            PauliOp(n, np.zeros(n, dtype=np.uint8), np.eye(n, dtype=np.uint8)[q], 2 * int(bits[q]))
-            for q in range(n)
-        ]
-        return cls(gens, canonical=True, validate=False)
+        b = np.hstack([np.zeros((n, n), dtype=np.uint8), np.eye(n, dtype=np.uint8)])
+        return cls.from_rows(b, 2 * np.asarray(bits, dtype=np.int64))
 
     def apply(self, c: CliffordOp) -> "StabilizerState":
         if c.n != self.n:
             raise ValueError("qubit-count mismatch")
-        rows = self._matrix()
-        image = (rows.astype(np.int64) @ c.s.T) % 2
-        phases = [g.phase for g in self.generators] + c._phase_of(rows)
-        n = self.n
-        return StabilizerState(
-            [PauliOp(n, image[k, :n], image[k, n:], phases[k]) for k in range(n)],
-            canonical=False,
-            validate=False,
-        )
+        image = (self.b.astype(np.int64) @ c.s.T) % 2
+        return StabilizerState.from_rows(image, self.r + c._phase_of(self.b))
 
     def apply_circuit(self, circuit: Circuit) -> "StabilizerState":
         """The state after ``circuit``, its generators carried through the
         row kernel layer by layer."""
-        rows = PauliRows.of(self.generators)
+        rows = PauliRows(self.n, self.b, self.r)
         rows.apply_circuit(circuit)
-        return StabilizerState(rows.paulis(), canonical=False, validate=False)
+        return StabilizerState.from_rows(rows.b, rows.r)
 
     def canonicalize(self) -> "StabilizerState":
-        if self.canonical:
-            return self
-        return StabilizerState(_gf2_row_reduce_with_phases(self.generators), canonical=True, validate=False)
+        """The same state with ``b`` in reduced row echelon form.
+
+        New generator i is the product of the old ones that row i of the
+        elimination transform selects; they commute, so the order of the
+        product does not change its phase.
+        """
+        rref, t, _ = _gf2_rref(self.b)
+        return StabilizerState.from_rows(rref, _product_phases(self.b, self.r, t))
 
     def to_basis_bits(self) -> np.ndarray | None:
         """Bits b with state = |b> when this is a computational basis state."""
         canon = self.canonicalize()
-        mat = canon._matrix()
-        n = self.n
-        if np.any(mat[:, :n]):
+        if np.any(canon.b[:, :self.n]):
             return None
         # Z block of the RREF of an invertible matrix is the identity, so
         # generator q is +/- Z_q and the sign encodes the bit.
-        bits = np.zeros(n, dtype=np.uint8)
-        for g in canon.generators:
-            q = int(np.flatnonzero(g.z)[0])
-            bits[q] = g.phase // 2
-        return bits
+        return (canon.r // 2).astype(np.uint8)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StabilizerState):
@@ -744,10 +743,11 @@ class StabilizerState:
             return False
         a = self.canonicalize()
         b = other.canonicalize()
-        return a.generators == b.generators
+        return bool(np.array_equal(a.b, b.b) and np.array_equal(a.r, b.r))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.canonicalize().generators))
+        canon = self.canonicalize()
+        return hash((self.n, canon.b.tobytes(), canon.r.tobytes()))
 
     def __repr__(self) -> str:
         return "StabilizerState[" + ", ".join(repr(g) for g in self.generators) + "]"
@@ -783,4 +783,4 @@ def is_eigenstate(state: StabilizerState, p: PauliOp) -> bool:
     """
     if p.n != state.n:
         raise ValueError("qubit-count mismatch")
-    return len(_gf2_rref(np.vstack([state._matrix(), p.vec]))[2]) == state.n
+    return len(_gf2_rref(np.vstack([state.b, p.vec]))[2]) == state.n

@@ -772,11 +772,8 @@ def _best_meas_sequence(
     the candidates evaluated: the orders plus their CNOT eliminations."""
     n = device.n
     canon = state.canonicalize()
-    digest = _digest(
-        canon._matrix().tobytes(),
-        np.array([g.phase for g in canon.generators]).tobytes(),
-    )
-    rows = _pack_rows(state._matrix())
+    digest = _digest(canon.b.tobytes(), canon.r.tobytes())
+    rows = _pack_rows(state.b)
     orders = _elimination_orders(n, device, options, digest)
     trials = len(orders)
     best_key = None
@@ -830,15 +827,10 @@ def compile_stabilizer_prep(
     zero = StabilizerState.zero_state(n)
     got = zero.apply_circuit(_pack_layers(seq, n)).canonicalize()
     want = state.canonicalize()
-    mat_got = got._matrix()
-    mat_want = want._matrix()
-    if not np.array_equal(mat_got, mat_want):
+    if not np.array_equal(got.b, want.b):
         raise RuntimeError("prep candidate stabilizes the wrong group")
-    rhs = np.array(
-        [((want.generators[i].phase - got.generators[i].phase) // 2) % 2 for i in range(n)],
-        dtype=np.uint8,
-    )
-    rows = np.concatenate([mat_want[:, n:], mat_want[:, :n]], axis=1)
+    rhs = (((want.r - got.r) // 2) % 2).astype(np.uint8)
+    rows = np.concatenate([want.b[:, n:], want.b[:, :n]], axis=1)
     q = _gf2_solve(rows, rhs)
     seq = seq + _pauli_gates(q[:n], q[n:])
     circuit = _pack_layers(_merge_one_qubit_runs(seq, device), n)

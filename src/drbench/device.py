@@ -66,6 +66,11 @@ class DeviceSpec:
             object.__setattr__(self, "qubits", tuple(f"q{i}" for i in range(self.n)))
         elif len(self.qubits) != self.n:
             raise ValueError("qubit name count must equal n")
+        links = [set() for _ in range(self.n)]
+        for a, b in edges:
+            links[a].add(b)
+            links[b].add(a)
+        object.__setattr__(self, "_neighbors", tuple(tuple(sorted(nbs)) for nbs in links))
 
     def allows_one_qubit_gate(self, name: str) -> bool:
         if self.gate_set == "HPI":
@@ -88,55 +93,42 @@ class DeviceSpec:
         return tuple(out)
 
     def neighbors(self, q: int) -> tuple[int, ...]:
-        out = {b for a, b in self.edges if a == q} | {a for a, b in self.edges if b == q}
-        return tuple(sorted(out))
+        return self._neighbors[q]
 
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = {0}
-        queue = deque([0])
+    def _search(self, source: int) -> dict[int, tuple[int, int]]:
+        """(parent, distance) of every qubit reachable from ``source`` along
+        undirected links, by breadth-first search visiting lower-indexed
+        neighbors first; the source is its own parent."""
+        found = {source: (source, 0)}
+        queue = deque([source])
         while queue:
             q = queue.popleft()
-            for nb in self.neighbors(q):
-                if nb not in seen:
-                    seen.add(nb)
+            for nb in self._neighbors[q]:
+                if nb not in found:
+                    found[nb] = (q, found[q][1] + 1)
                     queue.append(nb)
-        return len(seen) == self.n
+        return found
+
+    def is_connected(self) -> bool:
+        return len(self._search(0)) == self.n
 
     def shortest_path(self, a: int, b: int) -> list[int]:
         """Qubit sequence from a to b along undirected links (BFS, ties to
         the lower-indexed neighbor)."""
-        if a == b:
-            return [a]
-        prev: dict[int, int] = {a: a}
-        queue = deque([a])
-        while queue:
-            q = queue.popleft()
-            for nb in self.neighbors(q):
-                if nb not in prev:
-                    prev[nb] = q
-                    if nb == b:
-                        path = [b]
-                        while path[-1] != a:
-                            path.append(prev[path[-1]])
-                        return path[::-1]
-                    queue.append(nb)
-        raise ValueError(f"no path between qubits {a} and {b}")
+        found = self._search(a)
+        if b not in found:
+            raise ValueError(f"no path between qubits {a} and {b}")
+        path = [b]
+        while path[-1] != a:
+            path.append(found[path[-1]][0])
+        return path[::-1]
 
     def eccentricity_order(self) -> list[int]:
         """Qubits from most to least peripheral, ties by index."""
         eccs = []
         for q in range(self.n):
-            dist = {q: 0}
-            queue = deque([q])
-            while queue:
-                u = queue.popleft()
-                for nb in self.neighbors(u):
-                    if nb not in dist:
-                        dist[nb] = dist[u] + 1
-                        queue.append(nb)
-            ecc = max(dist.values()) if len(dist) == self.n else self.n
+            found = self._search(q)
+            ecc = max(d for _, d in found.values()) if len(found) == self.n else self.n
             eccs.append((-(ecc), q))
         return [q for _, q in sorted(eccs)]
 

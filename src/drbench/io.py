@@ -46,6 +46,11 @@ class FormatError(ValueError):
     names the offending field."""
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def canonical_json(obj) -> str:
     """Stable JSON rendering used for every .json artifact."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -197,16 +202,28 @@ def _row_from_obj(obj: dict, index: int) -> DataRow:
     for key in ("m", "shots", "successes"):
         if key not in obj:
             raise FormatError(f"dataset row {index} missing field '{key}'")
-    hist = None
-    if obj.get("histogram") is not None:
-        hist = tuple((str(bits), int(count)) for bits, count in obj["histogram"])
+        if not _is_int(obj[key]):
+            raise FormatError(f"dataset row {index} field '{key}' must be an integer, "
+                              f"got {obj[key]!r}")
+    for key, low in (("m", 0), ("shots", 1)):
+        if obj[key] < low:
+            raise FormatError(f"dataset row {index} field '{key}' must be >= {low}, got {obj[key]}")
+    hist = obj.get("histogram")
+    if hist is not None:
+        if not isinstance(hist, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and isinstance(pair[0], str) and _is_int(pair[1]) for pair in hist
+        ):
+            raise FormatError(f"dataset row {index} field 'histogram' must be a list of "
+                              f"[string, integer] pairs, got {hist!r}")
+        hist = tuple(map(tuple, hist))
     try:
         return DataRow(
             circuit_id=str(obj.get("circuit_id", f"ext_{index:05d}")),
-            m=int(obj["m"]),
+            m=obj["m"],
             target=str(obj.get("target", "")),
-            shots=int(obj["shots"]),
-            successes=int(obj["successes"]),
+            shots=obj["shots"],
+            successes=obj["successes"],
             histogram=hist,
         )
     except ValueError as exc:
@@ -239,19 +256,32 @@ def dataset_from_jsonl(text: str) -> Dataset:
 
 # -- experiment configs -----------------------------------------------------
 
-def _get(obj: dict, key: str, path: str, default=None, required: bool = False):
+def _get(obj: dict, key: str, path: str, default=None, required: bool = False,
+         kind: type | None = None):
+    """``obj[key]``, or ``default`` when absent; a FormatError naming
+    ``path`` when it is absent but required or, with ``kind`` given, not of
+    that type (a bool is not an int)."""
     if key not in obj:
         if required:
             raise FormatError(f"missing config field '{path}'")
         return default
-    return obj[key]
+    value = obj[key]
+    if kind is not None and (not isinstance(value, kind) or (kind is int and not _is_int(value))):
+        raise FormatError(f"config field '{path}' must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+_DEVICE_FIELDS = ("n", "gate_set", "preset", "edges")
 
 
 def _device_from_config(obj, path: str = "device") -> DeviceSpec:
     if not isinstance(obj, dict):
         raise FormatError(f"missing config field '{path}'")
+    for key in obj:
+        if key not in _DEVICE_FIELDS:
+            raise FormatError(f"unknown config field '{path}.{key}'")
     n = _get(obj, "n", f"{path}.n", required=True)
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise FormatError(f"config field '{path}.n' must be a positive integer")
     gate_set = _get(obj, "gate_set", f"{path}.gate_set", default="C24")
     preset = _get(obj, "preset", f"{path}.preset")
@@ -264,12 +294,11 @@ def _device_from_config(obj, path: str = "device") -> DeviceSpec:
             return ring_with_center(n - 1, gate_set)
         if preset is not None:
             raise FormatError(f"unknown '{path}.preset' value {preset!r}")
-        edges = _get(obj, "edges", f"{path}.edges", required=True)
-        return DeviceSpec(
-            n=n,
-            edges=tuple((int(a), int(b)) for a, b in edges),
-            gate_set=gate_set,
-        )
+        edges = _get(obj, "edges", f"{path}.edges", required=True, kind=list)
+        if not all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges):
+            raise FormatError(f"config field '{path}.edges' must be a list of "
+                              f"[control, target] integer pairs, got {edges!r}")
+        return DeviceSpec(n=n, edges=tuple(map(tuple, edges)), gate_set=gate_set)
     except FormatError:
         raise
     except (TypeError, ValueError) as exc:
@@ -324,20 +353,26 @@ def design_from_config(obj: dict) -> ExperimentDesign:
         # CompileOptions starts each message with the option's name
         name, _, problem = str(exc).partition(" ")
         raise FormatError(f"config field 'compile.{name}' {problem}") from None
+    lengths = _get(obj, "lengths", "lengths", default=list(DEFAULT_LENGTHS), kind=list)
+    if not all(map(_is_int, lengths)):
+        raise FormatError(f"config field 'lengths' must be a list of integers, got {lengths!r}")
+    seed = _get(obj, "seed", "seed", default=0, kind=int)
+    if seed < 0:
+        raise FormatError(f"config field 'seed' must be >= 0, got {seed}")
     try:
         return ExperimentDesign(
             protocol=protocol,
             device=device,
             sampler=sampler,
-            lengths=tuple(_get(obj, "lengths", "lengths", default=DEFAULT_LENGTHS)),
+            lengths=tuple(lengths),
             circuits_per_length=_get(obj, "circuits_per_length", "circuits_per_length",
-                                     default=DEFAULT_CIRCUITS_PER_LENGTH),
-            shots=_get(obj, "shots", "shots", default=DEFAULT_SHOTS),
-            seed=_get(obj, "seed", "seed", default=0),
-            frame_randomization=bool(_get(obj, "frame_randomization", "frame_randomization",
-                                          default=False)),
-            emit_frame_gates=bool(_get(obj, "emit_frame_gates", "emit_frame_gates",
-                                       default=False)),
+                                     default=DEFAULT_CIRCUITS_PER_LENGTH, kind=int),
+            shots=_get(obj, "shots", "shots", default=DEFAULT_SHOTS, kind=int),
+            seed=seed,
+            frame_randomization=_get(obj, "frame_randomization", "frame_randomization",
+                                     default=False, kind=bool),
+            emit_frame_gates=_get(obj, "emit_frame_gates", "emit_frame_gates",
+                                  default=False, kind=bool),
             compile_options=options,
         )
     except (TypeError, ValueError) as exc:
@@ -379,11 +414,17 @@ def _per_qubit(value, n: int, field: str) -> dict[int, float] | float:
     raise FormatError(f"model field '{field}' must be a number or a qubit map")
 
 
+_MODEL_FIELDS = ("n", "one_qubit", "cnot", "readout", "layer_depol")
+
+
 def model_from_json(obj: dict, n: int | None = None) -> ErrorModel:
     """Calibration-style model file: total rates per gate, optional global
     per-layer depolarizing."""
     if not isinstance(obj, dict):
         raise FormatError("model must be a JSON object")
+    for key in obj:
+        if key not in _MODEL_FIELDS:
+            raise FormatError(f"unknown model field '{key}'; known fields: {', '.join(_MODEL_FIELDS)}")
     if "n" not in obj:
         raise FormatError("missing model field 'n'")
     file_n = obj["n"]

@@ -168,7 +168,7 @@ def generate_drb_circuit(
 
     prep, prep_stats = compile_stabilizer_prep(psi, device, design.compile_options)
     # rows 0..n-1 are the state's generators; row n accumulates the frame
-    rows = PauliRows.of([*psi.generators, PauliOp.identity(n)])
+    rows = PauliRows(n, np.vstack([psi.b, np.zeros(2 * n, dtype=np.uint8)]), [*psi.r, 0])
     core_layers: list = []
     for i, layer in enumerate(layers):
         rows.apply_layer(layer)
@@ -180,12 +180,12 @@ def generate_drb_circuit(
                 core_layers.extend(block.layers)
     # the state the measurement stage must rotate, frame included:
     # conjugating by the frame flips the generators it anticommutes with
-    acc = rows.pauli(n)
-    rows.r[:n] += 2 * ((rows.b[:n, :n] @ acc.z + rows.b[:n, n:] @ acc.x) % 2)
-    state = StabilizerState(rows.paulis()[:n], validate=False)
+    acc_x, acc_z = rows.b[n, :n], rows.b[n, n:]
+    rows.r[:n] += 2 * ((rows.b[:n, :n] @ acc_z + rows.b[:n, n:] @ acc_x) % 2)
+    state = StabilizerState.from_rows(rows.b[:n], rows.r[:n])
     meas, bits, meas_stats = compile_stabilizer_meas(state, device, design.compile_options)
     if frames is not None and not design.emit_frame_gates:
-        meas = fold_pauli_before_circuit(meas, acc.x, acc.z, device)
+        meas = fold_pauli_before_circuit(meas, acc_x, acc_z, device)
     core = Circuit(n, tuple(core_layers))
     circ = BenchmarkCircuit(
         circuit_id=_circuit_id("DRB", m, index),

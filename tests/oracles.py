@@ -180,6 +180,46 @@ def states_equal_dense(state_a, state_b) -> bool:
     return np.allclose(stabilizer_projector(state_a), stabilizer_projector(state_b), atol=1e-8)
 
 
+def canonical_generators(generators) -> list:
+    """Stabilizer generators re-mixed so their (x | z) matrix is in reduced
+    row echelon form, by plain Gauss-Jordan elimination on Python lists.
+    New generator i is the product of the old ones that row i of the row
+    transform selects, multiplied one PauliOp at a time in index order."""
+    rows = [[int(bit) for bit in g.vec] + [int(k == i) for k in range(len(generators))]
+            for i, g in enumerate(generators)]
+    width = 2 * generators[0].n
+    top = 0
+    for col in range(width):
+        pivot = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        for i in range(len(rows)):
+            if i != top and rows[i][col]:
+                rows[i] = [a ^ b for a, b in zip(rows[i], rows[top])]
+        top += 1
+    out = []
+    for row in rows:
+        product = None
+        for k, sel in enumerate(row[width:]):
+            if sel:
+                product = generators[k] if product is None else product * generators[k]
+        out.append(product)
+    return out
+
+
+def basis_bits_of_generators(generators):
+    """Bits b with state = |b> read off canonical generators +/- Z_q, or
+    None when some generator has an X part."""
+    canon = canonical_generators(generators)
+    if any(g.x.any() for g in canon):
+        return None
+    bits = [0] * len(canon)
+    for g in canon:
+        bits[int(np.flatnonzero(g.z)[0])] = g.phase // 2
+    return bits
+
+
 def symplectic_group_size(n: int) -> int:
     """|Sp(2n, 2)| = 2^(n^2) * prod_{j=1..n} (4^j - 1)."""
     size = 2 ** (n * n)

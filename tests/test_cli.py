@@ -65,6 +65,23 @@ BAD_COMPILE_FIELDS = [
 ]
 
 
+# top-level and device fields of the wrong type, or unknown; before the type
+# checks "seed": "x" exited 3, "shots": "many" exited 2 naming no field and
+# the rest were coerced or ignored and exited 0
+HPI2 = {"n": 2, "preset": "all_to_all", "gate_set": "HPI"}
+BAD_CONFIG_FIELDS = [
+    ({"seed": "x"}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"shots": "many"}, "shots"),
+    ({"lengths": [0, 2.5]}, "lengths"),
+    ({"frame_randomization": "no"}, "frame_randomization"),
+    ({"circuits_per_length": True}, "circuits_per_length"),
+    ({"device": {"n": 2, "edges": [[0, 1.7]], "gate_set": "HPI"}}, "device.edges"),
+    ({"device": {**HPI2, "colour": "red"}}, "device.colour"),
+    ({"device": {**HPI2, "n": True}}, "device.n"),
+]
+
+
 # sampler sections that are malformed or that the device cannot run, with
 # the field each must name: before the design-time checks they exited 3
 # (pool, undeclared edge, unlinked pairing pair) or 0 (the rest)
@@ -123,6 +140,14 @@ class TestGenerate:
         out = tmp_path / "run"
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"compile.{field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides,field", BAD_CONFIG_FIELDS)
+    def test_malformed_config_field_exit2(self, tmp_path, capsys, overrides, field):
+        cfg = write_config(tmp_path / "bad.json", **overrides)
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("sampler,device,field", BAD_SAMPLERS)
@@ -230,6 +255,15 @@ class TestSimulate:
         assert "unknown model" in capsys.readouterr().err
         assert main(["simulate", "--run", str(tmp_path / "missing"), "--model", "zero"]) == 2
 
+    def test_unknown_model_field_exit2(self, tmp_path, capsys):
+        # read as a zero-readout model before unknown fields were rejected
+        run = generate(tmp_path)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"n": 2, "meas_flip": [0.3, 0.3]}), encoding="utf-8")
+        assert main(["simulate", "--run", str(run), "--model", str(model)]) == 2
+        assert "'meas_flip'" in capsys.readouterr().err
+        assert not (run / "dataset.jsonl").exists()
+
     @pytest.mark.parametrize("field", MANIFEST_FIELDS)
     def test_manifest_missing_field_exit2(self, tmp_path, capsys, field):
         run = generate(tmp_path)
@@ -300,6 +334,22 @@ class TestSimulate:
         assert "--shots must be positive" in err
         assert "experiment.shots" not in err
         assert not (run / "dataset.jsonl").exists()
+
+
+# dataset row fields of the wrong type: a list m and a histogram pair of
+# one entry ended in a traceback, a float m and a string count were coerced
+BAD_ROWS = [
+    ({"m": [1]}, "m"),
+    ({"m": 2.7}, "m"),
+    ({"successes": "3"}, "successes"),
+    ({"shots": True}, "shots"),
+    ({"histogram": [[1]]}, "histogram"),
+    ({"histogram": [["01", 9.0]]}, "histogram"),
+    # out of range: a negative m fitted to a wrong rate with exit 0 and zero
+    # shots ended in a traceback
+    ({"m": -3}, "m"),
+    ({"shots": 0, "successes": 0}, "shots"),
+]
 
 
 class TestAnalyze:
@@ -416,6 +466,18 @@ class TestAnalyze:
         assert main(["analyze", str(path), str(path), "--n", "2", "--out", str(results),
                      "--resamples", "100", *mixing]) == 2
         assert "--mixing" in capsys.readouterr().err
+        assert not results.exists()
+
+    @pytest.mark.parametrize("row,field", BAD_ROWS)
+    def test_malformed_dataset_row_exit2(self, tmp_path, capsys, row, field):
+        path = tmp_path / "ext.jsonl"
+        good = {"m": 0, "shots": 10, "successes": 9}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **row}) + "\n",
+                        encoding="utf-8")
+        results = tmp_path / "results.json"
+        assert main(["analyze", str(path), "--n", "2", "--out", str(results)]) == 2
+        err = capsys.readouterr().err
+        assert "dataset row 1" in err and f"field '{field}'" in err
         assert not results.exists()
 
     def test_bad_dataset_exit2(self, tmp_path):

@@ -356,6 +356,66 @@ def paulis(draw, n: int) -> PauliOp:
     return PauliOp(n, draw(bits), draw(bits), draw(st.integers(0, 3)))
 
 
+@st.composite
+def remixed(draw, generators) -> list[PauliOp]:
+    """The same stabilizer group: generators multiplied into each other at
+    random and then permuted."""
+    gens = list(generators)
+    n = len(gens)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            gens[i] = gens[i] * gens[j]
+    return [gens[k] for k in draw(st.permutations(range(n)))]
+
+
+@st.composite
+def stabilizer_states(draw) -> StabilizerState:
+    """States on 1 to 5 qubits: a basis state carried through a random
+    circuit (basis states stay when the depth is 0), built from re-mixed
+    generators through the validating constructor."""
+    circ = draw(random_circuits(max_depth=6))
+    bits = draw(st.lists(st.integers(0, 1), min_size=circ.n, max_size=circ.n))
+    state = StabilizerState.basis_state(bits).apply_circuit(circ)
+    return StabilizerState(draw(remixed(state.generators)))
+
+
+class TestStabilizerRows:
+    """The row-stack state against the sequential PauliOp products of
+    :func:`oracles.canonical_generators`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stabilizer_states())
+    def test_canonicalize_matches_sequential_products(self, state):
+        canon = state.canonicalize()
+        assert list(canon.generators) == oracles.canonical_generators(state.generators)
+        assert oracles.states_equal_dense(state, canon)
+        assert StabilizerState(state.generators) == state
+        assert not state.b.flags.writeable and not state.r.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(stabilizer_states())
+    def test_basis_bits_match_sequential_products(self, state):
+        bits = state.to_basis_bits()
+        want = oracles.basis_bits_of_generators(state.generators)
+        assert (bits is None and want is None) or bits.tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equality_and_hash_match_sequential_products(self, data):
+        state = data.draw(stabilizer_states())
+        flip = data.draw(st.integers(0, state.n - 1))
+        same = data.draw(remixed(state.generators))
+        # one generator's sign flipped: a different state
+        other = [PauliOp(g.n, g.x, g.z, g.phase + 2 * (k == flip))
+                 for k, g in enumerate(data.draw(remixed(state.generators)))]
+        want = oracles.canonical_generators(state.generators)
+        for gens, equal in ((same, True), (other, False)):
+            assert (oracles.canonical_generators(gens) == want) == equal
+            assert (StabilizerState(gens) == state) == equal
+        assert hash(StabilizerState(same)) == hash(state)
+
+
 class TestRowKernel:
     """The in-place row-stack kernel against dense conjugation."""
 
