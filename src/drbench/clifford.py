@@ -777,10 +777,13 @@ def apply_clifford(c: CliffordOp, state: StabilizerState) -> StabilizerState:
 def is_eigenstate(state: StabilizerState, p: PauliOp) -> bool:
     """Whether ``p`` stabilizes or anti-stabilizes ``state``.
 
-    Decided on the (x | z) vector: true iff the vector lies in the row
-    space of the stabilizer tableau, i.e. the state is an eigenstate of
-    ``p`` for either eigenvalue sign.
+    True iff ``p`` commutes with all n generators.  A maximal stabilizer
+    group is its own centralizer, so that is the same as the (x | z)
+    vector lying in the row space of the tableau: the state is an
+    eigenstate of ``p`` for either eigenvalue sign.
     """
     if p.n != state.n:
         raise ValueError("qubit-count mismatch")
-    return len(_gf2_rref(np.vstack([state.b, p.vec]))[2]) == state.n
+    n = state.n
+    x, z = state.b[:, :n].astype(np.int64), state.b[:, n:].astype(np.int64)
+    return not np.any((x @ p.z + z @ p.x) % 2)

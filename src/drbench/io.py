@@ -208,6 +208,10 @@ def _row_from_obj(obj: dict, index: int) -> DataRow:
     for key, low in (("m", 0), ("shots", 1)):
         if obj[key] < low:
             raise FormatError(f"dataset row {index} field '{key}' must be >= {low}, got {obj[key]}")
+    target = obj.get("target", "")
+    if not (isinstance(target, str) and set(target) <= {"0", "1"}):
+        raise FormatError(f"dataset row {index} field 'target' must be a string of 0/1 "
+                          f"characters, got {target!r}")
     hist = obj.get("histogram")
     if hist is not None:
         if not isinstance(hist, list) or not all(
@@ -221,7 +225,7 @@ def _row_from_obj(obj: dict, index: int) -> DataRow:
         return DataRow(
             circuit_id=str(obj.get("circuit_id", f"ext_{index:05d}")),
             m=obj["m"],
-            target=str(obj.get("target", "")),
+            target=target,
             shots=obj["shots"],
             successes=obj["successes"],
             histogram=hist,
@@ -249,7 +253,11 @@ def dataset_from_jsonl(text: str) -> Dataset:
         if index == 0 and not rows and "provenance" in obj and "m" not in obj:
             provenance = obj["provenance"]
             continue
-        rows.append(_row_from_obj(obj, index))
+        row = _row_from_obj(obj, index)
+        if rows and len(row.target) != len(rows[0].target):
+            raise FormatError(f"dataset row {index} field 'target' has {len(row.target)} bits, "
+                              f"but row 0's has {len(rows[0].target)}")
+        rows.append(row)
         index += 1
     return Dataset(tuple(rows), provenance)
 
@@ -328,12 +336,17 @@ def _sampler_from_config(obj, device: DeviceSpec, path: str = "sampler") -> Samp
 
 
 _COMPILE_FIELDS = ("trials", "respect_connectivity", "use_heuristic", "cost", "seed")
+_CONFIG_FIELDS = ("protocol", "device", "sampler", "compile", "lengths", "circuits_per_length",
+                  "shots", "seed", "frame_randomization", "emit_frame_gates")
 
 
 def design_from_config(obj: dict) -> ExperimentDesign:
     """Build an ExperimentDesign from a parsed config JSON object."""
     if not isinstance(obj, dict):
         raise FormatError("config must be a JSON object")
+    for key in obj:
+        if key not in _CONFIG_FIELDS:
+            raise FormatError(f"unknown config field '{key}'")
     protocol = _get(obj, "protocol", "protocol", default="DRB")
     if protocol not in PROTOCOLS:
         raise FormatError(f"config field 'protocol' must be one of {sorted(PROTOCOLS)}")

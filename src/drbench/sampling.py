@@ -6,7 +6,14 @@ matrices on 2n bits has order prod_{j=1..n} (4^j - 1) 2^(2j-1), and each
 index below that order maps to a distinct element through a transvection
 construction (map e1 to an arbitrary nonzero vector, fix the conjugate
 basis vector with one more transvection, recurse on the direct summand).
-Drawing the index uniformly therefore draws the element uniformly.
+Drawing the index uniformly therefore draws the element uniformly.  The
+construction runs on Python-int rows in the interleaved packing, bit 2i
+x_i and bit 2i+1 z_i, so the index's bits are a vector as they stand and
+the symplectic form <u, h> is the parity of u AND h with each (x_i, z_i)
+pair swapped.  The finished rows are unpacked once and permuted into the
+(x | z) packing.  A uniform stabilizer state is |0..0> pushed through a
+uniform Clifford, read straight off it: generator k is the image of Z_k,
+column n + k of the Clifford's (s, v).
 
 A layer sampler fills every qubit a layer's CNOTs leave free with an
 independent uniform gate from its pool, so its law is fixed by the
@@ -37,7 +44,7 @@ from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .clifford import CliffordOp, GateLabel, Layer, StabilizerState, layer_to_clifford
+from .clifford import CliffordOp, GateLabel, Layer, StabilizerState, _unpack_rows
 from .device import GATE_SET_IDS, DeviceSpec, pool_gate_names
 
 __all__ = [
@@ -56,8 +63,6 @@ __all__ = [
     "sample_layer",
     "layer_probability",
     "cnot_placement_distribution",
-    "SpreadReport",
-    "estimate_error_spreading",
 ]
 
 
@@ -85,89 +90,59 @@ def stabilizer_state_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Index-based symplectic construction (interleaved x1 z1 x2 z2 ... packing)
+# Index-based symplectic construction on int rows (interleaved packing)
 
 
-def _sym_inner(u: np.ndarray, w: np.ndarray) -> int:
-    return int(np.sum(u[0::2] * w[1::2]) + np.sum(u[1::2] * w[0::2])) % 2
+def _swap_xz(h: int, n: int) -> int:
+    """h with x_i and z_i exchanged on every qubit, so that the symplectic
+    form <u, h> is the parity of ``u & _swap_xz(h, n)``."""
+    even = ((1 << 2 * n) - 1) // 3  # bits 0, 2, 4, ...
+    return (h & even) << 1 | (h >> 1) & even
 
 
-def _transvect(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if _sym_inner(v, h):
-        return v ^ h
-    return v.copy()
+def _apply_transvections(rows: list[int], hs: Iterable[int], n: int) -> list[int]:
+    """The rows after Z_h(v) = v + <v, h> h for each h of ``hs`` in turn."""
+    for h in hs:
+        w = _swap_xz(h, n)
+        rows = [v ^ h if (v & w).bit_count() & 1 else v for v in rows]
+    return rows
 
 
-def _int_bits(k: int, width: int) -> np.ndarray:
-    return np.array([(k >> j) & 1 for j in range(width)], dtype=np.uint8)
-
-
-def _find_transvections(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _find_transvections(x: int, y: int, n: int) -> tuple[int, int]:
     """Vectors (h1, h2) with Z_h2(Z_h1(x)) = y for nonzero x, y.
 
     Zero h means the identity map.  Uses the fact that any two distinct
     nonzero 2-bit pairs have symplectic inner product 1.
     """
-    nn = len(x)
-    zero = np.zeros(nn, dtype=np.uint8)
-    if np.array_equal(x, y):
-        return zero, zero
-    if _sym_inner(x, y) == 1:
-        return (x ^ y), zero
-    z = np.zeros(nn, dtype=np.uint8)
-    for i in range(nn // 2):
-        x0, x1 = int(x[2 * i]), int(x[2 * i + 1])
-        y0, y1 = int(y[2 * i]), int(y[2 * i + 1])
-        if (x0 | x1) and (y0 | y1):
-            z[2 * i] = x0 ^ y0
-            z[2 * i + 1] = x1 ^ y1
-            if z[2 * i] == 0 and z[2 * i + 1] == 0:
-                z[2 * i + 1] = 1
-                if x0 != x1:
-                    z[2 * i] = 1
-            return (x ^ z), (y ^ z)
-    for vec in (x, y):
-        for i in range(nn // 2):
-            v0, v1 = int(vec[2 * i]), int(vec[2 * i + 1])
-            if v0 | v1:
-                if v0 == v1:
-                    z[2 * i + 1] = 1
-                else:
-                    z[2 * i] = v1
-                    z[2 * i + 1] = v0
-                break
-    return (x ^ z), (y ^ z)
+    if x == y:
+        return 0, 0
+    if (x & _swap_xz(y, n)).bit_count() & 1:
+        return x ^ y, 0
+    pairs = [(x >> 2 * i & 3, y >> 2 * i & 3) for i in range(n)]
+    for i, (a, b) in enumerate(pairs):
+        if a and b:  # z's pair differs from both, or from a when a == b
+            z = (a ^ b or (2 if a == 3 else 3)) << 2 * i
+            return x ^ z, y ^ z
+    z = 0
+    for side in (0, 1):
+        i, a = next((i, pair[side]) for i, pair in enumerate(pairs) if pair[side])
+        z |= (2 if a == 3 else 3 - a) << 2 * i
+    return x ^ z, y ^ z
 
 
-def _symplectic_interleaved(index: int, n: int) -> np.ndarray:
+def _symplectic_interleaved(index: int, n: int) -> list[int]:
+    """Rows of the index-th symplectic matrix, interleaved packing."""
     nn = 2 * n
     s = (1 << nn) - 1
-    k = (index % s) + 1
+    f1 = index % s + 1
     index //= s
-    f1 = _int_bits(k, nn)
-    e1 = np.zeros(nn, dtype=np.uint8)
-    e1[0] = 1
-    t1, t2 = _find_transvections(e1, f1)
-    bits = _int_bits(index % (1 << (nn - 1)), nn - 1)
+    t1, t2 = _find_transvections(1, f1, n)
+    bits = index & ((1 << (nn - 1)) - 1)
     index >>= nn - 1
-    eprime = e1.copy()
-    eprime[2:nn] = bits[1 : nn - 1]
-    h0 = _transvect(t2, _transvect(t1, eprime))
-    if bits[0] == 1:
-        f1 = np.zeros(nn, dtype=np.uint8)
-    if n == 1:
-        g = np.eye(2, dtype=np.uint8)
-    else:
-        g = np.zeros((nn, nn), dtype=np.uint8)
-        g[:2, :2] = np.eye(2, dtype=np.uint8)
-        g[2:, 2:] = _symplectic_interleaved(index, n - 1)
-    for j in range(nn):
-        row = _transvect(t1, g[j])
-        row = _transvect(t2, row)
-        row = _transvect(h0, row)
-        row = _transvect(f1, row)
-        g[j] = row
-    return g
+    (h0,) = _apply_transvections([1 | bits >> 1 << 2], (t1, t2), n)
+    inner = _symplectic_interleaved(index, n - 1) if n > 1 else []
+    rows = [1, 2] + [row << 2 for row in inner]
+    return _apply_transvections(rows, (t1, t2, h0, 0 if bits & 1 else f1), n)
 
 
 def symplectic_from_index(index: int, n: int) -> np.ndarray:
@@ -177,14 +152,9 @@ def symplectic_from_index(index: int, n: int) -> np.ndarray:
     """
     if not 0 <= index < symplectic_group_order(n):
         raise ValueError("index out of range")
-    g = _symplectic_interleaved(int(index), n)
-    perm = np.empty(2 * n, dtype=np.intp)
-    for q in range(n):
-        perm[2 * q] = q
-        perm[2 * q + 1] = n + q
-    s = np.zeros_like(g)
-    s[np.ix_(perm, perm)] = g
-    return s
+    g = _unpack_rows(_symplectic_interleaved(int(index), n), 2 * n)
+    # axes (qubit, x/z) of rows and columns to (x/z, qubit)
+    return g.reshape(n, 2, n, 2).transpose(1, 0, 3, 2).reshape(2 * n, 2 * n)
 
 
 def _uniform_below(bound: int, rng: np.random.Generator) -> int:
@@ -217,9 +187,11 @@ def sample_stabilizer_state_uniform(n: int, rng: np.random.Generator) -> Stabili
 
     The Clifford group acts transitively on stabilizer states with
     stabilizer subgroups of equal size, so pushing |0..0> through a
-    uniform Clifford is uniform.
+    uniform Clifford is uniform.  Generator k of the image is the image
+    of Z_k: column n + k of the Clifford's (s, v).
     """
-    return StabilizerState.zero_state(n).apply(sample_clifford_uniform(n, rng))
+    c = sample_clifford_uniform(n, rng)
+    return StabilizerState.from_rows(c.s[:, n:].T, c.v[n:])
 
 
 # ---------------------------------------------------------------------------
@@ -492,70 +464,3 @@ def cnot_placement_distribution(spec: SamplerSpec, device: DeviceSpec) -> list[t
 
     grow((), 0, frozenset())
     return out
-
-
-# ---------------------------------------------------------------------------
-# Error-spreading diagnostics
-
-
-@dataclass(frozen=True)
-class SpreadReport:
-    """How a seeded weight-1 error spreads under random layers.
-
-    ``mean_weight[d]`` is the average Pauli weight after d layers and
-    ``collision_rate`` is the probability that two independent trials end
-    on the same Pauli, estimated over all trial pairs.
-    """
-
-    n: int
-    depth: int
-    trials: int
-    mean_weight: tuple[float, ...]
-    collision_rate: float
-
-
-def estimate_error_spreading(
-    spec: SamplerSpec | None,
-    device: DeviceSpec,
-    depth: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> SpreadReport:
-    """Propagate random weight-1 Paulis through ``depth`` random layers.
-
-    With ``spec=None`` each step conjugates by a fresh uniform n-qubit
-    Clifford instead of a sampled layer; in that mode the final Paulis are
-    uniform over the 4^n - 1 nonzero vectors, so the collision rate tends
-    to 1 / (4^n - 1).
-    """
-    n = device.n
-    weights = np.zeros((depth + 1, trials))
-    finals: dict[bytes, int] = {}
-    for t in range(trials):
-        vec = np.zeros(2 * n, dtype=np.uint8)
-        q = int(rng.integers(n))
-        kind = int(rng.integers(3))  # 0 X, 1 Z, 2 Y
-        if kind in (0, 2):
-            vec[q] = 1
-        if kind in (1, 2):
-            vec[n + q] = 1
-        weights[0, t] = 1
-        for d in range(1, depth + 1):
-            if spec is None:
-                s = sample_symplectic_uniform(n, rng)
-            else:
-                s = layer_to_clifford(sample_layer(spec, device, rng), n).s
-            vec = (s.astype(np.int64) @ vec) % 2
-            vec = vec.astype(np.uint8)
-            weights[d, t] = np.count_nonzero(vec[:n] | vec[n:])
-        key = vec.tobytes()
-        finals[key] = finals.get(key, 0) + 1
-    pairs = trials * (trials - 1) // 2
-    coll = sum(c * (c - 1) // 2 for c in finals.values()) / pairs if pairs else 0.0
-    return SpreadReport(
-        n=n,
-        depth=depth,
-        trials=trials,
-        mean_weight=tuple(float(w) for w in weights.mean(axis=1)),
-        collision_rate=float(coll),
-    )

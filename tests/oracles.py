@@ -286,3 +286,109 @@ def phase_of_loop(s: np.ndarray, v: np.ndarray, c: np.ndarray) -> int:
         phase += int(v[j]) + 2 * int(u[n:] @ s[:n, j])
         u = (u + s[:, j]) % 2
     return phase % 4
+
+
+# ---------------------------------------------------------------------------
+# Per-bit reference for the index-based symplectic construction: the numpy
+# form the package used before it moved to int rows.  Vectors are uint8
+# arrays in the interleaved x1 z1 x2 z2 ... packing.
+
+
+def _sym_inner(u: np.ndarray, w: np.ndarray) -> int:
+    return int(np.sum(u[0::2] * w[1::2]) + np.sum(u[1::2] * w[0::2])) % 2
+
+
+def _transvect(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    if _sym_inner(v, h):
+        return v ^ h
+    return v.copy()
+
+
+def _int_bits(k: int, width: int) -> np.ndarray:
+    return np.array([(k >> j) & 1 for j in range(width)], dtype=np.uint8)
+
+
+def _find_transvections(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    nn = len(x)
+    zero = np.zeros(nn, dtype=np.uint8)
+    if np.array_equal(x, y):
+        return zero, zero
+    if _sym_inner(x, y) == 1:
+        return (x ^ y), zero
+    z = np.zeros(nn, dtype=np.uint8)
+    for i in range(nn // 2):
+        x0, x1 = int(x[2 * i]), int(x[2 * i + 1])
+        y0, y1 = int(y[2 * i]), int(y[2 * i + 1])
+        if (x0 | x1) and (y0 | y1):
+            z[2 * i] = x0 ^ y0
+            z[2 * i + 1] = x1 ^ y1
+            if z[2 * i] == 0 and z[2 * i + 1] == 0:
+                z[2 * i + 1] = 1
+                if x0 != x1:
+                    z[2 * i] = 1
+            return (x ^ z), (y ^ z)
+    for vec in (x, y):
+        for i in range(nn // 2):
+            v0, v1 = int(vec[2 * i]), int(vec[2 * i + 1])
+            if v0 | v1:
+                if v0 == v1:
+                    z[2 * i + 1] = 1
+                else:
+                    z[2 * i] = v1
+                    z[2 * i + 1] = v0
+                break
+    return (x ^ z), (y ^ z)
+
+
+def _symplectic_interleaved(index: int, n: int) -> np.ndarray:
+    nn = 2 * n
+    s = (1 << nn) - 1
+    k = (index % s) + 1
+    index //= s
+    f1 = _int_bits(k, nn)
+    e1 = np.zeros(nn, dtype=np.uint8)
+    e1[0] = 1
+    t1, t2 = _find_transvections(e1, f1)
+    bits = _int_bits(index % (1 << (nn - 1)), nn - 1)
+    index >>= nn - 1
+    eprime = e1.copy()
+    eprime[2:nn] = bits[1 : nn - 1]
+    h0 = _transvect(t2, _transvect(t1, eprime))
+    if bits[0] == 1:
+        f1 = np.zeros(nn, dtype=np.uint8)
+    if n == 1:
+        g = np.eye(2, dtype=np.uint8)
+    else:
+        g = np.zeros((nn, nn), dtype=np.uint8)
+        g[:2, :2] = np.eye(2, dtype=np.uint8)
+        g[2:, 2:] = _symplectic_interleaved(index, n - 1)
+    for j in range(nn):
+        row = _transvect(t1, g[j])
+        row = _transvect(t2, row)
+        row = _transvect(h0, row)
+        row = _transvect(f1, row)
+        g[j] = row
+    return g
+
+
+def symplectic_from_index_reference(index: int, n: int) -> np.ndarray:
+    """The index-th binary symplectic matrix in (x | z) packing, built one
+    bit at a time on numpy vectors."""
+    g = _symplectic_interleaved(int(index), n)
+    perm = np.empty(2 * n, dtype=np.intp)
+    for q in range(n):
+        perm[2 * q] = q
+        perm[2 * q + 1] = n + q
+    s = np.zeros_like(g)
+    s[np.ix_(perm, perm)] = g
+    return s
+
+
+def span_rank(m: np.ndarray) -> int:
+    """GF(2) rank as log2 of the number of distinct row combinations."""
+    m = np.asarray(m, dtype=np.int64)
+    combos = {
+        (np.array(sel, dtype=np.int64) @ m % 2).tobytes()
+        for sel in itertools.product((0, 1), repeat=m.shape[0])
+    }
+    return len(combos).bit_length() - 1

@@ -67,9 +67,11 @@ BAD_COMPILE_FIELDS = [
 
 # top-level and device fields of the wrong type, or unknown; before the type
 # checks "seed": "x" exited 3, "shots": "many" exited 2 naming no field and
-# the rest were coerced or ignored and exited 0
+# the rest were coerced or ignored and exited 0 (a misspelt top-level key ran
+# the design without the setting it meant)
 HPI2 = {"n": 2, "preset": "all_to_all", "gate_set": "HPI"}
 BAD_CONFIG_FIELDS = [
+    ({"frame_randomisation": True}, "frame_randomisation"),
     ({"seed": "x"}, "seed"),
     ({"seed": -1}, "seed"),
     ({"shots": "many"}, "shots"),
@@ -349,6 +351,11 @@ BAD_ROWS = [
     # shots ended in a traceback
     ({"m": -3}, "m"),
     ({"shots": 0, "successes": 0}, "shots"),
+    # targets that are not bitstrings, or not as long as row 0's, set n in
+    # analyze and exited 0
+    ({"target": "xyz"}, "target"),
+    ({"target": 7}, "target"),
+    ({"target": "01"}, "target"),
 ]
 
 
@@ -478,6 +485,16 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--n", "2", "--out", str(results)]) == 2
         err = capsys.readouterr().err
         assert "dataset row 1" in err and f"field '{field}'" in err
+        assert not results.exists()
+
+    def test_targets_of_unequal_length_exit2(self, tmp_path, capsys):
+        path = tmp_path / "ext.jsonl"
+        rows = [{"m": 0, "shots": 10, "successes": 9, "target": bits} for bits in ("01", "011")]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        results = tmp_path / "results.json"
+        assert main(["analyze", str(path), "--out", str(results)]) == 2
+        err = capsys.readouterr().err
+        assert "dataset row 1" in err and "field 'target'" in err
         assert not results.exists()
 
     def test_bad_dataset_exit2(self, tmp_path):

@@ -415,6 +415,18 @@ class TestStabilizerRows:
             assert (StabilizerState(gens) == state) == equal
         assert hash(StabilizerState(same)) == hash(state)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_eigenstate_matches_row_space(self, data):
+        state = data.draw(stabilizer_states())
+        n = state.n
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n))
+        if data.draw(st.booleans()):  # a product of generators
+            bits = np.array(bits[:n]) @ state.b.astype(np.int64) % 2
+        p = PauliOp(n, bits[:n], bits[n:], data.draw(st.integers(0, 3)))
+        in_row_space = oracles.span_rank(np.vstack([state.b, p.vec])) == n
+        assert is_eigenstate(state, p) == in_row_space
+
 
 class TestRowKernel:
     """The in-place row-stack kernel against dense conjugation."""

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 from drbench.clifford import _gf2_rref
 from drbench.compiling import _gf2_inv, _gf2_solve
 
@@ -35,15 +36,6 @@ def invertible_by_det(m) -> bool:
     return int(round(np.linalg.det(m.astype(float)))) % 2 == 1
 
 
-def span_rank(m) -> int:
-    """GF(2) rank as log2 of the number of distinct row combinations."""
-    combos = {
-        gf2_matmul(np.array(sel), m).tobytes()
-        for sel in itertools.product((0, 1), repeat=m.shape[0])
-    }
-    return len(combos).bit_length() - 1
-
-
 # rows are eliminated as Python ints, so rows wider than a machine word
 # (here 63 to 80 columns) must reduce like narrow ones
 @settings(max_examples=200, deadline=None)
@@ -54,7 +46,7 @@ def test_rref_transform_and_form(m):
     assert np.array_equal(m, original)  # input untouched
     assert np.array_equal(gf2_matmul(t, m), r)
     assert invertible_by_det(t)
-    assert len(pivots) == span_rank(m)
+    assert len(pivots) == oracles.span_rank(m)
     assert pivots == sorted(set(pivots))
     for i, c in enumerate(pivots):
         assert not r[i, :c].any()

@@ -14,7 +14,7 @@ import pytest
 
 from drbench import compiling
 from drbench.cli import main
-from drbench.clifford import CliffordOp, PauliOp
+from drbench.clifford import CliffordOp, PauliOp, StabilizerState
 
 CONFIGS = {
     "drb_ring4_c24": {
@@ -181,17 +181,18 @@ def test_circuit_files_match_golden_digest(tmp_path, name):
     assert generate_digest(tmp_path, name) == GOLDEN[name]
 
 
-# Calls of CliffordOp.conjugate_pauli and CliffordOp.compose, and PauliOp
-# constructions and products, while generating a config.  DRB tracks states
-# through the row-stack kernel and keeps them as row stacks, so it makes
-# none; CRB composes its sampled elements, fixes each compiled element's
-# signs with one compose and reads each fix as a Pauli.  A return to
-# per-Pauli tracking shows up here as a count.
+# Calls of CliffordOp.conjugate_pauli and CliffordOp.compose, PauliOp
+# constructions and products, and StabilizerState.apply while generating a
+# config.  DRB tracks states through the row-stack kernel and keeps them as
+# row stacks, and reads each sampled state straight off its Clifford, so it
+# makes none; CRB composes its sampled elements, fixes each compiled
+# element's signs with one compose and reads each fix as a Pauli.  A return
+# to per-Pauli tracking shows up here as a count.
 WORK_COUNTS = {
     "drb_ring4_c24": {"CliffordOp.conjugate_pauli": 0, "CliffordOp.compose": 0,
-                      "PauliOp.__init__": 0, "PauliOp.__mul__": 0},
+                      "PauliOp.__init__": 0, "PauliOp.__mul__": 0, "StabilizerState.apply": 0},
     "crb_ring4_c24": {"CliffordOp.conjugate_pauli": 0, "CliffordOp.compose": 16,
-                      "PauliOp.__init__": 10, "PauliOp.__mul__": 0},
+                      "PauliOp.__init__": 10, "PauliOp.__mul__": 0, "StabilizerState.apply": 0},
 }
 
 
@@ -200,7 +201,7 @@ def test_clifford_work_counts(tmp_path, monkeypatch, name):
     counts = dict.fromkeys(WORK_COUNTS[name], 0)
     for key in counts:
         cls_name, method = key.split(".")
-        cls = {"CliffordOp": CliffordOp, "PauliOp": PauliOp}[cls_name]
+        cls = {"CliffordOp": CliffordOp, "PauliOp": PauliOp, "StabilizerState": StabilizerState}[cls_name]
         original = getattr(cls, method)
 
         def counted(*args, _original=original, _key=key, **kwargs):
