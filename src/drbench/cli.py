@@ -33,7 +33,8 @@ from .streams import stream
 
 
 class ConfigError(Exception):
-    """Bad configuration or unreadable input; exit code 2."""
+    """Bad flag or environment variable, or a missing or unreadable input
+    file; exit code 2, as for a malformed one (io.FormatError)."""
 
 
 class RunFailure(Exception):
@@ -57,13 +58,16 @@ def _env_seed() -> int | None:
     return int(raw)
 
 
-def _load_json(path: Path, what: str):
+def _load_json(path: Path, what: str) -> dict:
     if not path.exists():
         raise ConfigError(f"{what} {path} does not exist")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} {path} is not a JSON object")
+    return obj
 
 
 def _write_json(path: Path, obj) -> str:
@@ -72,11 +76,7 @@ def _write_json(path: Path, obj) -> str:
 
 def cmd_generate(args) -> int:
     config_path = Path(args.config)
-    config = _load_json(config_path, "config file")
-    try:
-        design = dio.design_from_config(config)
-    except dio.FormatError as exc:
-        raise ConfigError(str(exc)) from None
+    design = dio.design_from_config(_load_json(config_path, "config file"))
     env = _env_seed()
     if env is not None:
         design = dataclasses.replace(design, seed=env)
@@ -104,69 +104,59 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _manifest_field(obj, path: str, within: str = "", kind: type | None = None):
-    """The value at the dotted ``path`` of a manifest object; a ConfigError
-    naming the field (prefixed by ``within``) when it is absent or, with
-    ``kind`` given, not of that type (a bool is not an int)."""
-    for key in path.split("."):
-        if not isinstance(obj, dict) or key not in obj:
-            raise ConfigError(f"manifest lacks field {within}{path}")
-        obj = obj[key]
-    if kind is not None and (not isinstance(obj, kind) or isinstance(obj, bool)):
-        raise ConfigError(f"manifest field {within}{path} must be of type {kind.__name__}, "
-                          f"got {obj!r}")
-    return obj
-
-
 def _load_run(run_dir: Path):
-    manifest = _load_json(run_dir / "manifest.json", "manifest")
+    """The manifest of a generated run, its circuits, and the manifest's
+    protocol, shots and master seed."""
+    path = run_dir / "manifest.json"
+    manifest = _load_json(path, "manifest")
+    try:
+        experiment = dio.field(manifest, "experiment", "experiment", dict)
+        entries = dio.field(experiment, "circuits", "experiment.circuits", [dict])
+        ids, targets = ([dio.field(entry, key, f"experiment.circuits[{i}].{key}", str)
+                         for i, entry in enumerate(entries)] for key in ("id", "target"))
+        protocol = dio.field(experiment, "protocol", "experiment.protocol", str)
+        if protocol not in ("DRB", "CRB"):
+            raise dio.FormatError(f"field 'experiment.protocol' must be DRB or CRB, "
+                                  f"got {protocol!r}")
+        shots = dio.field(experiment, "shots", "experiment.shots", int, low=1)
+        seed = dio.field(manifest, "master_seed", "master_seed", int)
+    except dio.FormatError as exc:
+        raise dio.FormatError(f"manifest {path}: {exc}") from None
+    if not entries:
+        raise ConfigError(f"manifest {path} lists no circuits")
     circuits = []
-    for i, entry in enumerate(_manifest_field(manifest, "experiment.circuits", kind=list)):
-        circuit_id = _manifest_field(entry, "id", f"experiment.circuits[{i}].")
-        path = run_dir / "circuits" / f"{circuit_id}.txt"
-        if not path.exists():
-            raise ConfigError(f"circuit file {path} listed in the manifest is missing")
+    for i, (circuit_id, target) in enumerate(zip(ids, targets)):
+        circuit_path = run_dir / "circuits" / f"{circuit_id}.txt"
+        if not circuit_path.exists():
+            raise ConfigError(f"circuit file {circuit_path} listed in the manifest is missing")
         try:
-            circ = dio.circuit_from_text(path.read_text(encoding="utf-8"))
+            circ = dio.circuit_from_text(circuit_path.read_text(encoding="utf-8"))
         except dio.FormatError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        target = _manifest_field(entry, "target", f"experiment.circuits[{i}].", kind=str)
+            raise dio.FormatError(f"{circuit_path}: {exc}") from None
         found = "".join(str(b) for b in circ.target)
         if target != found:
             raise ConfigError(f"manifest field experiment.circuits[{i}].target is {target!r} "
-                              f"but {path} has target {found!r}")
+                              f"but {circuit_path} has target {found!r}")
         circuits.append(circ)
-    if not circuits:
-        raise ConfigError(f"manifest in {run_dir} lists no circuits")
-    return manifest, circuits
+    return manifest, circuits, protocol, shots, seed
 
 
 def cmd_simulate(args) -> int:
     run_dir = Path(args.run)
-    manifest, circuits = _load_run(run_dir)
+    manifest, circuits, protocol, shots, seed = _load_run(run_dir)
     n = circuits[0].n
-    try:
-        model = dio.model_from_spec(args.model, n)
-    except dio.FormatError as exc:
-        raise ConfigError(str(exc)) from None
+    model = dio.model_from_spec(args.model, n)
     gaps = dio.model_coverage_gaps(model, circuits)
     if gaps:
         raise RunFailure(f"model does not cover gate(s): {', '.join(gaps)}")
-    shots, source = args.shots, "--shots"
-    if shots is None:
-        shots = _manifest_field(manifest, "experiment.shots", kind=int)
-        source = "manifest field experiment.shots"
-    if shots < 1:
-        raise ConfigError(f"{source} must be positive, got {shots}")
-    protocol = _manifest_field(manifest, "experiment.protocol", kind=str)
-    if protocol not in ("DRB", "CRB"):
-        raise ConfigError(f"manifest field experiment.protocol must be DRB or CRB, "
-                          f"got {protocol!r}")
-    seed = args.seed
-    if seed is None:
-        seed = _env_seed()
-    if seed is None:
-        seed = _manifest_field(manifest, "master_seed", kind=int)
+    if args.shots is not None:
+        if args.shots < 1:
+            raise ConfigError(f"--shots must be positive, got {args.shots}")
+        shots = args.shots
+    if args.seed is not None:
+        seed = args.seed
+    elif (env := _env_seed()) is not None:
+        seed = env
     provenance = {
         "tool": dio.TOOL_VERSION,
         "run": run_dir.as_posix(),
@@ -244,11 +234,12 @@ def cmd_analyze(args) -> int:
             raise ConfigError(f"dataset {path} does not exist")
         try:
             data = dio.dataset_from_jsonl(p.read_text(encoding="utf-8"))
+            protocol = dio.field(data.provenance, "protocol", "provenance.protocol", str, "DRB")
         except dio.FormatError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+            raise dio.FormatError(f"{path}: {exc}") from None
         if not data.rows:
             raise ConfigError(f"dataset {path} has no rows")
-        datasets.append((path, data))
+        datasets.append((path, data, protocol))
     matrix = _parse_mixing(args.mixing, len(datasets)) if args.mixing else None
     seed = args.seed
     if seed is None:
@@ -257,7 +248,7 @@ def cmd_analyze(args) -> int:
         seed = 0
     runs = []
     degenerate = []
-    for index, (path, data) in enumerate(datasets):
+    for index, (path, data, protocol) in enumerate(datasets):
         n = _infer_n(data, args.n, path)
         averages = average_success(data)
         try:
@@ -271,7 +262,7 @@ def cmd_analyze(args) -> int:
         runs.append(
             {
                 "dataset": path,
-                "protocol": data.provenance.get("protocol", "DRB"),
+                "protocol": protocol,
                 "n": n,
                 "A": fit.A,
                 "B": fit.B,
@@ -339,7 +330,7 @@ def cmd_analyze(args) -> int:
             csv_path = out.with_name(out.stem + "_plot.csv")
         else:
             csv_path = out.with_name(f"{out.stem}_run{index}_plot.csv")
-        _, data = datasets[index]
+        data = datasets[index][1]
         dio.write_text(csv_path, dio.plot_csv(average_success(data),
                                               run["A"], run["B"], run["p"]))
         print(f"{run['dataset']}: r = {run['r']:.3e} +/- {2 * run['r_sigma']:.1e} (2 sigma)")
@@ -355,9 +346,11 @@ def _load_results(path: Path) -> list[dict]:
     candidate = path / "results.json" if path.is_dir() else path
     if not candidate.exists():
         raise AnalysisFailure(f"no results file at {candidate}")
-    obj = _load_json(candidate, "results file")
-    runs = obj.get("runs")
-    if not isinstance(runs, list) or not runs:
+    try:
+        runs = dio.runs_from_results(_load_json(candidate, "results file"))
+    except dio.FormatError as exc:
+        raise dio.FormatError(f"results file {candidate}: {exc}") from None
+    if not runs:
         raise AnalysisFailure(f"results file {candidate} lists no runs")
     return runs
 
@@ -369,12 +362,12 @@ def cmd_report(args) -> int:
     plot_runs = []
     table = ["label      r            2sigma"]
     for run in runs:
-        label = f"n={run['n']} {run.get('protocol', 'DRB')}"
+        label = f"n={run['n']} {run['protocol']}"
         plot_runs.append(
             {
                 "label": f"{label}: r={run['r']:.2e}",
                 "n": run["n"],
-                "points": {int(m): pm for m, pm in run["points"].items()},
+                "points": run["points"],
                 "fit": (run["A"], run["B"], run["p"]),
             }
         )
@@ -441,7 +434,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, dio.FormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except RunFailure as exc:

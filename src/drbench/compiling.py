@@ -287,12 +287,7 @@ def _elimination_orders(n: int, device: DeviceSpec, options: CompileOptions, dig
 
 
 def _relabeled_device(device: DeviceSpec, pos: list[int]) -> DeviceSpec:
-    return DeviceSpec(
-        device.n,
-        tuple((pos[a], pos[b]) for a, b in device.edges),
-        device.gate_set,
-        device.qubits,
-    )
+    return DeviceSpec(device.n, tuple((pos[a], pos[b]) for a, b in device.edges), device.gate_set)
 
 
 def _cnot_ge_ops(w: list[int]) -> list[tuple[int, int]]:

@@ -44,7 +44,6 @@ class DeviceSpec:
     n: int
     edges: tuple[tuple[int, int], ...]
     gate_set: str = "C24"
-    qubits: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.n < 1:
@@ -62,10 +61,6 @@ class DeviceSpec:
             if (a, b) in seen:
                 raise ValueError(f"duplicate edge ({a}, {b})")
             seen.add((a, b))
-        if not self.qubits:
-            object.__setattr__(self, "qubits", tuple(f"q{i}" for i in range(self.n)))
-        elif len(self.qubits) != self.n:
-            raise ValueError("qubit name count must equal n")
         links = [set() for _ in range(self.n)]
         for a, b in edges:
             links[a].add(b)

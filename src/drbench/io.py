@@ -1,9 +1,18 @@
 """File formats for batch runs.
 
 Circuits are diffable UTF-8 text, datasets are JSONL with a provenance
-first line, configs and results are JSON, and reports are hand-rolled
-deterministic SVG.  Every serializer here is byte-stable so pipelines can
-be compared digest to digest.
+first line, configs, model files and results are JSON, and reports are
+hand-rolled deterministic SVG.  Every serializer here is byte-stable so
+pipelines can be compared digest to digest.
+
+Every JSON value a reader takes goes through :func:`field`, which checks
+its JSON kind without coercion (a bool is neither an integer nor a
+number, null is not an absent field) and, for numbers, its range; keys a
+reader does not know fail :func:`check_keys`.  Circuit files take only
+gates the row kernel runs, with their qubit counts.  Every reader raises
+FormatError alone, with a message naming the field (``field
+'device.edges' ...``, ``field 'runs[0].p' ...``); the command line exits
+with code 2 on it.
 """
 
 from __future__ import annotations
@@ -15,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .clifford import Circuit, GateLabel
+from .clifford import _KERNEL_GATES, Circuit, GateLabel
 from .compiling import CompileOptions
-from .device import DeviceSpec, all_to_all, ring, ring_with_center
+from .device import GATE_SET_IDS, DeviceSpec, all_to_all, ring, ring_with_center
 from .protocols import (
     DEFAULT_CIRCUITS_PER_LENGTH,
     DEFAULT_LENGTHS,
@@ -46,9 +55,65 @@ class FormatError(ValueError):
     names the offending field."""
 
 
-def _is_int(value) -> bool:
-    """A JSON integer: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
+_REQUIRED = object()
+# each JSON kind: its Python types (a tuple passes as a list, so the Python
+# output of design_to_config reads back), its name and its plural
+_KINDS = {
+    int: (int, "an integer", "integers"),
+    float: ((int, float), "a number", "numbers"),
+    bool: (bool, "true or false", "booleans"),
+    str: (str, "a string", "strings"),
+    list: ((list, tuple), "a list", "lists"),
+    dict: (dict, "an object", "objects"),
+}
+
+
+def _is_kind(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return any(_is_kind(value, k) for k in kind)
+    if isinstance(kind, list):
+        return _is_kind(value, list) and all(_is_kind(v, kind[0]) for v in value)
+    return isinstance(value, _KINDS[kind][0]) and (kind is bool or not isinstance(value, bool))
+
+
+def _kind_name(kind, plural: bool = False) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(_kind_name(k, plural) for k in kind)
+    if isinstance(kind, list):
+        return _KINDS[list][1 + plural] + " of " + _kind_name(kind[0], True)
+    return _KINDS[kind][1 + plural]
+
+
+def field(obj, key, name: str, kind, default=_REQUIRED, low=None, high=None):
+    """``obj[key]`` of a JSON object (or list, by index), or ``default``
+    when absent; a FormatError naming field ``name`` when it is absent with
+    no default, not of the JSON ``kind``, or a number outside [low, high].
+
+    A kind is ``int``, ``float`` (any number), ``bool``, ``str``, ``list``
+    or ``dict``; ``[kind]`` is a list of that kind and a tuple of kinds
+    takes any of them.  A bool is neither an integer nor a number, and
+    nothing is coerced.  Null is a value, not an absent field.
+    """
+    try:
+        value = obj[key]
+    except (KeyError, IndexError):
+        if default is _REQUIRED:
+            raise FormatError(f"field '{name}' is missing") from None
+        return default
+    if not _is_kind(value, kind):
+        raise FormatError(f"field '{name}' must be {_kind_name(kind)}, got {value!r}")
+    if _is_kind(value, float) and not ((low is None or value >= low)
+                                       and (high is None or value <= high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise FormatError(f"field '{name}' must be {bounds}, got {value!r}")
+    return value
+
+
+def check_keys(obj: dict, known, within: str = "") -> None:
+    """A FormatError naming the first key of ``obj`` not in ``known``."""
+    for key in obj:
+        if key not in known:
+            raise FormatError(f"unknown field '{within}{key}'")
 
 
 def canonical_json(obj) -> str:
@@ -75,8 +140,13 @@ def write_text(path, text: str) -> str:
 
 # -- circuit text format ----------------------------------------------------
 
+# the qubit count of every gate the row kernel runs
+_GATE_ARITY = {name: k for k, names in _KERNEL_GATES.items() for name in names}
+
+
 def _parse_gate(text: str) -> GateLabel:
-    parts = text.strip().split()
+    text = text.strip()
+    parts = text.split()
     if len(parts) != 2:
         raise FormatError(f"malformed gate {text!r}")
     name, qubits = parts
@@ -84,7 +154,15 @@ def _parse_gate(text: str) -> GateLabel:
         targets = tuple(int(q) for q in qubits.split(","))
     except ValueError:
         raise FormatError(f"malformed gate qubits {text!r}") from None
-    return GateLabel(name, targets)
+    arity = _GATE_ARITY.get(name)
+    if arity is None:
+        raise FormatError(f"unknown gate {name!r} in {text!r}")
+    if len(targets) != arity:
+        raise FormatError(f"gate {text!r}: {name} acts on {arity} qubit(s)")
+    try:
+        return GateLabel(name, targets)
+    except ValueError as exc:
+        raise FormatError(f"gate {text!r}: {exc}") from None
 
 
 def _parse_layer_line(line: str) -> tuple[GateLabel, ...]:
@@ -176,7 +254,7 @@ def circuit_from_text(text: str) -> BenchmarkCircuit:
             element_depths=_int_tuple(headers.get("element_depths", ""), "element_depths"),
         )
     except ValueError as exc:
-        raise FormatError(f"invalid circuit file: {exc}") from None
+        raise FormatError(f"invalid gate layers: {exc}") from None
 
 
 # -- dataset JSONL ----------------------------------------------------------
@@ -199,39 +277,29 @@ def dataset_to_jsonl(dataset: Dataset) -> str:
 
 
 def _row_from_obj(obj: dict, index: int) -> DataRow:
-    for key in ("m", "shots", "successes"):
-        if key not in obj:
-            raise FormatError(f"dataset row {index} missing field '{key}'")
-        if not _is_int(obj[key]):
-            raise FormatError(f"dataset row {index} field '{key}' must be an integer, "
-                              f"got {obj[key]!r}")
-    for key, low in (("m", 0), ("shots", 1)):
-        if obj[key] < low:
-            raise FormatError(f"dataset row {index} field '{key}' must be >= {low}, got {obj[key]}")
-    target = obj.get("target", "")
-    if not (isinstance(target, str) and set(target) <= {"0", "1"}):
-        raise FormatError(f"dataset row {index} field 'target' must be a string of 0/1 "
-                          f"characters, got {target!r}")
-    hist = obj.get("histogram")
+    m = field(obj, "m", "m", int, low=0)
+    shots = field(obj, "shots", "shots", int, low=1)
+    successes = field(obj, "successes", "successes", int, low=0, high=shots)
+    target = field(obj, "target", "target", str, "")
+    if not set(target) <= {"0", "1"}:
+        raise FormatError(f"field 'target' must be a string of 0/1 characters, got {target!r}")
+    hist = field(obj, "histogram", "histogram", [list], None)
     if hist is not None:
-        if not isinstance(hist, list) or not all(
-            isinstance(pair, list) and len(pair) == 2
-            and isinstance(pair[0], str) and _is_int(pair[1]) for pair in hist
-        ):
-            raise FormatError(f"dataset row {index} field 'histogram' must be a list of "
-                              f"[string, integer] pairs, got {hist!r}")
+        if not all(len(pair) == 2 and _is_kind(pair[0], str) and _is_kind(pair[1], int)
+                   for pair in hist):
+            raise FormatError(f"field 'histogram' must be a list of [bitstring, count] pairs, "
+                              f"got {hist!r}")
+        # bare rows have no target: their bitstrings need only agree
+        width = len(target) if target else len(hist[0][0]) if hist else 0
+        if not all(len(bits) == width and set(bits) <= {"0", "1"} for bits, _ in hist):
+            raise FormatError(f"field 'histogram' bitstrings must be {width} characters, "
+                              f"each 0 or 1, got {hist!r}")
+        if any(count < 0 for _, count in hist) or sum(count for _, count in hist) > shots:
+            raise FormatError(f"field 'histogram' counts must be >= 0 with a total of at most "
+                              f"shots ({shots}), got {hist!r}")
         hist = tuple(map(tuple, hist))
-    try:
-        return DataRow(
-            circuit_id=str(obj.get("circuit_id", f"ext_{index:05d}")),
-            m=obj["m"],
-            target=target,
-            shots=obj["shots"],
-            successes=obj["successes"],
-            histogram=hist,
-        )
-    except ValueError as exc:
-        raise FormatError(f"dataset row {index}: {exc}") from None
+    circuit_id = field(obj, "circuit_id", "circuit_id", str, f"ext_{index:05d}")
+    return DataRow(circuit_id, m, target, shots, successes, histogram=hist)
 
 
 def dataset_from_jsonl(text: str) -> Dataset:
@@ -239,7 +307,6 @@ def dataset_from_jsonl(text: str) -> Dataset:
     externally produced row files load too."""
     provenance: dict = {}
     rows: list[DataRow] = []
-    index = 0
     for lineno, raw in enumerate(text.splitlines()):
         line = raw.strip()
         if not line:
@@ -250,146 +317,116 @@ def dataset_from_jsonl(text: str) -> Dataset:
             raise FormatError(f"dataset line {lineno + 1} is not JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise FormatError(f"dataset line {lineno + 1} is not an object")
-        if index == 0 and not rows and "provenance" in obj and "m" not in obj:
-            provenance = obj["provenance"]
+        if not rows and "provenance" in obj and "m" not in obj:
+            provenance = field(obj, "provenance", "provenance", dict)
             continue
-        row = _row_from_obj(obj, index)
-        if rows and len(row.target) != len(rows[0].target):
-            raise FormatError(f"dataset row {index} field 'target' has {len(row.target)} bits, "
-                              f"but row 0's has {len(rows[0].target)}")
+        try:
+            row = _row_from_obj(obj, len(rows))
+            if rows and len(row.target) != len(rows[0].target):
+                raise FormatError(f"field 'target' has {len(row.target)} bits, "
+                                  f"but row 0's has {len(rows[0].target)}")
+        except FormatError as exc:
+            raise FormatError(f"dataset row {len(rows)}: {exc}") from None
         rows.append(row)
-        index += 1
     return Dataset(tuple(rows), provenance)
 
 
 # -- experiment configs -----------------------------------------------------
 
-def _get(obj: dict, key: str, path: str, default=None, required: bool = False,
-         kind: type | None = None):
-    """``obj[key]``, or ``default`` when absent; a FormatError naming
-    ``path`` when it is absent but required or, with ``kind`` given, not of
-    that type (a bool is not an int)."""
-    if key not in obj:
-        if required:
-            raise FormatError(f"missing config field '{path}'")
-        return default
-    value = obj[key]
-    if kind is not None and (not isinstance(value, kind) or (kind is int and not _is_int(value))):
-        raise FormatError(f"config field '{path}' must be of type {kind.__name__}, got {value!r}")
-    return value
-
-
-_DEVICE_FIELDS = ("n", "gate_set", "preset", "edges")
-
-
-def _device_from_config(obj, path: str = "device") -> DeviceSpec:
-    if not isinstance(obj, dict):
-        raise FormatError(f"missing config field '{path}'")
-    for key in obj:
-        if key not in _DEVICE_FIELDS:
-            raise FormatError(f"unknown config field '{path}.{key}'")
-    n = _get(obj, "n", f"{path}.n", required=True)
-    if not _is_int(n) or n < 1:
-        raise FormatError(f"config field '{path}.n' must be a positive integer")
-    gate_set = _get(obj, "gate_set", f"{path}.gate_set", default="C24")
-    preset = _get(obj, "preset", f"{path}.preset")
+def _call(within: str, func, *args, **kwargs):
+    """``func(*args, **kwargs)``.  Samplers, compile options and designs
+    start every ValueError with the name of the field at fault, so each
+    becomes a FormatError naming that field, prefixed by ``within``."""
     try:
-        if preset == "all_to_all":
-            return all_to_all(n, gate_set)
-        if preset == "ring":
-            return ring(n, gate_set)
-        if preset == "ring_with_center":
-            return ring_with_center(n - 1, gate_set)
-        if preset is not None:
-            raise FormatError(f"unknown '{path}.preset' value {preset!r}")
-        edges = _get(obj, "edges", f"{path}.edges", required=True, kind=list)
-        if not all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges):
-            raise FormatError(f"config field '{path}.edges' must be a list of "
-                              f"[control, target] integer pairs, got {edges!r}")
-        return DeviceSpec(n=n, edges=tuple(map(tuple, edges)), gate_set=gate_set)
-    except FormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"invalid '{path}': {exc}") from None
-
-
-def _sampler_from_config(obj, device: DeviceSpec, path: str = "sampler") -> SamplerSpec:
-    if not isinstance(obj, dict):
-        raise FormatError(f"missing config field '{path}'")
-    kind = _get(obj, "kind", f"{path}.kind", required=True)
-    cls = SAMPLERS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise FormatError(f"unknown '{path}.kind' value {kind!r}")
-    names = [f.name for f in dataclasses.fields(cls)]
-    for key in obj:
-        if key != "kind" and key not in names:
-            raise FormatError(f"unknown config field '{path}.{key}'")
-    values = {name: _get(obj, name, f"{path}.{name}", required=True) for name in names if name != "pool"}
-    try:
-        spec = cls(pool=obj.get("pool", device.gate_set), **values)
-        spec.check_device(device)
+        return func(*args, **kwargs)
     except ValueError as exc:
-        # sampler messages start with the field's name
-        name, _, problem = str(exc).partition(" ")
-        raise FormatError(f"config field '{path}.{name}' {problem}") from None
+        key, _, problem = str(exc).partition(" ")
+        raise FormatError(f"field '{within}{key}' {problem}") from None
+
+
+def _json_kind(default):
+    """The JSON kind of a dataclass field, read from its default."""
+    return list if isinstance(default, tuple) else type(default)
+
+
+_PRESETS = {
+    "all_to_all": all_to_all,
+    "ring": ring,
+    "ring_with_center": lambda n, gate_set: ring_with_center(n - 1, gate_set),
+}
+
+
+def _device_from_config(obj: dict) -> DeviceSpec:
+    check_keys(obj, ["preset", *(f.name for f in dataclasses.fields(DeviceSpec))], "device.")
+    n = field(obj, "n", "device.n", int, low=1)
+    gate_set = field(obj, "gate_set", "device.gate_set", str, "C24")
+    if gate_set not in GATE_SET_IDS:
+        raise FormatError(f"field 'device.gate_set' must be one of {GATE_SET_IDS}, "
+                          f"got {gate_set!r}")
+    preset = field(obj, "preset", "device.preset", str, None)
+    if preset is not None:
+        if preset not in _PRESETS:
+            raise FormatError(f"field 'device.preset' must be one of {sorted(_PRESETS)}, "
+                              f"got {preset!r}")
+        return _PRESETS[preset](n, gate_set)
+    edges = field(obj, "edges", "device.edges", [[int]])
+    if any(len(e) != 2 for e in edges):
+        raise FormatError(f"field 'device.edges' must be a list of [control, target] "
+                          f"integer pairs, got {edges!r}")
+    try:
+        return DeviceSpec(n=n, edges=tuple(map(tuple, edges)), gate_set=gate_set)
+    except ValueError as exc:
+        raise FormatError(f"field 'device.edges' is invalid: {exc}") from None
+
+
+def _sampler_from_config(obj: dict, device: DeviceSpec) -> SamplerSpec:
+    kind = field(obj, "kind", "sampler.kind", str)
+    if kind not in SAMPLERS:
+        raise FormatError(f"field 'sampler.kind' must be one of {sorted(SAMPLERS)}, got {kind!r}")
+    fields = dataclasses.fields(SAMPLERS[kind])
+    check_keys(obj, ["kind", *(f.name for f in fields)], "sampler.")
+    values = {f.name: field(obj, f.name, f"sampler.{f.name}", _json_kind(f.default),
+                            device.gate_set if f.name == "pool" else _REQUIRED)
+              for f in fields}
+    spec = _call("sampler.", SAMPLERS[kind], **values)
+    _call("sampler.", spec.check_device, device)
     return spec
-
-
-_COMPILE_FIELDS = ("trials", "respect_connectivity", "use_heuristic", "cost", "seed")
-_CONFIG_FIELDS = ("protocol", "device", "sampler", "compile", "lengths", "circuits_per_length",
-                  "shots", "seed", "frame_randomization", "emit_frame_gates")
 
 
 def design_from_config(obj: dict) -> ExperimentDesign:
     """Build an ExperimentDesign from a parsed config JSON object."""
     if not isinstance(obj, dict):
         raise FormatError("config must be a JSON object")
-    for key in obj:
-        if key not in _CONFIG_FIELDS:
-            raise FormatError(f"unknown config field '{key}'")
-    protocol = _get(obj, "protocol", "protocol", default="DRB")
+    check_keys(obj, ("protocol", "device", "sampler", "compile", "lengths", "circuits_per_length",
+                     "shots", "seed", "frame_randomization", "emit_frame_gates"))
+    protocol = field(obj, "protocol", "protocol", str, "DRB")
     if protocol not in PROTOCOLS:
-        raise FormatError(f"config field 'protocol' must be one of {sorted(PROTOCOLS)}")
-    device = _device_from_config(_get(obj, "device", "device", required=True))
+        raise FormatError(f"field 'protocol' must be one of {sorted(PROTOCOLS)}, got {protocol!r}")
+    device = _device_from_config(field(obj, "device", "device", dict))
     sampler = None
     if protocol == "DRB" or obj.get("sampler") is not None:
-        sampler = _sampler_from_config(_get(obj, "sampler", "sampler", required=True), device)
-    compile_obj = _get(obj, "compile", "compile", default={})
-    if not isinstance(compile_obj, dict):
-        raise FormatError("config field 'compile' must be an object")
-    for key in compile_obj:
-        if key not in _COMPILE_FIELDS:
-            raise FormatError(f"unknown config field 'compile.{key}'")
-    try:
-        options = CompileOptions(**compile_obj)
-    except ValueError as exc:
-        # CompileOptions starts each message with the option's name
-        name, _, problem = str(exc).partition(" ")
-        raise FormatError(f"config field 'compile.{name}' {problem}") from None
-    lengths = _get(obj, "lengths", "lengths", default=list(DEFAULT_LENGTHS), kind=list)
-    if not all(map(_is_int, lengths)):
-        raise FormatError(f"config field 'lengths' must be a list of integers, got {lengths!r}")
-    seed = _get(obj, "seed", "seed", default=0, kind=int)
-    if seed < 0:
-        raise FormatError(f"config field 'seed' must be >= 0, got {seed}")
-    try:
-        return ExperimentDesign(
-            protocol=protocol,
-            device=device,
-            sampler=sampler,
-            lengths=tuple(lengths),
-            circuits_per_length=_get(obj, "circuits_per_length", "circuits_per_length",
-                                     default=DEFAULT_CIRCUITS_PER_LENGTH, kind=int),
-            shots=_get(obj, "shots", "shots", default=DEFAULT_SHOTS, kind=int),
-            seed=seed,
-            frame_randomization=_get(obj, "frame_randomization", "frame_randomization",
-                                     default=False, kind=bool),
-            emit_frame_gates=_get(obj, "emit_frame_gates", "emit_frame_gates",
-                                  default=False, kind=bool),
-            compile_options=options,
-        )
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"invalid config: {exc}") from None
+        sampler = _sampler_from_config(field(obj, "sampler", "sampler", dict), device)
+    compile_obj = field(obj, "compile", "compile", dict, {})
+    options = dataclasses.fields(CompileOptions)
+    check_keys(compile_obj, [f.name for f in options], "compile.")
+    compile_options = _call("compile.", CompileOptions, **{
+        f.name: field(compile_obj, f.name, f"compile.{f.name}", _json_kind(f.default), f.default)
+        for f in options})
+    return _call(
+        "",
+        ExperimentDesign,
+        protocol=protocol,
+        device=device,
+        sampler=sampler,
+        lengths=tuple(field(obj, "lengths", "lengths", [int], DEFAULT_LENGTHS)),
+        circuits_per_length=field(obj, "circuits_per_length", "circuits_per_length", int,
+                                  DEFAULT_CIRCUITS_PER_LENGTH),
+        shots=field(obj, "shots", "shots", int, DEFAULT_SHOTS),
+        seed=field(obj, "seed", "seed", int, 0),
+        frame_randomization=field(obj, "frame_randomization", "frame_randomization", bool, False),
+        emit_frame_gates=field(obj, "emit_frame_gates", "emit_frame_gates", bool, False),
+        compile_options=compile_options,
+    )
 
 
 def design_to_config(design: ExperimentDesign) -> dict:
@@ -407,7 +444,7 @@ def design_to_config(design: ExperimentDesign) -> dict:
         "seed": design.seed,
         "frame_randomization": design.frame_randomization,
         "emit_frame_gates": design.emit_frame_gates,
-        "compile": {key: getattr(design.compile_options, key) for key in _COMPILE_FIELDS},
+        "compile": dataclasses.asdict(design.compile_options),
     }
     spec = design.sampler
     out["sampler"] = None if spec is None else {"kind": spec.kind, **dataclasses.asdict(spec)}
@@ -416,18 +453,16 @@ def design_to_config(design: ExperimentDesign) -> dict:
 
 # -- error-model files ------------------------------------------------------
 
-def _per_qubit(value, n: int, field: str) -> dict[int, float] | float:
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, dict):
-        try:
-            return {int(q): float(p) for q, p in value.items()}
-        except ValueError:
-            raise FormatError(f"model field '{field}' has non-integer qubit keys") from None
-    raise FormatError(f"model field '{field}' must be a number or a qubit map")
-
-
-_MODEL_FIELDS = ("n", "one_qubit", "cnot", "readout", "layer_depol")
+def _rates(obj: dict, key: str, names: list[str], partial: bool = False) -> dict[str, float]:
+    """Model field ``key``: a rate in [0, 1] for each of ``names``, given
+    as one number for all of them or as a map from name to rate.  A
+    ``partial`` map may leave names out."""
+    value = field(obj, key, key, (float, dict), 0.0, 0, 1)
+    if not isinstance(value, dict):
+        return dict.fromkeys(names, float(value))
+    check_keys(value, names, f"{key}.")
+    return {name: float(field(value, name, f"{key}.{name}", float, low=0, high=1))
+            for name in (value if partial else names)}
 
 
 def model_from_json(obj: dict, n: int | None = None) -> ErrorModel:
@@ -435,37 +470,19 @@ def model_from_json(obj: dict, n: int | None = None) -> ErrorModel:
     per-layer depolarizing."""
     if not isinstance(obj, dict):
         raise FormatError("model must be a JSON object")
-    for key in obj:
-        if key not in _MODEL_FIELDS:
-            raise FormatError(f"unknown model field '{key}'; known fields: {', '.join(_MODEL_FIELDS)}")
-    if "n" not in obj:
-        raise FormatError("missing model field 'n'")
-    file_n = obj["n"]
-    if not isinstance(file_n, int) or file_n < 1:
-        raise FormatError("model field 'n' must be a positive integer")
+    check_keys(obj, ("n", "one_qubit", "cnot", "readout", "layer_depol"))
+    file_n = field(obj, "n", "n", int, low=1)
     if n is not None and file_n != n:
         raise FormatError(f"model is for n={file_n} but the circuits have n={n}")
-    one_qubit = _per_qubit(obj.get("one_qubit", 0.0), file_n, "one_qubit")
-    readout = _per_qubit(obj.get("readout", 0.0), file_n, "readout")
-    cnot_value = obj.get("cnot", 0.0)
-    if isinstance(cnot_value, (int, float)):
-        cnot = {(c, t): float(cnot_value)
-                for c in range(file_n) for t in range(file_n) if c != t}
-    elif isinstance(cnot_value, dict):
-        cnot = {}
-        for key, rate in cnot_value.items():
-            parts = str(key).split(",")
-            if len(parts) != 2:
-                raise FormatError(f"model field 'cnot' has malformed key {key!r}")
-            cnot[(int(parts[0]), int(parts[1]))] = float(rate)
-    else:
-        raise FormatError("model field 'cnot' must be a number or an edge map")
-    depol = obj.get("layer_depol", 0.0)
-    try:
-        model = build_model_from_calibration(file_n, one_qubit, cnot, readout)
-        return dataclasses.replace(model, layer_depol=float(depol))
-    except ValueError as exc:
-        raise FormatError(f"invalid model: {exc}") from None
+    qubits = [str(q) for q in range(file_n)]
+    pairs = [f"{c},{t}" for c in range(file_n) for t in range(file_n) if c != t]
+    one_qubit, readout = ({int(q): p for q, p in _rates(obj, key, qubits).items()}
+                          for key in ("one_qubit", "readout"))
+    cnot = {tuple(map(int, pair.split(","))): p
+            for pair, p in _rates(obj, "cnot", pairs, partial=True).items()}
+    model = build_model_from_calibration(file_n, one_qubit, cnot, readout)
+    depol = field(obj, "layer_depol", "layer_depol", float, 0.0, 0, 1)
+    return dataclasses.replace(model, layer_depol=float(depol))
 
 
 def model_from_spec(spec: str, n: int) -> ErrorModel:
@@ -493,7 +510,10 @@ def model_from_spec(spec: str, n: int) -> ErrorModel:
             obj = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise FormatError(f"model file {spec} is not JSON: {exc}") from None
-        return model_from_json(obj, n)
+        try:
+            return model_from_json(obj, n)
+        except FormatError as exc:
+            raise FormatError(f"model file {spec}: {exc}") from None
     raise FormatError(
         f"unknown model {spec!r}: not a file and not one of {', '.join(BUNDLED_MODELS)}"
     )
@@ -514,6 +534,31 @@ def model_coverage_gaps(model: ErrorModel, circuits) -> list[str]:
                 if key not in model.gate_errors:
                     gaps.append(str(gate) if kind == "CNOT" else f"1Q {gate.qubits[0]}")
     return sorted(gaps)
+
+
+# -- results files ----------------------------------------------------------
+
+def runs_from_results(obj) -> list[dict]:
+    """The fitted runs of a results file, as ``drbench report`` reads
+    them: ``n``, ``r``, ``r_sigma``, the fit ``A``, ``B`` and ``p``, the
+    mean success ``points`` per length and the ``protocol``."""
+    if not isinstance(obj, dict):
+        raise FormatError("results must be a JSON object")
+    runs = []
+    for i, run in enumerate(field(obj, "runs", "runs", [dict])):
+        name = f"runs[{i}]"
+        values = {key: field(run, key, f"{name}.{key}", kind) for key, kind in (
+            ("n", int), ("r", float), ("r_sigma", float), ("A", float), ("B", float),
+            ("points", dict))}
+        values["p"] = field(run, "p", f"{name}.p", float, low=0, high=1)
+        values["protocol"] = field(run, "protocol", f"{name}.protocol", str, "DRB")
+        points = values["points"]
+        if not points or not all(m.isascii() and m.isdigit() for m in points):
+            raise FormatError(f"field '{name}.points' must map lengths m to success "
+                              f"probabilities, got {points!r}")
+        values["points"] = {int(m): field(points, m, f"{name}.points.{m}", float) for m in points}
+        runs.append(values)
+    return runs
 
 
 # -- plot CSV and SVG report ------------------------------------------------

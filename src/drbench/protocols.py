@@ -72,20 +72,21 @@ class ExperimentDesign:
     compile_options: CompileOptions = field(default_factory=CompileOptions)
 
     def __post_init__(self):
+        # every message starts with the name of the field at fault
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
         if self.protocol == "DRB" and self.sampler is None:
-            raise ValueError("DRB designs need a layer sampler")
+            raise ValueError("sampler is required by DRB designs")
         if self.protocol == "CRB":
             if self.sampler is not None:
-                raise ValueError("CRB designs take no layer sampler")
-            if self.frame_randomization or self.emit_frame_gates:
-                raise ValueError("frame randomization applies to DRB only")
+                raise ValueError("sampler must be null or absent in CRB designs")
+            if self.frame_randomization:
+                raise ValueError("frame_randomization applies to DRB only")
         if self.emit_frame_gates and not self.frame_randomization:
             raise ValueError("emit_frame_gates requires frame_randomization")
         lengths = tuple(int(m) for m in self.lengths)
         if not lengths:
-            raise ValueError("need at least one length")
+            raise ValueError("lengths must hold at least one length")
         if any(m < 0 for m in lengths):
             raise ValueError("lengths must be nonnegative")
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
@@ -95,6 +96,8 @@ class ExperimentDesign:
             raise ValueError("circuits_per_length must be >= 1")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

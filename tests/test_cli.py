@@ -81,6 +81,11 @@ BAD_CONFIG_FIELDS = [
     ({"device": {"n": 2, "edges": [[0, 1.7]], "gate_set": "HPI"}}, "device.edges"),
     ({"device": {**HPI2, "colour": "red"}}, "device.colour"),
     ({"device": {**HPI2, "n": True}}, "device.n"),
+    # design checks that named no field: "need at least one length", "CRB
+    # designs take no layer sampler", "frame randomization applies to DRB only"
+    ({"lengths": []}, "lengths"),
+    ({"protocol": "CRB"}, "sampler"),
+    ({"protocol": "CRB", "sampler": None, "frame_randomization": True}, "frame_randomization"),
 ]
 
 
@@ -185,6 +190,26 @@ MANIFEST_BAD_TYPES = [
 # malformed target headers of a circuit file on n = 3
 BAD_TARGETS = ["0x1", "0121", "2", ""]
 
+# gates the row kernel does not run, which loaded and then failed the
+# simulation with exit 3, and the part of the message naming each
+BAD_GATES = [
+    ("FOO 0", "unknown gate 'FOO'"),
+    ("CNOT 0", "CNOT acts on 2 qubit(s)"),
+    ("H 0,1", "H acts on 1 qubit(s)"),
+]
+
+# model-file fields of the wrong kind: a bool or a string rate was coerced
+# to a float and a null one ended in a TypeError traceback
+BAD_MODELS = [
+    ({"one_qubit": True}, "one_qubit"),
+    ({"layer_depol": "0.1"}, "layer_depol"),
+    ({"layer_depol": None}, "layer_depol"),
+    ({"one_qubit": {"0": 0.1, "1": [1]}}, "one_qubit.1"),
+    ({"cnot": {"0,1": "x"}}, "cnot.0,1"),
+    ({"cnot": {"0,1": 1.5}}, "cnot.0,1"),
+    ({"readout": {"0": 0.1}}, "readout.1"),
+]
+
 
 def corrupt_manifest(run: Path, corrupt) -> None:
     manifest = read_manifest(run)
@@ -257,6 +282,29 @@ class TestSimulate:
         assert "unknown model" in capsys.readouterr().err
         assert main(["simulate", "--run", str(tmp_path / "missing"), "--model", "zero"]) == 2
 
+    @pytest.mark.parametrize("fields,name", BAD_MODELS)
+    def test_malformed_model_field_exit2(self, tmp_path, capsys, fields, name):
+        run = generate(tmp_path)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"n": 2, **fields}), encoding="utf-8")
+        assert main(["simulate", "--run", str(run), "--model", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and f"field '{name}'" in err
+        assert not (run / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize("gate,problem", BAD_GATES)
+    def test_unknown_gate_exit2(self, tmp_path, capsys, gate, problem):
+        run = generate(tmp_path)
+        entry = read_manifest(run)["experiment"]["circuits"][-1]
+        path = run / "circuits" / f"{entry['id']}.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[-1] = gate
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and problem in err
+        assert not (run / "dataset.jsonl").exists()
+
     def test_unknown_model_field_exit2(self, tmp_path, capsys):
         # read as a zero-readout model before unknown fields were rejected
         run = generate(tmp_path)
@@ -273,7 +321,7 @@ class TestSimulate:
         MANIFEST_FIELDS[field](manifest)
         (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
-        assert f"manifest lacks field {field}" in capsys.readouterr().err
+        assert f"field '{field}' is missing" in capsys.readouterr().err
         assert not (run / "dataset.jsonl").exists()
 
     @pytest.mark.parametrize("field,corrupt", MANIFEST_BAD_TYPES)
@@ -283,7 +331,7 @@ class TestSimulate:
         corrupt(manifest)
         (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
-        assert f"manifest field {field} must be of type" in capsys.readouterr().err
+        assert f"field '{field}' must be " in capsys.readouterr().err
         assert not (run / "dataset.jsonl").exists()
 
     @staticmethod
@@ -317,7 +365,7 @@ class TestSimulate:
         run = generate(tmp_path)
         corrupt_manifest(run, lambda m: m["experiment"].update(protocol="QRB"))
         assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
-        assert "experiment.protocol must be DRB or CRB" in capsys.readouterr().err
+        assert "field 'experiment.protocol' must be DRB or CRB" in capsys.readouterr().err
         assert not (run / "dataset.jsonl").exists()
 
     def test_manifest_shots_nonpositive_exit2(self, tmp_path, capsys):
@@ -325,7 +373,7 @@ class TestSimulate:
         corrupt_manifest(run, lambda m: m["experiment"].update(shots=0))
         assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
         err = capsys.readouterr().err
-        assert "manifest field experiment.shots must be positive" in err
+        assert "field 'experiment.shots' must be >= 1" in err
         assert "--shots" not in err
         assert not (run / "dataset.jsonl").exists()
 
@@ -356,6 +404,15 @@ BAD_ROWS = [
     ({"target": "xyz"}, "target"),
     ({"target": 7}, "target"),
     ({"target": "01"}, "target"),
+    # histograms whose bitstrings are not 0/1 or not as long as the target
+    # (on bare rows, as each other), or whose counts are negative or sum
+    # above shots, loaded as they stood
+    ({"histogram": [["xyz", 99], ["000", -4]]}, "histogram"),
+    ({"histogram": [["0x", 5]]}, "histogram"),
+    ({"histogram": [["01", 5], ["011", 4]]}, "histogram"),
+    ({"histogram": [["01", 5], ["11", -4]]}, "histogram"),
+    ({"histogram": [["01", 9], ["11", 2]]}, "histogram"),
+    ({"target": "00", "histogram": [["000", 9]]}, "histogram"),
 ]
 
 
@@ -504,6 +561,24 @@ class TestAnalyze:
         assert main(["analyze", str(tmp_path / "missing.jsonl")]) == 2
 
 
+GOOD_RUN = {"n": 2, "protocol": "DRB", "A": 0.25, "B": 0.75, "p": 0.9, "r": 0.075,
+            "r_sigma": 0.01, "points": {"0": 1.0, "4": 0.7}}
+# results runs that report read without checks: a missing r ended in a
+# KeyError and a string point in a TypeError
+BAD_RUNS = [
+    ({"r": None}, "runs[1].r"),
+    ({"n": 2.0}, "runs[1].n"),
+    ({"r_sigma": "0.01"}, "runs[1].r_sigma"),
+    ({"A": [0.25]}, "runs[1].A"),
+    ({"B": True}, "runs[1].B"),
+    ({"p": 1.5}, "runs[1].p"),
+    ({"points": {"0": "x"}}, "runs[1].points.0"),
+    ({"points": {}}, "runs[1].points"),
+    ({"points": {"m0": 1.0}}, "runs[1].points"),
+    ({"protocol": 7}, "runs[1].protocol"),
+]
+
+
 class TestReport:
     def test_svg_and_table(self, tmp_path, capsys):
         run = generate(tmp_path, lengths=[0, 4, 8, 12], circuits_per_length=6)
@@ -526,6 +601,23 @@ class TestReport:
     def test_missing_results_exit4(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing.json")]) == 4
         assert "no results" in capsys.readouterr().err
+
+    def test_empty_runs_exit4(self, tmp_path, capsys):
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps({"runs": []}), encoding="utf-8")
+        assert main(["report", str(results), "--out", str(tmp_path / "r.svg")]) == 4
+        assert "lists no runs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change,name", BAD_RUNS)
+    def test_malformed_run_exit2(self, tmp_path, capsys, change, name):
+        results = tmp_path / "results.json"
+        run = {**GOOD_RUN, **change}
+        results.write_text(json.dumps({"runs": [GOOD_RUN, run]}), encoding="utf-8")
+        svg = tmp_path / "r.svg"
+        assert main(["report", str(results), "--out", str(svg)]) == 2
+        err = capsys.readouterr().err
+        assert str(results) in err and f"field '{name}'" in err
+        assert not svg.exists()
 
 
 def test_import_does_not_load_scipy():

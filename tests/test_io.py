@@ -18,6 +18,7 @@ from drbench.io import (
     dataset_to_jsonl,
     design_from_config,
     design_to_config,
+    field,
     model_coverage_gaps,
     model_from_json,
     model_from_spec,
@@ -42,6 +43,38 @@ def design(protocol="DRB", **kw):
     )
     base.update(kw)
     return ExperimentDesign(**base)
+
+
+class TestField:
+    def test_kinds_do_not_coerce(self):
+        obj = {"flag": True, "count": 3, "rate": 0.5, "name": "x", "none": None}
+        assert field(obj, "count", "count", int) == 3
+        assert field(obj, "count", "count", float) == 3
+        assert field(obj, "flag", "flag", bool) is True
+        for key, kind in [("flag", int), ("flag", float), ("rate", int), ("name", float),
+                          ("none", str), ("count", str), ("count", bool)]:
+            with pytest.raises(FormatError, match=f"field 'x.{key}' must be"):
+                field(obj, key, f"x.{key}", kind)
+
+    def test_absent_default_and_null(self):
+        assert field({}, "k", "k", int, 7) == 7
+        with pytest.raises(FormatError, match="field 'k' is missing"):
+            field({}, "k", "k", int)
+        with pytest.raises(FormatError, match="field 'k' must be an integer, got None"):
+            field({"k": None}, "k", "k", int, 7)
+
+    def test_nested_kinds_and_bounds(self):
+        assert field({"l": [[0, 1]]}, "l", "l", [[int]]) == [[0, 1]]
+        assert field({"v": {}}, "v", "v", (float, dict)) == {}
+        with pytest.raises(FormatError, match="must be a list of lists of integers"):
+            field({"l": [[0, 1.5]]}, "l", "l", [[int]])
+        assert field({"p": 1}, "p", "p", float, low=0, high=1) == 1
+        for bad in (-0.1, 1.5, float("nan")):
+            with pytest.raises(FormatError, match=r"field 'p' must be in \[0, 1\]"):
+                field({"p": bad}, "p", "p", float, low=0, high=1)
+        with pytest.raises(FormatError, match="field 'n' must be >= 1, got 0"):
+            field({"n": 0}, "n", "n", int, low=1)
+        assert field([5, 6], 1, "l[1]", int) == 6
 
 
 class TestCircuitText:
