@@ -56,7 +56,7 @@ from .clifford import (
     one_qubit_clifford_table,
     standard_gate,
 )
-from .device import DeviceSpec
+from .device import GATE_SETS, DeviceSpec
 from .streams import stream
 
 __all__ = [
@@ -78,32 +78,21 @@ COST_METRICS = ("cnots", "depth", "gates")
 class CompileOptions:
     """Knobs shared by all compilers.
 
-    ``trials`` elimination orders are attempted (the first follows the
-    eccentricity heuristic when enabled, the rest are random) and the
-    cheapest circuit under ``cost`` wins.  ``seed`` only perturbs the
-    random orders; it never affects correctness.
+    ``trials`` elimination orders are attempted (the first is the device's
+    eccentricity order, the rest are drawn at random from a stream keyed by
+    the input) and the cheapest circuit under ``cost`` wins.  Every CNOT is
+    realized on the device's declared edges.
     """
 
     trials: int = 10
-    respect_connectivity: bool = True
-    use_heuristic: bool = True
     cost: str = "cnots"
-    seed: int = 0
 
     def __post_init__(self):
         # every message starts with the option's name
-        for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.trials, bool) or not isinstance(self.trials, (int, np.integer)):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("respect_connectivity", "use_heuristic"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ValueError(f"{name} must be true or false, got {value!r}")
         if self.cost not in COST_METRICS:
             raise ValueError(f"cost must be one of {COST_METRICS}, got {self.cost!r}")
 
@@ -267,19 +256,34 @@ def _cnot_realization(device: DeviceSpec, control: int, target: int) -> tuple[Ga
     return tuple(gates)
 
 
-def _elimination_orders(n: int, device: DeviceSpec, options: CompileOptions, digest: int) -> list[list[int]]:
+def _expand_ops(ops: list[tuple[str, tuple[int, ...]]], order: list[int], device: DeviceSpec) -> list[GateLabel]:
+    """Map reduction ops (in relabeled space) back to physical gates,
+    reversing them so the circuit composes to the reduced target; each
+    CNOT becomes its realization on the device's declared edges."""
+    seq: list[GateLabel] = []
+    for name, qubits in reversed(ops):
+        physical = tuple(order[q] for q in qubits)
+        if name == "CNOT":
+            seq.extend(_cnot_realization(device, *physical))
+        else:
+            seq.append(_gate(name, physical))
+    return seq
+
+
+def _elimination_orders(device: DeviceSpec, trials: int, digest: int) -> list[list[int]]:
     """The distinct elimination orders to try, in draw order.
 
     All ``trials - 1`` random orders are drawn, so the stream never
     depends on which repeat; a repeat is dropped because it would rebuild
     the same candidate, which cannot beat the first under strict ``<``.
     """
-    first = device.eccentricity_order() if options.use_heuristic else list(range(n))
+    first = device.eccentricity_order()
     orders = [first]
     seen = {tuple(first)}
-    rng = stream(options.seed, "compile-orders", digest)
-    for _ in range(options.trials - 1):
-        order = tuple(int(q) for q in rng.permutation(n))
+    # leading key 0: the stream every pinned golden circuit was drawn from
+    rng = stream(0, "compile-orders", digest)
+    for _ in range(trials - 1):
+        order = tuple(int(q) for q in rng.permutation(device.n))
         if order not in seen:
             seen.add(order)
             orders.append(list(order))
@@ -290,13 +294,13 @@ def _relabeled_device(device: DeviceSpec, pos: list[int]) -> DeviceSpec:
     return DeviceSpec(device.n, tuple((pos[a], pos[b]) for a, b in device.edges), device.gate_set)
 
 
-def _cnot_ge_ops(w: list[int]) -> list[tuple[int, int]]:
-    """Row operations (as CNOT (control, target) pairs, in application
-    order onto the matrix) reducing an invertible matrix, given as int
-    rows (bit j is column j), to the identity."""
+def _cnot_ge_ops(w: list[int]) -> list[tuple[str, tuple[int, int]]]:
+    """Row operations (CNOTs, in application order onto the matrix)
+    reducing an invertible matrix, given as int rows (bit j is column j),
+    to the identity."""
     w = list(w)
     n = len(w)
-    ops: list[tuple[int, int]] = []
+    ops: list[tuple[str, tuple[int, int]]] = []
     for k in range(n):
         bit = 1 << k
         if not w[k] & bit:
@@ -306,12 +310,12 @@ def _cnot_ge_ops(w: list[int]) -> list[tuple[int, int]]:
             if pivot is None:
                 raise ValueError("matrix is singular over GF(2)")
             w[k] ^= w[pivot]
-            ops.append((pivot, k))
+            ops.append(("CNOT", (pivot, k)))
         row = w[k]
         for i in range(n):
             if i != k and w[i] & bit:
                 w[i] ^= row
-                ops.append((k, i))
+                ops.append(("CNOT", (k, i)))
     return ops
 
 
@@ -321,19 +325,11 @@ def _cnot_sequence(rows: list[int], device: DeviceSpec, options: CompileOptions)
     evaluated."""
     n = device.n
     digest = _digest(bytes(row >> j & 1 for row in rows for j in range(n)))
-    orders = _elimination_orders(n, device, options, digest)
+    orders = _elimination_orders(device, options.trials, digest)
     best_seq: list[GateLabel] = []
     best_key = None
     for order in orders:
-        # The matrix equals the product of the recorded operations applied
-        # in reverse, so emit them reversed and in physical labels.
-        seq: list[GateLabel] = []
-        for c, t in reversed(_cnot_ge_ops(_permuted(rows, order))):
-            pc, pt = order[c], order[t]
-            if options.respect_connectivity:
-                seq.extend(_cnot_realization(device, pc, pt))
-            else:
-                seq.append(_gate("CNOT", (pc, pt)))
+        seq = _expand_ops(_cnot_ge_ops(_permuted(rows, order)), order, device)
         key = _sequence_cost(seq, n, options.cost)
         if best_key is None or key < best_key:
             best_seq, best_key = seq, key
@@ -392,25 +388,22 @@ def _one_qubit_products() -> tuple[tuple[int, ...], ...]:
 
 @functools.cache
 def _word_table(gate_set: str) -> tuple[tuple[str, ...], ...]:
-    """``words[k]``: gate names from the gate set whose product is C<k>."""
-    if gate_set == "C24":
-        return tuple((f"C{k}",) for k in range(len(one_qubit_clifford_table())))
-    if gate_set == "HPI":
-        index = _one_qubit_index()
-        product = _one_qubit_products()
-        words: dict[int, tuple[str, ...]] = {index["I"]: ()}
-        frontier = [index["I"]]
-        while frontier:
-            nxt = []
-            for k in frontier:
-                for name in ("H", "P"):
-                    new = product[index[name]][k]
-                    if new not in words:
-                        words[new] = words[k] + (name,)
-                        nxt.append(new)
-            frontier = nxt
-        return tuple(words[k] for k in range(len(product)))
-    raise ValueError(f"unknown gate set {gate_set!r}")
+    """``words[k]``: a shortest word of the gate set's generators whose
+    product is C<k>, by breadth-first search from the identity's ``()``."""
+    index = _one_qubit_index()
+    product = _one_qubit_products()
+    words: dict[int, tuple[str, ...]] = {index["I"]: ()}
+    frontier = [index["I"]]
+    while frontier:
+        nxt = []
+        for k in frontier:
+            for name in GATE_SETS[gate_set].generators:
+                new = product[index[name]][k]
+                if new not in words:
+                    words[new] = words[k] + (name,)
+                    nxt.append(new)
+        frontier = nxt
+    return tuple(words[k] for k in range(len(product)))
 
 
 def _merge_one_qubit_runs(seq: list[GateLabel], device: DeviceSpec) -> list[GateLabel]:
@@ -557,24 +550,6 @@ def _gge_ops(rows: list[int], n: int) -> list[tuple[str, tuple[int, ...]]]:
     return ops
 
 
-def _expand_ops(
-    ops: list[tuple[str, tuple[int, ...]]],
-    order: list[int],
-    device: DeviceSpec,
-    options: CompileOptions,
-) -> list[GateLabel]:
-    """Map reduction ops (in relabeled space) back to physical gates,
-    reversing them so the circuit composes to the reduced target."""
-    seq: list[GateLabel] = []
-    for name, qubits in reversed(ops):
-        physical = tuple(order[q] for q in qubits)
-        if name == "CNOT" and options.respect_connectivity:
-            seq.extend(_cnot_realization(device, *physical))
-        else:
-            seq.append(_gate(name, physical))
-    return seq
-
-
 def compile_clifford(
     op: CliffordOp, device: DeviceSpec, options: CompileOptions | None = None
 ) -> tuple[Circuit, CompileStats]:
@@ -585,11 +560,11 @@ def compile_clifford(
         raise ValueError("operator and device disagree on qubit count")
     digest = _digest(op.s.tobytes(), op.v.tobytes())
     rows = _pack_rows(op.s)
-    orders = _elimination_orders(n, device, options, digest)
+    orders = _elimination_orders(device, options.trials, digest)
     best_key = None
     for order in orders:
         idx = [*order, *(n + q for q in order)]
-        seq = _expand_ops(_gge_ops(_permuted(rows, idx), n), order, device, options)
+        seq = _expand_ops(_gge_ops(_permuted(rows, idx), n), order, device)
         merged = _merge_one_qubit_runs(seq, device)
         key = _sequence_cost(merged, n, options.cost)
         if best_key is None or key < best_key:
@@ -769,7 +744,7 @@ def _best_meas_sequence(
     canon = state.canonicalize()
     digest = _digest(canon.b.tobytes(), canon.r.tobytes())
     rows = _pack_rows(state.b)
-    orders = _elimination_orders(n, device, options, digest)
+    orders = _elimination_orders(device, options.trials, digest)
     trials = len(orders)
     best_key = None
     for order in orders:

@@ -1,18 +1,20 @@
 """Device descriptions: qubit count, directed CNOT connectivity, 1Q gate set.
 
 CNOT availability is directional; an undirected link is present when either
-orientation is declared.  The 1Q gate set is named by id: "HPI" allows the
-gates I, H and P (phase), "C24" allows the full single-qubit Clifford group
-as labels C0..C23 plus the aliases I, X, Y, Z, H, P.
+orientation is declared.  The 1Q gate set is named by id and described by
+its row of :data:`GATE_SETS`: "HPI" allows the gates I, H and P (phase),
+"C24" allows the full single-qubit Clifford group as labels C0..C23 plus
+the aliases I, X, Y, Z, H, P.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "DeviceSpec",
+    "GATE_SETS",
     "GATE_SET_IDS",
     "pool_gate_names",
     "all_to_all",
@@ -21,20 +23,31 @@ __all__ = [
     "ring_center_edges",
 ]
 
-GATE_SET_IDS = ("HPI", "C24")
 
-_HPI_NAMES = ("I", "H", "P")
-_C24_NAMES = tuple(f"C{k}" for k in range(24))
-_C24_ALIASES = ("I", "X", "Y", "Z", "H", "P")
+@dataclass(frozen=True)
+class GateSet:
+    """One 1Q gate set: ``names`` a device with it runs, ``pool`` the labels
+    a sampler draws from (in their canonical order), and ``generators`` the
+    gates compiled 1Q runs are spelled in."""
+
+    names: frozenset[str]
+    pool: tuple[str, ...]
+    generators: tuple[str, ...]
+
+
+_C24 = tuple(f"C{k}" for k in range(24))
+GATE_SETS = {
+    "HPI": GateSet(frozenset(("I", "H", "P")), ("I", "H", "P"), ("H", "P")),
+    "C24": GateSet(frozenset((*_C24, "I", "X", "Y", "Z", "H", "P")), _C24, _C24),
+}
+GATE_SET_IDS = tuple(GATE_SETS)
 
 
 def pool_gate_names(gate_set: str) -> tuple[str, ...]:
     """The 1Q gate labels a sampler draws from, in their canonical order."""
-    if gate_set == "HPI":
-        return _HPI_NAMES
-    if gate_set == "C24":
-        return _C24_NAMES
-    raise ValueError(f"unknown gate set {gate_set!r}")
+    if gate_set not in GATE_SETS:
+        raise ValueError(f"unknown gate set {gate_set!r}")
+    return GATE_SETS[gate_set].pool
 
 
 @dataclass(frozen=True)
@@ -68,9 +81,7 @@ class DeviceSpec:
         object.__setattr__(self, "_neighbors", tuple(tuple(sorted(nbs)) for nbs in links))
 
     def allows_one_qubit_gate(self, name: str) -> bool:
-        if self.gate_set == "HPI":
-            return name in _HPI_NAMES
-        return name in _C24_NAMES or name in _C24_ALIASES
+        return name in GATE_SETS[self.gate_set].names
 
     def has_edge(self, control: int, target: int) -> bool:
         return (control, target) in self.edges

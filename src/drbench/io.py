@@ -277,6 +277,7 @@ def dataset_to_jsonl(dataset: Dataset) -> str:
 
 
 def _row_from_obj(obj: dict, index: int) -> DataRow:
+    check_keys(obj, ("circuit_id", "m", "target", "shots", "successes", "histogram"))
     m = field(obj, "m", "m", int, low=0)
     shots = field(obj, "shots", "shots", int, low=1)
     successes = field(obj, "successes", "successes", int, low=0, high=shots)

@@ -50,8 +50,12 @@ def generate(tmp_path: Path, name="run", **overrides) -> Path:
     return run
 
 
-# compile options of a config with a value of the wrong type or range; each
-# must end in exit 2 naming the field, neither failing late nor being coerced
+# compile options of a config with a value of the wrong type or range, or
+# with a key that is no compile option; each must end in exit 2 naming the
+# field, neither failing late nor being coerced.  seed, respect_connectivity
+# and use_heuristic name no option (every compile draws its random orders
+# from one stream and realizes each CNOT on declared edges), so a config
+# that sets one, to any value, names it as an unknown field.
 BAD_COMPILE_FIELDS = [
     ("trials", 2.5),
     ("trials", "x"),
@@ -59,8 +63,11 @@ BAD_COMPILE_FIELDS = [
     ("trials", 0),
     ("seed", -1),
     ("seed", 1.5),
+    ("seed", 0),
     ("respect_connectivity", "no"),
+    ("respect_connectivity", True),
     ("use_heuristic", 0),
+    ("use_heuristic", True),
     ("cost", "swaps"),
 ]
 
@@ -413,6 +420,8 @@ BAD_ROWS = [
     ({"histogram": [["01", 5], ["11", -4]]}, "histogram"),
     ({"histogram": [["01", 9], ["11", 2]]}, "histogram"),
     ({"target": "00", "histogram": [["000", 9]]}, "histogram"),
+    # a misspelt key loaded as a row without it, and its histogram was lost
+    ({"histgram": [["01", 9]], "circuit-id": "a"}, "histgram"),
 ]
 
 

@@ -1,5 +1,7 @@
 """Compiler correctness: linear maps, full Cliffords, stabilizer prep/meas."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,12 @@ class TestOneQubitTables:
                 u = oracles.gate_unitary(name, (0,), 1) @ u
             assert same_up_to_phase(u, units[k]), (k, word)
 
+    def test_c24_words_are_single_gates(self):
+        words = _word_table("C24")
+        identity = _one_qubit_index()["I"]
+        assert words[identity] == ()
+        assert all(words[k] == (f"C{k}",) for k in range(24) if k != identity)
+
     @pytest.mark.parametrize("gate_set", ["C24", "HPI"])
     def test_identity_runs_vanish(self, gate_set):
         cnot = GateLabel("CNOT", (0, 1))
@@ -175,6 +183,7 @@ class TestCnotCompile:
         assert circuit_to_clifford(circ) == standard_gate("CNOT", (0, 1), 2)
 
     def test_options_validation(self):
+        assert [f.name for f in dataclasses.fields(CompileOptions)] == ["trials", "cost"]
         with pytest.raises(ValueError):
             CompileOptions(trials=0)
         with pytest.raises(ValueError):
@@ -367,30 +376,15 @@ class TestStats:
 @st.composite
 def compile_setups(draw, max_n: int = 4):
     """A device (ring or all-to-all, C24 or HPI, 1 to max_n qubits), compile
-    options over every cost metric and both connectivity modes, and a
-    generator for the target."""
+    options over every cost metric, and a generator for the target."""
     n = draw(st.integers(1, max_n))
     maker = draw(st.sampled_from((ring, all_to_all)))
     device = maker(n, draw(st.sampled_from(("C24", "HPI"))))
     options = CompileOptions(
         trials=draw(st.integers(1, 4)),
-        respect_connectivity=draw(st.booleans()),
-        use_heuristic=draw(st.booleans()),
         cost=draw(st.sampled_from(COST_METRICS)),
-        seed=draw(st.integers(0, 3)),
     )
     return device, options, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-
-def assert_gates_legal(circ, device, options):
-    """1Q gates come from the gate set; with connectivity respected every
-    CNOT sits on a declared edge."""
-    for g in gates_of(circ):
-        if len(g.qubits) == 1:
-            assert device.allows_one_qubit_gate(g.name), f"illegal 1Q gate {g.name}"
-        else:
-            assert g.name == "CNOT"
-            assert device.has_edge(*g.qubits) or not options.respect_connectivity
 
 
 def basis_index(bits) -> int:
@@ -400,7 +394,7 @@ def basis_index(bits) -> int:
 
 class TestCompilerProperties:
     """Every compiler against the dense oracles, over random small devices,
-    gate sets, cost metrics and connectivity modes."""
+    gate sets and cost metrics."""
 
     @settings(max_examples=40, deadline=None)
     @given(compile_setups())
@@ -413,7 +407,7 @@ class TestCompilerProperties:
         for x in range(2**n):
             bits = [(x >> (n - 1 - q)) & 1 for q in range(n)]
             assert np.isclose(abs(u[basis_index(m.astype(int) @ bits % 2), x]), 1.0)
-        assert_gates_legal(circ, device, options)
+        assert_device_legal(circ, device)
 
     @settings(max_examples=25, deadline=None)
     @given(compile_setups())
@@ -426,7 +420,7 @@ class TestCompilerProperties:
         assert CliffordOp(n, s, v) == target
         assert stats == circuit_stats(circ, options.cost)
         assert 1 <= stats.trials <= options.trials
-        assert_gates_legal(circ, device, options)
+        assert_device_legal(circ, device)
 
     @settings(max_examples=30, deadline=None)
     @given(compile_setups())
@@ -446,8 +440,8 @@ class TestCompilerProperties:
         # each distinct order runs at least one CNOT elimination
         for stats in (prep_stats, meas_stats):
             assert 2 <= stats.trials <= options.trials * (1 + options.trials)
-        assert_gates_legal(prep, device, options)
-        assert_gates_legal(meas, device, options)
+        assert_device_legal(prep, device)
+        assert_device_legal(meas, device)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

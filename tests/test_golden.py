@@ -15,6 +15,7 @@ import pytest
 from drbench import compiling
 from drbench.cli import main
 from drbench.clifford import CliffordOp, PauliOp, StabilizerState
+from drbench.io import circuit_from_text, design_from_config
 
 CONFIGS = {
     "drb_ring4_c24": {
@@ -107,22 +108,14 @@ CONFIGS = {
         "circuits_per_length": 2,
         "compile": {"trials": 3, "cost": "gates"},
     },
-    "drb_ring4_c24_any_connectivity": {
-        "protocol": "DRB",
-        "device": {"preset": "ring", "n": 4, "gate_set": "C24"},
-        "sampler": {"kind": "pcnot", "p_cnot": 0.3},
-        "lengths": [0, 4, 8],
-        "circuits_per_length": 2,
-        "compile": {"trials": 3, "respect_connectivity": False},
-    },
-    # a ring's eccentricity order is 0..n-1, so the heuristic only changes
-    # the first elimination order on a less symmetric device: a 4-qubit line
-    "crb_line4_c24_no_heuristic": {
+    # a ring's eccentricity order is 0..n-1; on a 4-qubit line it starts
+    # from the end qubits, so this pins a first order that is not 0..n-1
+    "crb_line4_c24": {
         "protocol": "CRB",
         "device": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]], "gate_set": "C24"},
         "lengths": [1, 2],
         "circuits_per_length": 2,
-        "compile": {"trials": 3, "use_heuristic": False},
+        "compile": {"trials": 3},
     },
     # the category sampler on the ring-plus-hub layout: ring edges and
     # hub edges as two CNOT categories next to the all-1Q one
@@ -155,8 +148,7 @@ GOLDEN = {
     "crb_ring4_c24_trials10": "48fac8072ed2f5551d39b515af21168e0f39a2ef6f860c4c600cfa95228b1f75",
     "drb_ring4_hpi_cost_depth": "4fe8112e061b72781d836c56d44023e96a00abc5d1e42a6c553cef1e6f8e345d",
     "drb_ring4_hpi_cost_gates": "c0aa3e0f297757167af0a1c1f8ebcd9714f2af39e6cdcd3cfe5ca042b07bd2fe",
-    "drb_ring4_c24_any_connectivity": "793a92bdb75e125d7157fcdaecaa5c4866725fe22b181f7bc417f68ad988934b",
-    "crb_line4_c24_no_heuristic": "6db8faa1a93eedc75ea3cea9d4272dc37bf8cb5a1f16cab0cc7685d7dbfe5761",
+    "crb_line4_c24": "fbb09bf9d4de9d63eb75f326b8d33c5b750a5612461bfe940435b816fa98f241",
     "drb_rwc5_category": "d652d522d284981f6bf1e2dd35d5501ac461aa07c0d699a10715358f26cfc07e",
 }
 
@@ -168,17 +160,32 @@ def circuits_digest(run: Path) -> str:
     return acc.hexdigest()
 
 
-def generate_digest(tmp_path: Path, name: str) -> str:
+def generate_run(tmp_path: Path, name: str) -> Path:
     config = tmp_path / f"{name}.json"
     config.write_text(json.dumps({**CONFIGS[name], "seed": SEED}), encoding="utf-8")
     run = tmp_path / name
     assert main(["generate", "--config", str(config), "--out", str(run)]) == 0
-    return circuits_digest(run)
+    return run
+
+
+def generate_digest(tmp_path: Path, name: str) -> str:
+    return circuits_digest(generate_run(tmp_path, name))
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_circuit_files_match_golden_digest(tmp_path, name):
     assert generate_digest(tmp_path, name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_every_cnot_on_a_declared_edge(tmp_path, name):
+    device = design_from_config(CONFIGS[name]).device
+    paths = sorted((generate_run(tmp_path, name) / "circuits").glob("*.txt"))
+    assert paths
+    for path in paths:
+        circuit = circuit_from_text(path.read_text(encoding="utf-8")).full_circuit
+        for gate in (g for layer in circuit.layers for g in layer if g.name == "CNOT"):
+            assert device.has_edge(*gate.qubits), (path.name, gate)
 
 
 # Calls of CliffordOp.conjugate_pauli and CliffordOp.compose, PauliOp

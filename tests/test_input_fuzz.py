@@ -109,8 +109,7 @@ CONFIGS = [
         "seed": 3,
         "frame_randomization": True,
         "emit_frame_gates": False,
-        "compile": {"trials": 2, "respect_connectivity": True, "use_heuristic": True,
-                    "cost": "cnots", "seed": 0},
+        "compile": {"trials": 2, "cost": "cnots"},
     },
     {
         "device": {"n": 3, "preset": "ring", "gate_set": "C24"},
