@@ -132,6 +132,25 @@ CONFIGS = {
         "circuits_per_length": 2,
         "compile": {"trials": 3},
     },
+    # n = 12, the paper's 10+ qubit scale: the stabilizer compiler's
+    # factor on wide blocks, all-to-all and on relabeled rings, where
+    # CNOTs between far qubits expand along paths
+    "drb_all12_pairing": {
+        "protocol": "DRB",
+        "device": {"preset": "all_to_all", "n": 12, "gate_set": "C24"},
+        "sampler": {"kind": "pairing", "p_cnot": 0.5},
+        "lengths": [0, 3, 6],
+        "circuits_per_length": 2,
+        "compile": {"trials": 1},
+    },
+    "drb_ring12_hpi": {
+        "protocol": "DRB",
+        "device": {"preset": "ring", "n": 12, "gate_set": "HPI"},
+        "sampler": {"kind": "pcnot", "p_cnot": 0.3},
+        "lengths": [0, 4],
+        "circuits_per_length": 2,
+        "compile": {"trials": 3},
+    },
 }
 
 SEED = 5
@@ -150,6 +169,8 @@ GOLDEN = {
     "drb_ring4_hpi_cost_gates": "c0aa3e0f297757167af0a1c1f8ebcd9714f2af39e6cdcd3cfe5ca042b07bd2fe",
     "crb_line4_c24": "fbb09bf9d4de9d63eb75f326b8d33c5b750a5612461bfe940435b816fa98f241",
     "drb_rwc5_category": "d652d522d284981f6bf1e2dd35d5501ac461aa07c0d699a10715358f26cfc07e",
+    "drb_all12_pairing": "e974a2d29e6512eb77960fdeedae7cae56879191ae91a0ee72e7b93a0fc64a23",
+    "drb_ring12_hpi": "734d21b544a5e29759e65bc09c2d36213676544b66c5e29286a975f31f86f691",
 }
 
 
