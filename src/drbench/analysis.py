@@ -418,25 +418,31 @@ def extract_building_block_rates(
         raise ValueError("category rates must lie in [0, 1]")
     if n < 2:
         raise ValueError("building-block split needs n >= 2")
-    vals = _building_blocks_raw(eps, n)
-    flagged = bool(np.any(~np.isfinite(vals)) or np.any((vals < 0.0) | (vals > 1.0)))
-    local_sigma = class_sigmas = cnot_sigma = None
     if covariance is not None:
         cov = np.asarray(covariance, dtype=float)
         if cov.shape != (len(eps), len(eps)):
             raise ValueError("covariance shape must match the category count")
-        h = 1e-7
-        jac = np.empty((len(vals), len(eps)))
-        for j in range(len(eps)):
-            step = np.zeros_like(eps)
-            step[j] = h
-            jac[:, j] = (_building_blocks_raw(eps + step, n)
-                         - _building_blocks_raw(eps - step, n)) / (2.0 * h)
-        out_cov = jac @ cov @ jac.T
-        sig = np.sqrt(np.maximum(np.diag(out_cov), 0.0))
-        local_sigma = float(sig[0])
-        class_sigmas = tuple(float(v) for v in sig[1:-1])
-        cnot_sigma = float(sig[-1])
+    # a local rate of 1 leaves the classes undefined (the split divides by
+    # (1 - local)^(n - 2) = 0), and near the ends of [0, 1] the Jacobian's
+    # steps leave the domain: such values come out NaN or infinite, quietly,
+    # and are flagged
+    with np.errstate(all="ignore"):
+        vals = _building_blocks_raw(eps, n)
+        flagged = bool(np.any(~np.isfinite(vals)) or np.any((vals < 0.0) | (vals > 1.0)))
+        local_sigma = class_sigmas = cnot_sigma = None
+        if covariance is not None:
+            h = 1e-7
+            jac = np.empty((len(vals), len(eps)))
+            for j in range(len(eps)):
+                step = np.zeros_like(eps)
+                step[j] = h
+                jac[:, j] = (_building_blocks_raw(eps + step, n)
+                             - _building_blocks_raw(eps - step, n)) / (2.0 * h)
+            sig = np.sqrt(np.maximum(np.diag(jac @ cov @ jac.T), 0.0))
+            flagged = flagged or not np.all(np.isfinite(sig))
+            local_sigma = float(sig[0])
+            class_sigmas = tuple(float(v) for v in sig[1:-1])
+            cnot_sigma = float(sig[-1])
     return BuildingBlockRates(
         local=float(vals[0]),
         cnot_classes=tuple(float(v) for v in vals[1:-1]),

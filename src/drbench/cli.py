@@ -222,6 +222,12 @@ def _infer_n(dataset, flag_n: int | None, path: str) -> int:
     raise ConfigError(f"dataset {path} rows carry no target; pass --n")
 
 
+def _defined(value: float) -> float | None:
+    """A split value for results.json: JSON has no NaN or infinity, so a
+    value that is not defined is written as null."""
+    return value if math.isfinite(value) else None
+
+
 def cmd_analyze(args) -> int:
     if args.n is not None and args.n < 1:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
@@ -307,18 +313,21 @@ def cmd_analyze(args) -> int:
             "epsilons": list(system.epsilons),
             "epsilon_sigmas": list(system.epsilon_sigmas),
         }
+        # the split puts CNOT classes on top of n - 2 idling qubits, so it
+        # runs only when every run has the same n >= 2
         ns = {run["n"] for run in runs}
-        if len(ns) == 1 and len(system.epsilons) >= 2:
+        n = ns.pop() if len(ns) == 1 else 0
+        if n >= 2 and len(system.epsilons) >= 2:
             clipped = [min(max(e, 0.0), 1.0) for e in system.epsilons]
-            blocks = extract_building_block_rates(clipped, ns.pop(),
+            blocks = extract_building_block_rates(clipped, n,
                                                   covariance=system.epsilon_covariance)
             mixing["clipped"] = clipped != list(system.epsilons)
-            mixing["local"] = blocks.local
-            mixing["local_sigma"] = blocks.local_sigma
-            mixing["cnot_classes"] = list(blocks.cnot_classes)
-            mixing["class_sigmas"] = list(blocks.class_sigmas)
-            mixing["cnot"] = blocks.cnot
-            mixing["cnot_sigma"] = blocks.cnot_sigma
+            mixing["local"] = _defined(blocks.local)
+            mixing["local_sigma"] = _defined(blocks.local_sigma)
+            mixing["cnot_classes"] = [_defined(v) for v in blocks.cnot_classes]
+            mixing["class_sigmas"] = [_defined(v) for v in blocks.class_sigmas]
+            mixing["cnot"] = _defined(blocks.cnot)
+            mixing["cnot_sigma"] = _defined(blocks.cnot_sigma)
             mixing["flagged"] = blocks.flagged
         results["mixing"] = mixing
     out = Path(args.out) if args.out else Path(args.datasets[0]).with_name("results.json")

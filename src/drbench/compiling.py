@@ -13,6 +13,12 @@ the leftover sign data with one Pauli correction that is merged into the
 neighboring 1Q gates.  Stabilizer prep and measurement circuits come out
 in 1Q / CNOT-block / 1Q form; on devices whose gate set needs multi-gate
 words for a general 1Q Clifford, each "1Q layer" may span a few layers.
+A measurement circuit first makes the generators' X block the identity,
+which leaves the Z block symmetric.  Gaussian elimination without
+pivoting then picks the P flips d that keep every leading principal
+minor of Z + diag(d) invertible, and the same elimination factors
+Z + diag(d) = M M^T with M unit lower triangular; a CNOT block with
+column action M takes both blocks to M.
 
 Trials.  Each compiler tries ``options.trials`` elimination orders and
 keeps the cheapest candidate; a stabilizer compile also runs a CNOT
@@ -196,11 +202,6 @@ def _gather_bits(row: int, idx: list[int]) -> int:
 def _permuted(rows: list[int], idx: list[int]) -> list[int]:
     """Int rows of m[np.ix_(idx, idx)], for m given as int rows."""
     return [_gather_bits(rows[i], idx) for i in idx]
-
-
-def _transpose(rows: list[int], width: int) -> list[int]:
-    """Int rows of the transpose of a matrix given as int rows."""
-    return [sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(width)]
 
 
 def _digest(*parts: bytes) -> int:
@@ -585,90 +586,32 @@ def compile_clifford(
 # Stabilizer prep and measurement
 
 
-def _diagonal_for_invertibility(a: list[int]) -> list[int]:
-    """d with a + diag(d) invertible, for symmetric a over GF(2) given as
-    int rows.
+def _flips_and_factor(a: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(d, m, mt) for symmetric a over GF(2) given as int rows: m is unit
+    lower triangular with m m^T = a + diag(d), and mt holds the rows of m^T.
 
-    Chosen so every leading principal minor is invertible, which fixes d:
-    Gaussian elimination without pivoting leaves the Schur complement
-    c + b' L^-1 b of the leading j x j block L at (j, j), and d_j sets it
-    to 1.  This also forces the (0, 0) entry to 1, so the result is never
-    alternating.
+    Gaussian elimination without pivoting leaves the Schur complement of
+    the leading j x j block at (j, j); d_j sets it to 1, so every leading
+    principal minor of a + diag(d) is invertible, which fixes d.  The
+    elimination is then a + diag(d) = L U, with L[i][j] = 1 when row j was
+    added into row i and U unit upper triangular, and symmetry makes
+    U = L^T: m is L, recorded as it goes, by rows and by columns.
     """
     rows = list(a)
+    n = len(rows)
     d = []
-    for j in range(len(rows)):
+    m = [1 << i for i in range(n)]
+    mt = list(m)
+    for j in range(n):
         bit = 1 << j
         d.append(0 if rows[j] & bit else 1)
         rows[j] |= bit
-        for i in range(j + 1, len(rows)):
+        for i in range(j + 1, n):
             if rows[i] & bit:
                 rows[i] ^= rows[j]
-    return d
-
-
-def _albert_factor(a: list[int]) -> list[int]:
-    """Int rows of an invertible m with m m^T = a, for invertible symmetric
-    non-alternating a given as int rows.
-
-    Congruence-orthonormalization: find a basis that is orthonormal under
-    the bilinear form a.  When only hyperbolic pairs remain, borrow an
-    already-normalized vector u: for a pair (p, q), the triple
-    (u+p+q, u+p, u+q) is orthonormal.
-    """
-    n = len(a)
-    basis = [1 << i for i in range(n)]
-
-    def gram() -> list[list[int]]:
-        """basis a basis^T over GF(2), entry by entry."""
-        images = [sum(((r & v).bit_count() & 1) << k for k, r in enumerate(a)) for v in basis]
-        return [[(u & w).bit_count() & 1 for w in images] for u in basis]
-
-    processed: list[int] = []
-    unprocessed = list(range(n))
-    g = gram()
-    while unprocessed:
-        i = next((k for k in unprocessed if g[k][k]), None)
-        if i is not None:
-            for j in unprocessed:
-                if j != i and g[j][i]:
-                    basis[j] ^= basis[i]
-            unprocessed.remove(i)
-            processed.append(i)
-            g = gram()
-            continue
-        p, q = next(
-            (p, q) for pi, p in enumerate(unprocessed) for q in unprocessed[pi + 1 :] if g[p][q]
-        )
-        for j in unprocessed:
-            if j in (p, q):
-                continue
-            if g[j][p]:
-                basis[j] ^= basis[q]
-            if g[j][q]:
-                basis[j] ^= basis[p]
-        g = gram()
-        if not processed:
-            raise ValueError("matrix is alternating; no factorization exists")
-        u = processed[0]
-        bu, bp, bq = basis[u], basis[p], basis[q]
-        basis[u] = bu ^ bp ^ bq
-        basis[p] = bu ^ bp
-        basis[q] = bu ^ bq
-        unprocessed.remove(p)
-        unprocessed.remove(q)
-        processed.extend([p, q])
-        g = gram()
-    if g != [[int(i == k) for k in range(n)] for i in range(n)]:
-        raise RuntimeError("orthonormalization failed")
-    # m is the inverse of the basis: eliminate [basis | I]
-    aug = [row | 1 << (n + i) for i, row in enumerate(basis)]
-    if len(_gf2_eliminate(aug, n)) != n:
-        raise RuntimeError("orthonormal basis is singular")
-    m = [row >> n for row in aug]
-    if [sum(((mi & mk).bit_count() & 1) << k for k, mk in enumerate(m)) for mi in m] != a:
-        raise RuntimeError("factor check failed")
-    return m
+                m[i] |= bit
+                mt[j] |= 1 << i
+    return d, m, mt
 
 
 def _conjugate_bits(rows: list[int], gates: list[GateLabel], n: int):
@@ -719,13 +662,14 @@ def _meas_sequence(rows: list[int], device: DeviceSpec, options: CompileOptions)
     _gf2_eliminate(rows, 2 * n)
     if any(r & xmask != 1 << i for i, r in enumerate(rows)):
         raise RuntimeError("X block did not reduce to the identity")
-    # With X = I the Z block is symmetric; P gates make it invertible.
-    flips = _diagonal_for_invertibility([r >> n for r in rows])
+    # With X = I the Z block is symmetric.  One elimination without
+    # pivoting picks the P flips d that keep every leading principal minor
+    # invertible and factors Z + diag(d) = M M^T, M unit lower triangular.
+    flips, m, mt = _flips_and_factor([r >> n for r in rows])
     emit([_gate("P", (q,)) for q in range(n) if flips[q]])
-    # Factor Z = M M^T and run a CNOT word with column action M on the X
-    # block, taking both blocks to M.
-    m = _albert_factor([r >> n for r in rows])
-    cnots, trials = _cnot_sequence(_transpose(m, n), device, options)
+    # A CNOT word with column action M on the X block (|x> -> |M^T x>)
+    # takes both blocks to M.
+    cnots, trials = _cnot_sequence(mt, device, options)
     emit(cnots)
     if rows != [r | r << n for r in m]:
         raise RuntimeError("CNOT stage did not align the X and Z blocks")

@@ -142,11 +142,12 @@ def _pauli_distributions(model: ErrorModel, gates) -> list[np.ndarray]:
     return dists
 
 
-def layer_error_rate(model: ErrorModel, gates, include_depol: bool = True) -> float:
-    """Exact probability that a layer of gates leaves a net error."""
+def layer_error_rate(model: ErrorModel, gates) -> float:
+    """Exact probability that a layer of gates leaves a net error, the
+    layer-depolarizing term included."""
     n = model.n
     identity_prob = math.prod(float(d[0]) for d in _pauli_distributions(model, gates))
-    if include_depol and model.layer_depol > 0.0:
+    if model.layer_depol > 0.0:
         lam = 1.0 - model.layer_depol
         identity_prob = lam * identity_prob + (1.0 - lam) * 0.25**n
     return 1.0 - identity_prob

@@ -493,6 +493,47 @@ class TestAnalyze:
         assert (results.with_name("joint_run0_plot.csv")).exists()
         assert (results.with_name("joint_run1_plot.csv")).exists()
 
+    @staticmethod
+    def write_bare_rows(path: Path, p: float) -> str:
+        """Bare rows (no target) of an exact decay 1/2 + p^m / 2."""
+        rows = [{"m": m, "shots": 1000, "successes": round(500 + 500 * p**m)}
+                for m in (0, 2, 4, 8, 16)]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        return str(path)
+
+    def test_mixing_at_one_qubit_skips_the_split(self, tmp_path, capsys):
+        # the building-block split needs n >= 2; at n = 1 it used to end in
+        # a ValueError traceback after the fits
+        paths = [self.write_bare_rows(tmp_path / f"d{i}.jsonl", p)
+                 for i, p in enumerate((0.95, 0.9))]
+        results = tmp_path / "results.json"
+        assert main(["analyze", *paths, "--n", "1", "--mixing", "0.7,0.3",
+                     "--out", str(results), "--resamples", "100"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        mix = json.loads(results.read_text(encoding="utf-8"))["mixing"]
+        assert len(mix["epsilons"]) == len(mix["epsilon_sigmas"]) == 2
+        assert "local" not in mix and "flagged" not in mix
+
+    def test_undefined_split_values_are_null(self, tmp_path):
+        # the first category rate clips to 1, so at n = 3 the split divides
+        # by (1 - local)^(n - 2) = 0; results.json must stay strict JSON
+        paths = [self.write_bare_rows(tmp_path / f"d{i}.jsonl", p)
+                 for i, p in enumerate((0.5, 0.97))]
+        results = tmp_path / "results.json"
+        assert main(["analyze", *paths, "--n", "3", "--mixing", "0.55,0.45",
+                     "--mixing", "0.45,0.55", "--out", str(results),
+                     "--resamples", "100"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} in results.json")
+
+        mix = json.loads(results.read_text(encoding="utf-8"), parse_constant=reject)["mixing"]
+        assert mix["clipped"] is True and mix["flagged"] is True
+        assert mix["local"] == 1.0
+        for key in ("local_sigma", "cnot", "cnot_sigma"):
+            assert mix[key] is None, key
+        assert mix["cnot_classes"] == [None] and mix["class_sigmas"] == [None]
+
     def test_external_rows_need_n(self, tmp_path, capsys):
         path = tmp_path / "ext.jsonl"
         path.write_text(

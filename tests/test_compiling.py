@@ -13,15 +13,19 @@ from drbench.clifford import (
     CliffordOp,
     GateLabel,
     StabilizerState,
+    _pack_rows,
+    _unpack_rows,
     circuit_to_clifford,
     standard_gate,
 )
+from drbench import compiling
 from drbench.compiling import (
     COST_METRICS,
     CompileOptions,
     CompileStats,
     _cnot_realization,
     _cost_key,
+    _flips_and_factor,
     _long_range_cnot_steps,
     _merge_one_qubit_runs,
     _one_qubit_index,
@@ -39,22 +43,27 @@ from drbench.device import DeviceSpec, all_to_all, ring, ring_with_center
 from drbench.sampling import sample_clifford_uniform, sample_stabilizer_state_uniform
 
 
+def gf2_rank(m) -> int:
+    """Rank over GF(2) by elimination with row swaps."""
+    r = np.array(m, dtype=np.uint8) % 2
+    rows, cols = r.shape
+    rank = 0
+    for c in range(cols):
+        piv = next((i for i in range(rank, rows) if r[i, c]), None)
+        if piv is None:
+            continue
+        r[[rank, piv]] = r[[piv, rank]]
+        for i in range(rows):
+            if i != rank and r[i, c]:
+                r[i] ^= r[rank]
+        rank += 1
+    return rank
+
+
 def random_invertible(n, rng):
     while True:
         m = rng.integers(0, 2, size=(n, n)).astype(np.uint8)
-        r = m.copy()
-        # quick rank check by elimination
-        rank = 0
-        for c in range(n):
-            piv = next((i for i in range(rank, n) if r[i, c]), None)
-            if piv is None:
-                continue
-            r[[rank, piv]] = r[[piv, rank]]
-            for i in range(n):
-                if i != rank and r[i, c]:
-                    r[i] ^= r[rank]
-            rank += 1
-        if rank == n:
+        if gf2_rank(m) == n:
             return m
 
 
@@ -361,6 +370,59 @@ class TestStabilizerCompile:
     def test_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             compile_stabilizer_prep(sample_stabilizer_state_uniform(2, rng), all_to_all(3))
+
+
+class TestZBlockFactor:
+    """The elimination that picks the P flips of a stabilizer compile also
+    factors the flipped symmetric Z block."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_unit_lower_factor_of_flipped_block(self, data):
+        n = data.draw(st.integers(1, 16))
+        upper = data.draw(st.lists(st.integers(0, 1), min_size=n * (n + 1) // 2,
+                                   max_size=n * (n + 1) // 2))
+        a = np.zeros((n, n), dtype=np.uint8)
+        a[np.triu_indices(n)] = upper
+        a |= a.T
+        d, m_rows, mt_rows = _flips_and_factor(_pack_rows(a))
+        m = _unpack_rows(m_rows, n)
+        assert np.array_equal(_unpack_rows(mt_rows, n), m.T)
+        assert np.array_equal(np.tril(m), m) and np.all(np.diag(m) == 1)
+        flipped = a ^ np.diag(np.array(d, dtype=np.uint8))
+        product = np.zeros((n, n), dtype=np.uint8)
+        for i in range(n):
+            for j in range(n):
+                product[i, j] = sum(int(m[i, k]) & int(m[j, k]) for k in range(n)) % 2
+        assert np.array_equal(product, flipped)
+        # every leading minor is invertible, and the other value of d_k
+        # would make the k-th singular: d is forced
+        for k in range(1, n + 1):
+            block = flipped[:k, :k].copy()
+            assert gf2_rank(block) == k
+            block[k - 1, k - 1] ^= 1
+            assert gf2_rank(block) == k - 1
+
+    @pytest.mark.parametrize("which", ["m", "mt"])
+    def test_wrong_factor_fails_the_alignment_check(self, rng, monkeypatch, which):
+        original = _flips_and_factor
+
+        def one_bit_off(a):
+            d, m, mt = original(a)
+            # entry (1, 0) of m, in its rows (what the CNOT stage must reach)
+            # or in those of m^T (the map the CNOT stage realizes); either
+            # way m stays invertible, so the CNOT stage runs and the
+            # alignment check after it must catch the wrong factor
+            if which == "m":
+                m = [m[0], m[1] ^ 1, *m[2:]]
+            else:
+                mt = [mt[0] ^ 2, *mt[1:]]
+            return d, m, mt
+
+        monkeypatch.setattr(compiling, "_flips_and_factor", one_bit_off)
+        state = sample_stabilizer_state_uniform(3, rng)
+        with pytest.raises(RuntimeError, match="did not align"):
+            compile_stabilizer_meas(state, all_to_all(3, "HPI"))
 
 
 class TestStats:
