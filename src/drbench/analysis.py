@@ -9,7 +9,6 @@ are decomposed through a linear rate system.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,8 @@ class DecayFit:
     r: float
     lengths: tuple[int, ...]
     residuals: tuple[float, ...]
+    chi2: float
+    dof: int
     clamped: bool = False
     degenerate: bool = False
     anchored: bool = False
@@ -138,8 +139,7 @@ def binomial_weights(points: dict[int, float], shots_by_length: dict[int, int]) 
 
 
 _GRID = np.linspace(0.0, 1.0, 201)
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_POLISH_STEPS = 60  # shrinks the two-step grid bracket (0.01) below 1e-14
+_NEWTON_STEPS = 64  # cap for rows whose polish only bisects, e.g. toward p -> 0+
 
 
 def _best_multiple(e: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,61 +153,151 @@ def _best_multiple(e: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.einsum("rkl,rkl->rk", res, res), coef
 
 
+def _project(x: np.ndarray, sw: np.ndarray) -> np.ndarray:
+    """x (rows, K, L) with each row's constant column sw projected out."""
+    uk = (sw / np.linalg.norm(sw, axis=1, keepdims=True))[:, None, :]
+    return x - np.sum(x * uk, axis=2, keepdims=True) * uk
+
+
 def _full_model(exps: np.ndarray, ys: np.ndarray, sw: np.ndarray):
-    """Target sw y and column function p -> sw p^exps of A + B p^exps,
-    both with the constant column sw projected out, which profiles A.
+    """``_search`` arguments of A + B p^exps: the target sw y with the
+    constant column sw projected out, which profiles A."""
+    return _project((sw * ys)[:, None], sw)[:, 0], sw, exps, True
 
-    From p = 0.5 up the column is built from p^exps - 1 = expm1(exps log p),
-    the same direction once sw is projected out but accurate as p -> 1.
-    At p = 1 it merges with the constant; its limit direction exps is
-    used there.
+
+def _direction(p: np.ndarray, exps: np.ndarray, free: bool) -> np.ndarray:
+    """The model's column before weighting, p^exps, at p (..., 1).
+
+    The free model's column only matters once the constant is projected
+    out, so it is recentred to p^exps - p^mid at the median exponent mid.
+    p^exps itself is nearly parallel to the constant when it is near 1 at
+    every length, and p^exps - 1 is when p^exps is near 0, and either then
+    loses its direction in the projection.  From p = 0.5 up the column is
+    built from expm1, accurate as p -> 1; at p = 1 it merges with the
+    constant and its limit direction exps - mid is used.
     """
-    u = sw / np.linalg.norm(sw, axis=1, keepdims=True)
-    uk = u[:, None, :]
-
-    def columns(p):
-        p = p[..., None]
-        near_one = np.expm1(exps * np.log(np.maximum(p, 0.5)))
-        x = sw[:, None] * np.where(p == 1.0, exps, np.where(p < 0.5, p**exps, near_one))
-        return x - np.sum(x * uk, axis=2, keepdims=True) * uk
-
-    return sw * ys - np.sum(sw * ys * u, axis=1, keepdims=True) * u, columns
+    if not free:
+        return p**exps
+    mid = np.sort(exps)[len(exps) // 2]
+    near_one = p**mid * np.expm1((exps - mid) * np.log(np.maximum(p, 0.5)))
+    return np.where(p == 1.0, exps - mid, np.where(p < 0.5, p**exps - p**mid, near_one))
 
 
-def _search(e: np.ndarray, columns):
-    """Minimize over p in [0, 1], for every row of e at once, the
-    residual of e against the best multiple of ``columns(p)``.
+def _columns(p: np.ndarray, sw: np.ndarray, exps: np.ndarray, free: bool) -> np.ndarray:
+    """Columns sw p^exps, (rows, K, L), at p (rows, K); the free model's
+    with the constant column sw projected out."""
+    cols = sw[:, None] * _direction(p[..., None], exps, free)
+    return _project(cols, sw) if free else cols
 
-    A 201-point grid brackets the minimum, a fixed number of vectorized
-    golden-section steps polish it.  Returns (sse, p, clamped, coef), one
-    entry per row; clamped means p is on the 0 or 1 boundary.
+
+def _grid_sse(e: np.ndarray, sw: np.ndarray, exps: np.ndarray, free: bool) -> np.ndarray:
+    """Residual (rows, len(_GRID)) at every grid p, from weighted moments.
+
+    The grid's powers do not depend on the row, so one table d of them
+    serves every row: with c = sw d, the residual is |e|^2 - (c.e)^2 / c.c,
+    and the free model takes (c.u)^2 off c.c for the projected constant.
+    einsum, unlike a BLAS product, rounds each row the same whatever the
+    batch size.
     """
-    def sse(p):
-        return _best_multiple(e, columns(p))[0]
+    d = _direction(_GRID[:, None], exps, free)
+    w = sw * sw
+    ce = np.einsum("rl,kl->rk", sw * e, d)
+    cc = np.einsum("rl,kl->rk", w, d * d)
+    if free:
+        cc -= np.einsum("rl,kl->rk", w, d) ** 2 / np.sum(w, axis=1, keepdims=True)
+    ee = np.einsum("rl,rl->r", e, e)[:, None]
+    return ee - np.divide(ce * ce, cc, out=np.zeros_like(cc), where=cc > 0.0)
 
-    grid = sse(np.broadcast_to(_GRID, (len(e), len(_GRID))))
-    i = np.argmin(grid, axis=1)
+
+def _slopes(e: np.ndarray, sw: np.ndarray, exps: np.ndarray, free: bool, p: np.ndarray):
+    """First and second derivative of the residual in t = log p, at p
+    (rows,) inside (0, 1).
+
+    With r = e - beta c the residual of the best multiple, d/dt c = exps c
+    before projection, and the normal equation c.r = 0, the derivatives
+    come from r itself, not from moments, so they stay accurate where the
+    fit is nearly exact.  Only the column's direction matters, so the
+    powers are taken relative to the smallest exponent, which keeps c and
+    beta of order one as p -> 0.
+    """
+    exps = exps - exps.min()
+    c = _columns(p[:, None], sw, exps, free)
+    x = sw[:, None] * p[:, None, None] ** exps
+    ct, ctt = x * exps, x * exps**2
+    if free:
+        ct, ctt = _project(ct, sw), _project(ctt, sw)
+
+    def dot(a, b):
+        return np.einsum("rkl,rkl->rk", a, b)[:, 0]
+
+    cc = dot(c, c)
+    beta = np.divide(dot(c, e[:, None]), cc, out=np.zeros_like(cc), where=cc > 0.0)
+    r = e[:, None] - beta[:, None, None] * c
+    g, c_ct = dot(ct, r), dot(c, ct)
+    beta_t = np.divide(g - beta * c_ct, cc, out=np.zeros_like(cc), where=cc > 0.0)
+    s_tt = 2.0 * (beta**2 * dot(ct, ct) + beta * beta_t * c_ct - beta_t * g - beta * dot(ctt, r))
+    return -2.0 * beta * g, s_tt
+
+
+def _polish(e, sw, exps, free, x, lo, hi):
+    """Safeguarded Newton steps in log p toward a stationary point of the
+    residual inside [lo, hi], from x, for every row at once.
+
+    The slope's sign at each iterate shrinks the bracket.  A Newton step
+    that leaves the bracket, or one from a point where the residual is not
+    convex, is replaced by bisecting what is left of it; a step that lands
+    on the bracket's end is kept.  A row stops once its step is below
+    1e-10 p + 1e-15, or when it reaches p = 1.  x must lie inside (0, 1).
+    """
+    x, lo, hi = x.copy(), lo.copy(), hi.copy()
+    act = np.arange(len(x))
+    for _ in range(_NEWTON_STEPS):
+        if not len(act):
+            break
+        xa = x[act]
+        s_t, s_tt = _slopes(e[act], sw[act], exps, free, xa)
+        la, ha = np.where(s_t < 0.0, xa, lo[act]), np.where(s_t > 0.0, xa, hi[act])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            newton = xa * np.exp(-s_t / s_tt)
+        ok = (s_tt > 0.0) & (newton >= la) & (newton <= ha) & (newton > 0.0)
+        new = np.where(ok, newton, 0.5 * (la + ha))
+        lo[act], hi[act], x[act] = la, ha, new
+        act = act[(np.abs(new - xa) > 1e-10 * xa + 1e-15) & (new < 1.0)]
+    return x
+
+
+def _search(e: np.ndarray, sw: np.ndarray, exps: np.ndarray, free: bool):
+    """Minimize over p in [0, 1], for every row of e at once, the residual
+    of e against the best multiple of the column sw p^exps (``free``: with
+    the constant sw projected out, see ``_full_model``).
+
+    A 201-point grid, evaluated from weighted moments, brackets the
+    minimum, and safeguarded Newton steps in log p polish it.  The result
+    is the better of the polished point and the grid's best, each
+    evaluated directly on its residual.  Returns (sse, p, clamped, coef),
+    one entry per row; clamped means p is on the 0 or 1 boundary.
+    """
+    i = np.argmin(_grid_sse(e, sw, exps, free), axis=1)
     lo, hi = _GRID[np.maximum(i - 1, 0)], _GRID[np.minimum(i + 1, len(_GRID) - 1)]
-    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    fc, fd = sse(np.stack([c, d], axis=1)).T
-    for _ in range(_POLISH_STEPS):
-        left = fc < fd
-        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
-        new = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
-        f_new = sse(new[:, None])[:, 0]
-        c, fc = np.where(left, new, kept), np.where(left, f_new, f_kept)
-        d, fd = np.where(left, kept, new), np.where(left, f_kept, f_new)
-    on_grid = grid.min(axis=1) <= np.minimum(fc, fd)
-    p = np.where(on_grid, _GRID[i], np.where(fc < fd, c, d))
-    s = np.where(on_grid, grid.min(axis=1), np.minimum(fc, fd))
-    clamped = np.zeros(len(e), dtype=bool)
+    x = np.where((i > 0) & (i < len(_GRID) - 1), _GRID[i], 0.5 * (lo + hi))
+    # the residual is evaluated on the columns themselves, so the polish
+    # stays where their squares are normal floats; below that an infimum
+    # toward p = 0 can no longer be seen
+    m0 = exps.min()
+    floor = 1e-150 ** (1.0 / m0) if m0 > 0 else 0.0
+    x = _polish(e, sw, exps, free, x, np.maximum(lo, np.minimum(floor, x)), hi)
+    cand = np.stack([x, _GRID[i], np.zeros_like(x), np.ones_like(x)], axis=1)
+    sse, coef = _best_multiple(e, _columns(cand, sw, exps, free))
+    rows = np.arange(len(e))
+    pick = np.where(sse[:, 1] <= sse[:, 0], 1, 0)
     # the polish never lands exactly on a boundary; snap to it when the
     # boundary is at least as good, so growing data reports p = 1 exactly
-    for edge, s_edge in ((0.0, grid[:, 0]), (1.0, grid[:, -1])):
-        snap = (np.abs(p - edge) < 1e-7) & (s_edge <= s + 1e-12 * np.maximum(s_edge, 1.0))
-        p, s, clamped = np.where(snap, edge, p), np.where(snap, s_edge, s), clamped | snap
-    return s, p, clamped, _best_multiple(e, columns(p[:, None]))[1][:, 0]
+    for k in (2, 3):
+        s_edge = sse[:, k]
+        snap = ((np.abs(cand[rows, pick] - cand[:, k]) < 1e-7)
+                & (s_edge <= sse[rows, pick] + 1e-12 * np.maximum(s_edge, 1.0)))
+        pick = np.where(snap, k, pick)
+    return sse[rows, pick], cand[rows, pick], pick >= 2, coef[rows, pick]
 
 
 def _fit_rows(ms: np.ndarray, ys: np.ndarray, w: np.ndarray, n: int):
@@ -216,13 +306,12 @@ def _fit_rows(ms: np.ndarray, ys: np.ndarray, w: np.ndarray, n: int):
     degenerate), one entry per row."""
     sw = np.sqrt(w)
     a0 = 2.0**-n
-    sse_anch, p_anch, clamped_anch, b_anch = _search(
-        sw * (ys - a0), lambda p: sw[:, None] * np.power(p[..., None], ms))
-    e_free, cols_free = _full_model(ms, ys, sw)
-    sse_free, p_free, clamped_free, b_free = _search(e_free, cols_free)
+    sse_anch, p_anch, clamped_anch, b_anch = _search(sw * (ys - a0), sw, ms, False)
+    free = _full_model(ms, ys, sw)
+    sse_free, p_free, clamped_free, b_free = _search(*free)
     # only data trending upward in m can fit better with p > 1; that side
     # is searched as q = 1/p on q^(max m - m) and reported at p = 1
-    up = _best_multiple(e_free, cols_free(np.ones((len(ys), 1))))[1][:, 0] > 0.0
+    up = _best_multiple(free[0], _columns(np.ones((len(ys), 1)), sw, ms, True))[1][:, 0] > 0.0
     if up.any():
         sse_grow = np.full(len(ys), np.inf)
         sse_grow[up] = _search(*_full_model(ms.max() - ms, ys[up], sw[up]))[0]
@@ -250,12 +339,35 @@ def _fit_rows(ms: np.ndarray, ys: np.ndarray, w: np.ndarray, n: int):
     return np.where(anchored | at_one, a0, a), b, p, clamped, anchored, degenerate
 
 
+def _check_fit_args(lengths, n) -> None:
+    if n is None:
+        raise ValueError("qubit count n is required")
+    if n < 1:
+        raise ValueError(f"qubit count n must be at least 1, got {n}")
+    if len(lengths) < 3:
+        raise ValueError("need at least 3 distinct lengths to fit 3 parameters")
+
+
+def _decay_fit(ms: np.ndarray, ys: np.ndarray, w: np.ndarray, n: int, fits) -> DecayFit:
+    """The DecayFit of row 0 of ``_fit_rows``' output ``fits``, the fit to
+    ys with weights w at lengths ms."""
+    a, b, p, clamped, anchored, degenerate = (v[0] for v in fits)
+    a, b, p = float(a), float(b), float(p)
+    residuals = ys - (a + b * np.power(p, ms))
+    return DecayFit(A=a, B=b, p=p, n=n, r=drb_error_rate(p, n), lengths=tuple(ms.tolist()),
+                    residuals=tuple(float(v) for v in residuals),
+                    chi2=float(np.sum(w * residuals**2)), dof=len(ms) - (2 if anchored else 3),
+                    clamped=bool(clamped), degenerate=bool(degenerate), anchored=bool(anchored))
+
+
 def fit_decay(points: dict[int, float], weights: dict[int, float] | None = None,
               n: int | None = None) -> DecayFit:
     """Weighted least-squares fit of P_m = A + B p^m.
 
     A and B are linear once p is fixed, so they are profiled out (variable
-    projection) and one search over p in [0, 1] fits each of two models.
+    projection) and one search over p in [0, 1] fits each of two models:
+    a 201-point grid brackets the minimum and a few safeguarded Newton
+    steps polish it (``_search``).
     The anchored model holds A at the uniform-outcome floor 2^-n; the full
     model lets A float, and for data trending upward in m also searches
     p > 1, reporting such a fit at p = 1.  The full fit is kept only when
@@ -267,14 +379,12 @@ def fit_decay(points: dict[int, float], weights: dict[int, float] | None = None,
     the residual to zero while a wrong anchor cannot.  ``clamped`` means
     p sits on the 0 or 1 boundary.  A fit at p = 1 is a constant, which
     is reported as A = 2^-n and B = its weighted mean minus 2^-n.
+    ``chi2`` is the weighted residual sum of squares of the reported fit
+    and ``dof`` the lengths left over by its parameters (2 anchored, else
+    3); with inverse-variance weights chi2 is the chi-square statistic.
     """
-    if n is None:
-        raise ValueError("qubit count n is required")
-    if n < 1:
-        raise ValueError(f"qubit count n must be at least 1, got {n}")
     lengths = tuple(sorted(int(m) for m in points))
-    if len(lengths) < 3:
-        raise ValueError("need at least 3 distinct lengths to fit 3 parameters")
+    _check_fit_args(lengths, n)
     ms = np.array(lengths, dtype=int)
     ys = np.array([points[m] for m in lengths], dtype=float)
     if weights is None:
@@ -283,25 +393,32 @@ def fit_decay(points: dict[int, float], weights: dict[int, float] | None = None,
         w = np.array([weights[m] for m in lengths], dtype=float)
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be positive and finite")
-    a, b, p, clamped, anchored, degenerate = (v[0] for v in _fit_rows(ms, ys[None], w[None], n))
-    p = float(p)
-    return DecayFit(A=float(a), B=float(b), p=p, n=n, r=drb_error_rate(p, n), lengths=lengths,
-                    residuals=tuple(float(v) for v in ys - (a + b * np.power(p, ms))),
-                    clamped=bool(clamped), degenerate=bool(degenerate), anchored=bool(anchored))
+    return _decay_fit(ms, ys, w, n, _fit_rows(ms, ys[None], w[None], n))
 
 
 def _clamp_interval(center: float, sigma: float, lo: float, hi: float) -> tuple[float, float]:
     return (max(center - 2.0 * sigma, lo), min(center + 2.0 * sigma, hi))
 
 
+def _resample_indices(rng: np.random.Generator, counts: np.ndarray, resamples: int):
+    """Per length, the (resamples, count) indices of a circuit bootstrap:
+    one child stream per resample, and one bounded draw per child for all
+    lengths, which consumes each child exactly as one ``integers(0, k,
+    size=k)`` call per length in turn."""
+    bounds = np.repeat(counts, counts)
+    draws = np.array([child.integers(0, bounds) for child in rng.spawn(resamples)])
+    return np.split(draws, np.cumsum(counts)[:-1], axis=1)
+
+
 def bootstrap(dataset: Dataset, resamples: int = 1000,
               rng: np.random.Generator | None = None, n: int | None = None) -> BootstrapResult:
     """Circuit-level bootstrap intervals for the decay fit.
 
-    Circuits are resampled with replacement within each length, every
-    resample is refit in one batched call, and intervals are reported as
-    the point estimate plus or minus twice the resample standard
-    deviation.  ``n`` defaults to the length of the rows' target.
+    Circuits are resampled with replacement within each length, and every
+    resample is refit in one batched call, with the point estimate
+    (``fit_decay`` with binomial weights) as one more row.  Intervals are
+    reported as the point estimate plus or minus twice the resample
+    standard deviation.  ``n`` defaults to the length of the rows' target.
     """
     if resamples < 100:
         raise ValueError("resamples must be at least 100")
@@ -319,18 +436,18 @@ def bootstrap(dataset: Dataset, resamples: int = 1000,
             raise ValueError(f"row {row.circuit_id} has zero shots")
         groups.setdefault(row.m, []).append((row.successes / row.shots, row.shots))
     lengths = sorted(groups)
+    _check_fit_args(lengths, n)
     rates, shots = zip(*(np.array(groups[m]).T for m in lengths))
-    points = {m: float(v.mean()) for m, v in zip(lengths, rates)}
-    shots_by_length = {m: t.sum() for m, t in zip(lengths, shots)}
-    point = fit_decay(points, binomial_weights(points, shots_by_length), n=n)
-
-    draws = [[child.integers(0, len(v), size=len(v)) for v in rates]
-             for child in rng.spawn(resamples)]
-    idx = [np.array(per_length) for per_length in zip(*draws)]
+    idx = _resample_indices(rng, np.array([len(v) for v in rates]), resamples)
     ys = np.stack([v[i].mean(axis=1) for v, i in zip(rates, idx)], axis=1)
     totals = np.stack([t[i].sum(axis=1) for t, i in zip(shots, idx)], axis=1)
-    a, b, p, clamped, anchored, _ = _fit_rows(np.array(lengths), ys,
-                                              _inverse_variance(ys, totals), n)
+    # the point estimate rides along as row 0
+    ys = np.vstack([[v.mean() for v in rates], ys])
+    totals = np.vstack([[t.sum() for t in shots], totals])
+    ms, w = np.array(lengths), _inverse_variance(ys, totals)
+    fits = _fit_rows(ms, ys, w, n)
+    point = _decay_fit(ms, ys[0], w[0], n, fits)
+    a, b, p, clamped, anchored, _ = (v[1:] for v in fits)
     d = 4.0**n
     fits = np.stack([p, (d - 1.0) * (1.0 - p) / d, a, b], axis=1)  # drb_error_rate
     ok = np.all(np.isfinite(fits), axis=1)

@@ -289,6 +289,8 @@ def cmd_analyze(args) -> int:
                     "degenerate": fit.degenerate,
                     "anchored": fit.anchored,
                     "residuals": list(fit.residuals),
+                    "chi2": fit.chi2,
+                    "dof": fit.dof,
                     "resamples": boot.resamples,
                     "bootstrap_failures": boot.failures,
                     "bootstrap_anchored_frac": boot.anchored_frac,

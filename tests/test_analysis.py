@@ -1,6 +1,7 @@
 """Fitting and rate-decomposition checks, including the interval
 calibration study behind the bootstrap defaults."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from drbench.analysis import (
     BootstrapResult,
+    _resample_indices,
     RateSystem,
     average_success,
     binomial_weights,
@@ -198,6 +200,39 @@ class TestBootstrap:
         assert out.anchored_frac == pytest.approx(fits[:, 4].mean())
         assert out.clamped_frac == pytest.approx(fits[:, 5].mean())
         assert out.failures == 0
+
+    def test_one_draw_per_resample_matches_per_length_draws(self):
+        """A resample draws all its indices in one bounded call; numpy must
+        consume the child stream exactly as one call per length in turn
+        does, up to the next draw after it."""
+        rng = np.random.default_rng(12)
+        for seed in range(40):
+            counts = rng.integers(1, 30, size=rng.integers(1, 9))
+            counts[rng.integers(len(counts))] = 1
+            one, per = (np.random.default_rng(seed).spawn(1)[0] for _ in range(2))
+            joint = one.integers(0, np.repeat(counts, counts))
+            assert np.array_equal(joint, np.concatenate([per.integers(0, k, size=k)
+                                                         for k in counts]))
+            assert one.integers(0, 2**40) == per.integers(0, 2**40)
+        counts = np.array([3, 1, 7, 2])
+        blocks = _resample_indices(np.random.default_rng(3), counts, 100)
+        ref = [[child.integers(0, k, size=k) for k in counts]
+               for child in np.random.default_rng(3).spawn(100)]
+        for j, block in enumerate(blocks):
+            assert np.array_equal(block, [draws[j] for draws in ref])
+
+    def test_point_fit_is_fit_decay(self):
+        """The point estimate rides in the batched refit as one more row and
+        must be exactly fit_decay's fit with binomial weights."""
+        data = synthetic_dataset(0.25, 0.75, 0.93, (0, 3, 6, 9, 14), 5, 300,
+                                 np.random.default_rng(7))
+        out = bootstrap(data, resamples=100, rng=np.random.default_rng(8))
+        points = {m: mean for m, (mean, _) in average_success(data).items()}
+        shots = {}
+        for row in data.rows:
+            shots[row.m] = shots.get(row.m, 0) + row.shots
+        fit = fit_decay(points, binomial_weights(points, shots), n=2)
+        assert dataclasses.replace(out.fit, p_interval=None, r_interval=None) == fit
 
     def test_zero_variance_gives_zero_width(self):
         rows = []

@@ -445,6 +445,9 @@ class TestAnalyze:
         assert 0.0 <= fit["r"] <= 1.0
         assert fit["r_interval"][0] <= fit["r"] <= fit["r_interval"][1]
         assert fit["diagnostics"]["resamples"] == 120
+        assert fit["diagnostics"]["chi2"] >= 0.0
+        assert fit["diagnostics"]["dof"] == len(fit["lengths"]) - (
+            2 if fit["diagnostics"]["anchored"] else 3)
         assert fit["diagnostics"]["bootstrap_failures"] == 0
         for key in ("bootstrap_anchored_frac", "bootstrap_clamped_frac"):
             assert 0.0 <= fit["diagnostics"][key] <= 1.0
