@@ -142,6 +142,8 @@ def _load_run(run_dir: Path):
 
 
 def cmd_simulate(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     run_dir = Path(args.run)
     manifest, circuits, protocol, shots, seed = _load_run(run_dir)
     n = circuits[0].n
@@ -233,6 +235,10 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"--n must be at least 1, got {args.n}")
     if args.resamples < 100:
         raise ConfigError(f"--resamples must be at least 100, got {args.resamples}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if args.plot_csv and len(args.datasets) > 1:
+        raise ConfigError(f"--plot-csv takes a single dataset, got {len(args.datasets)}")
     datasets = []
     for path in args.datasets:
         p = Path(path)
@@ -335,7 +341,7 @@ def cmd_analyze(args) -> int:
     out = Path(args.out) if args.out else Path(args.datasets[0]).with_name("results.json")
     _write_json(out, results)
     for index, run in enumerate(runs):
-        if args.plot_csv and len(runs) == 1:
+        if args.plot_csv:
             csv_path = Path(args.plot_csv)
         elif len(runs) == 1:
             csv_path = out.with_name(out.stem + "_plot.csv")

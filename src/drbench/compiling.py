@@ -20,22 +20,28 @@ minor of Z + diag(d) invertible, and the same elimination factors
 Z + diag(d) = M M^T with M unit lower triangular; a CNOT block with
 column action M takes both blocks to M.
 
-Trials.  Each compiler tries ``options.trials`` elimination orders and
-keeps the cheapest candidate; a stabilizer compile also runs a CNOT
-compile of its own inside every order.  A trial reads only GF(2) bits,
-so it works on Python-int rows (bit j of a row is column j; row
-operations are XORs and the CHP-style gate updates are shifts, in the
-manner of Aaronson & Gottesman, quant-ph/0406196), and it never builds a
-Circuit: its cost key (cnots, depth, gates) is read off its merged gate
-sequence, with depth by the same greedy earliest-layer rule that
-``_pack_layers`` uses, so the key equals that of the packed circuit.
+Trials.  Each search builds one candidate per elimination order, in the
+order ``_elimination_orders`` draws them, and keeps ``min(candidates,
+key=cost)``: the first of the cheapest, so a tie never replaces an
+earlier candidate.  A stabilizer compile also runs a CNOT search of its
+own inside every order.  A trial reads only GF(2) bits, so it works on
+Python-int rows (bit j of a row is column j; row operations are XORs and
+the CHP-style gate updates are shifts, in the manner of Aaronson &
+Gottesman, quant-ph/0406196), and it never builds a Circuit: its cost key
+(cnots, depth, gates) is read off a gate sequence, with depth by the
+same greedy earliest-layer rule that ``_pack_layers`` uses, so the key
+equals that of the packed sequence.  ``compile_clifford`` and the
+stabilizer search cost a candidate's sequence after its 1Q runs are
+merged; the CNOT search costs its sequence unmerged, as
+``compile_cnot_circuit`` emits it.  New candidates, from other
+synthesis methods, join the same list and compete under the same key.
 Only the winner is packed and validated as a Circuit, and only the
 winner is replayed with phases: the Clifford compiler derives its Pauli
 sign fix from it and checks the result against the target; prep and
 meas circuits are checked by carrying the state through them.  An order
 that repeats an earlier one is drawn (so the stream does not change) but
-not evaluated: it would rebuild the same candidate, and a tie never
-replaces the incumbent, so skipping it cannot change any circuit.
+not evaluated: it would rebuild the same candidate, which cannot come
+first among the cheapest, so skipping it cannot change any circuit.
 """
 
 from __future__ import annotations
@@ -171,15 +177,6 @@ def _gate(name: str, qubits: tuple[int, ...]) -> GateLabel:
 # GF(2) helpers
 
 
-def _gf2_inv(m: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix over GF(2); raises when singular."""
-    r, t, pivots = _gf2_rref(m)
-    # square with a pivot in every row means the RREF is the identity
-    if r.shape != (len(pivots), len(pivots)):
-        raise ValueError("matrix is singular over GF(2)")
-    return t
-
-
 def _gf2_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One solution x of a x = b over GF(2); raises when inconsistent."""
     _, t, pivots = _gf2_rref(a)
@@ -276,7 +273,7 @@ def _elimination_orders(device: DeviceSpec, trials: int, digest: int) -> list[li
 
     All ``trials - 1`` random orders are drawn, so the stream never
     depends on which repeat; a repeat is dropped because it would rebuild
-    the same candidate, which cannot beat the first under strict ``<``.
+    the same candidate, and ``min`` keeps the first of equal candidates.
     """
     first = device.eccentricity_order()
     orders = [first]
@@ -327,14 +324,8 @@ def _cnot_sequence(rows: list[int], device: DeviceSpec, options: CompileOptions)
     n = device.n
     digest = _digest(bytes(row >> j & 1 for row in rows for j in range(n)))
     orders = _elimination_orders(device, options.trials, digest)
-    best_seq: list[GateLabel] = []
-    best_key = None
-    for order in orders:
-        seq = _expand_ops(_cnot_ge_ops(_permuted(rows, order)), order, device)
-        key = _sequence_cost(seq, n, options.cost)
-        if best_key is None or key < best_key:
-            best_seq, best_key = seq, key
-    return best_seq, len(orders)
+    candidates = (_expand_ops(_cnot_ge_ops(_permuted(rows, order)), order, device) for order in orders)
+    return min(candidates, key=lambda seq: _sequence_cost(seq, n, options.cost)), len(orders)
 
 
 def compile_cnot_circuit(matrix: np.ndarray, device: DeviceSpec, options: CompileOptions | None = None) -> Circuit:
@@ -349,7 +340,7 @@ def compile_cnot_circuit(matrix: np.ndarray, device: DeviceSpec, options: Compil
     n = device.n
     if m.shape != (n, n):
         raise ValueError(f"matrix must be {n} x {n} for this device")
-    _gf2_inv(m)  # raises when singular
+    # _cnot_ge_ops raises on a singular matrix
     seq, _ = _cnot_sequence(_pack_rows(m), device, options)
     return _pack_layers(seq, n)
 
@@ -562,14 +553,10 @@ def compile_clifford(
     digest = _digest(op.s.tobytes(), op.v.tobytes())
     rows = _pack_rows(op.s)
     orders = _elimination_orders(device, options.trials, digest)
-    best_key = None
-    for order in orders:
-        idx = [*order, *(n + q for q in order)]
-        seq = _expand_ops(_gge_ops(_permuted(rows, idx), n), order, device)
-        merged = _merge_one_qubit_runs(seq, device)
-        key = _sequence_cost(merged, n, options.cost)
-        if best_key is None or key < best_key:
-            best_key, best_seq, best_merged = key, seq, merged
+    seqs = (_expand_ops(_gge_ops(_permuted(rows, [*order, *(n + q for q in order)]), n), order, device)
+            for order in orders)
+    candidates = ((seq, _merge_one_qubit_runs(seq, device)) for seq in seqs)
+    best_seq, best_merged = min(candidates, key=lambda c: _sequence_cost(c[1], n, options.cost))
     # one Pauli correction fixes the phase vector
     realized = circuit_to_clifford(_pack_layers(best_merged, n))
     fix = compose(invert(realized), op)
@@ -689,21 +676,17 @@ def _best_meas_sequence(
     digest = _digest(canon.b.tobytes(), canon.r.tobytes())
     rows = _pack_rows(state.b)
     orders = _elimination_orders(device, options.trials, digest)
-    trials = len(orders)
-    best_key = None
+    candidates = []
     for order in orders:
         pos = [0] * n
         for k, q in enumerate(order):
             pos[q] = k
         idx = [*order, *(n + q for q in order)]
-        dev2 = _relabeled_device(device, pos)
-        seq2, inner = _meas_sequence([_gather_bits(r, idx) for r in rows], dev2, options)
-        trials += inner
-        seq = [_gate(g.name, tuple(order[q] for q in g.qubits)) for g in seq2]
-        key = _sequence_cost(_merge_one_qubit_runs(seq, device), n, options.cost)
-        if best_key is None or key < best_key:
-            best_seq, best_key = seq, key
-    return best_seq, trials
+        seq, inner = _meas_sequence([_gather_bits(r, idx) for r in rows], _relabeled_device(device, pos), options)
+        candidates.append(([_gate(g.name, tuple(order[q] for q in g.qubits)) for g in seq], inner))
+    best_seq, _ = min(candidates,
+                      key=lambda c: _sequence_cost(_merge_one_qubit_runs(c[0], device), n, options.cost))
+    return best_seq, len(orders) + sum(inner for _, inner in candidates)
 
 
 def compile_stabilizer_meas(

@@ -137,14 +137,18 @@ def one_qubit_clifford_unitaries() -> list[np.ndarray]:
 
 
 def decompose_pauli(m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Find (x, z, phase) with m = i**phase X^x Z^z, by exhaustive match."""
-    for bits in itertools.product((0, 1), repeat=2 * n):
-        x = np.array(bits[:n], dtype=np.uint8)
-        z = np.array(bits[n:], dtype=np.uint8)
-        w = pauli_matrix(x, z, 0)
-        for phase in range(4):
-            if np.allclose(m, (1j ** phase) * w, atol=1e-8):
-                return x, z, phase
+    """Find (x, z, phase) with m = i**phase X^x Z^z, by matching every z.
+
+    Column 0 of i**phase X^x Z^z is i**phase |x>: its one nonzero entry
+    gives x by its row and the phase by its value, whatever z is.
+    """
+    row = int(np.argmax(np.abs(m[:, 0])))
+    x = np.array([row >> (n - 1 - q) & 1 for q in range(n)], dtype=np.uint8)
+    phase = int(np.round(np.angle(m[row, 0]) / (np.pi / 2))) % 4
+    for bits in itertools.product((0, 1), repeat=n):
+        z = np.array(bits, dtype=np.uint8)
+        if np.allclose(m, pauli_matrix(x, z, phase), atol=1e-8):
+            return x, z, phase
     raise ValueError("matrix is not a Pauli")
 
 

@@ -392,6 +392,16 @@ class TestSimulate:
         assert "experiment.shots" not in err
         assert not (run / "dataset.jsonl").exists()
 
+    def test_flag_seed_negative_exit2(self, tmp_path, capsys):
+        # ended in exit 3, "simulation failed: expected non-negative integer"
+        run = generate(tmp_path)
+        manifest = (run / "manifest.json").read_bytes()
+        assert main(["simulate", "--run", str(run), "--model", "depolarizing:0.99",
+                     "--seed", "-1"]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (run / "dataset.jsonl").exists()
+        assert (run / "manifest.json").read_bytes() == manifest
+
 
 # dataset row fields of the wrong type: a list m and a histogram pair of
 # one entry ended in a traceback, a float m and a string count were coerced
@@ -551,7 +561,9 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--resamples", "100", "--n", "2",
                      "--out", str(tmp_path / "ext_results.json")]) == 0
 
-    @pytest.mark.parametrize("flag,value", [("--n", "0"), ("--n", "-3"), ("--resamples", "50")])
+    # a negative --seed ended in exit 4, "fit of ... failed"
+    @pytest.mark.parametrize("flag,value", [("--n", "0"), ("--n", "-3"), ("--resamples", "50"),
+                                            ("--seed", "-2")])
     def test_bad_flag_exit2(self, tmp_path, capsys, flag, value):
         path = tmp_path / "ext.jsonl"
         path.write_text(
@@ -566,6 +578,17 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--out", str(results),
                      *(v for item in args.items() for v in item)]) == 2
         assert flag in capsys.readouterr().err
+        assert not results.exists()
+
+    def test_plot_csv_with_several_datasets_exit2(self, tmp_path, capsys):
+        # the flag was ignored and each run got its own <out>_run<i>_plot.csv
+        paths = [self.write_bare_rows(tmp_path / f"d{i}.jsonl", p)
+                 for i, p in enumerate((0.95, 0.9))]
+        results = tmp_path / "results.json"
+        assert main(["analyze", *paths, "--n", "1", "--out", str(results),
+                     "--resamples", "100", "--plot-csv", str(tmp_path / "mine.csv")]) == 2
+        assert "--plot-csv" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
         assert not results.exists()
 
     @pytest.mark.parametrize("rows", [["nan,1", "1,0"], ["1,0", "0,inf"]])

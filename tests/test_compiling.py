@@ -149,7 +149,7 @@ class TestCnotCompile:
 
     def test_singular_matrix_rejected(self):
         m = np.array([[1, 1], [1, 1]], dtype=np.uint8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="singular"):
             compile_cnot_circuit(m, all_to_all(2))
 
     def test_shape_mismatch_rejected(self):

@@ -241,22 +241,29 @@ def test_clifford_work_counts(tmp_path, monkeypatch, name):
     assert counts == WORK_COUNTS[name]
 
 
-# Calls of the compilers' packing and elimination steps while generating a
-# config.  Trials are costed from their gate sequences, so only winners are
-# packed into circuits (DRB: meas once, prep twice for the phase replay and
-# the result; CRB: each element twice, before and after its sign fix), and
-# repeated elimination orders are skipped (at trials 3 every segment would
-# otherwise run 3 outer orders of 3 CNOT eliminations each: 108, not 103).
+# Calls of the compilers' packing, elimination and 1Q-merging steps while
+# generating a config, and the manifest's summed ``segment_trials``.  Trials
+# are costed from their gate sequences, so only winners are packed into
+# circuits (DRB: meas once, prep twice for the phase replay and the result;
+# CRB: each element twice, before and after its sign fix), and repeated
+# elimination orders are skipped (at trials 3 every segment would otherwise
+# run 3 outer orders of 3 CNOT eliminations each: 108, not 103).  Every
+# distinct outer order is merged once to be costed and every winner once
+# more (DRB: 35 orders + 12 segments = 47; CRB: 29 orders + 10 elements =
+# 39), and ``segment_trials`` adds the inner CNOT eliminations to the outer
+# orders (DRB: 35 + 103 = 138).
 COMPILE_COUNTS = {
-    "drb_ring4_c24": {"_pack_layers": 18, "_cnot_ge_ops": 103, "_gge_ops": 0},
-    "crb_ring4_c24": {"_pack_layers": 20, "_cnot_ge_ops": 0, "_gge_ops": 29},
+    "drb_ring4_c24": {"_pack_layers": 18, "_cnot_ge_ops": 103, "_gge_ops": 0,
+                      "_merge_one_qubit_runs": 47, "segment_trials": 138},
+    "crb_ring4_c24": {"_pack_layers": 20, "_cnot_ge_ops": 0, "_gge_ops": 29,
+                      "_merge_one_qubit_runs": 39, "segment_trials": 29},
 }
 
 
 @pytest.mark.parametrize("name", sorted(COMPILE_COUNTS))
 def test_compile_work_counts(tmp_path, monkeypatch, name):
     counts = dict.fromkeys(COMPILE_COUNTS[name], 0)
-    for step in counts:
+    for step in counts.keys() - {"segment_trials"}:
         original = getattr(compiling, step)
 
         def counted(*args, _original=original, _step=step, **kwargs):
@@ -264,5 +271,8 @@ def test_compile_work_counts(tmp_path, monkeypatch, name):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(compiling, step, counted)
-    assert generate_digest(tmp_path, name) == GOLDEN[name]
+    run = generate_run(tmp_path, name)
+    assert circuits_digest(run) == GOLDEN[name]
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    counts["segment_trials"] = sum(sum(c["segment_trials"]) for c in manifest["experiment"]["circuits"])
     assert counts == COMPILE_COUNTS[name]
