@@ -12,24 +12,29 @@ Bit vectors are packed as (x | z): indices [0, n) are X components and
 [n, 2n) are Z components.
 
 Circuits are tracked with one in-place kernel, :class:`PauliRows`, in the
-manner of the CHP tableau (Aaronson & Gottesman, quant-ph/0406196).  It
-holds a stack of Pauli rows ``i**r[k] * W(b[k])``: ``b`` is a (rows, 2n)
-uint8 array in the (x | z) packing, so ``b[:, :n]`` and ``b[:, n:]`` are
-the x and z bit columns, and ``r`` is an int64 vector of i-powers in the
-convention above (X left of Z), reduced mod 4 when read out.  A gate
-conjugates every row at once through a lookup table indexed by the row's
-bits on the gate's qubits, ``e = sum_j c_j 2**j`` over the local (x | z)
-bits c: entry e holds the image's local bits and the power of i the image
-adds to the row's phase.  A 1Q gate's table has 4 entries and CNOT's 16.
-The tables are built on first use from :func:`standard_gate`'s local
-(s, v), so gate definitions live in one place.  The Clifford of a circuit
-is the 2n identity rows W(e_j) carried through it, read back as the
-columns of (s, v).
+manner of the CHP tableau (Aaronson & Gottesman, quant-ph/0406196),
+bit-sliced by column as in Stim (Gidney, arXiv:2103.02202).  It holds a
+stack of Pauli rows ``i**r[k] * W(b[k])`` as Python ints: for each qubit
+q, bit k of ``x[q]`` and of ``z[q]`` is row k's x and z bit there, and
+the power of i mod 4 is held in two bit planes, ``lo`` (bit 0 of every
+row's power) and ``hi`` (bit 1).  Adding powers whose bits are the masks
+``ones`` and ``twos`` is ``hi ^= twos ^ lo & ones; lo ^= ones``: the low
+plane's carry goes into the high one.  A gate updates every row at once
+with a few XORs and ANDs of its qubits' columns.  CNOT is ``x[t] ^=
+x[c]; z[c] ^= z[t]`` and leaves every phase alone in the X-left-of-Z
+convention.  A 1Q gate maps its qubit's (x, z) columns by its local 2 x 2
+bit matrix and adds the power of i its image carries for local X, Z and
+XZ.  The 1Q updates are read on first use from :func:`standard_gate`'s
+local (s, v), and CNOT's rule is checked against it, so gate definitions
+live in one place.  The (rows, 2n) (x | z) matrix ``b`` and the powers
+``r`` are built only when read, as read-only arrays.  The Clifford of a
+circuit is the 2n identity rows W(e_j) carried through it, read back as
+the columns of (s, v).
 
-A :class:`StabilizerState` stores its n generators as one read-only stack
-in the same layout: ``b`` is the (n, 2n) (x | z) matrix and ``r`` the
-phases mod 4, and ``generators`` builds PauliOps from them only when
-asked.  A circuit runs through the row kernel.  Canonicalizing brings
+A :class:`StabilizerState` stores its n generators as the read-only
+arrays a row stack reads out: ``b`` is the (n, 2n) (x | z) matrix and
+``r`` the phases mod 4, and ``generators`` builds PauliOps from them only
+when asked.  A circuit runs through the row kernel.  Canonicalizing brings
 ``b`` to reduced row echelon form over GF(2) and takes each new row's
 phase from the elimination transform by one quadratic form,
 :func:`_product_phases`, which also gives the phases of a Clifford's
@@ -447,10 +452,11 @@ class Circuit:
     def cnot_count(self) -> int:
         return sum(1 for layer in self.layers for g in layer if len(g.qubits) == 2)
 
-    def concat(self, other: "Circuit") -> "Circuit":
-        if self.n != other.n:
+    def concat(self, *others: "Circuit") -> "Circuit":
+        """This circuit followed by ``others``, validated once."""
+        if any(other.n != self.n for other in others):
             raise ValueError("width mismatch")
-        return Circuit(self.n, self.layers + other.layers)
+        return Circuit(self.n, tuple(layer for c in (self, *others) for layer in c.layers))
 
     def __str__(self) -> str:
         return "\n".join("; ".join(str(g) for g in layer) for layer in self.layers)
@@ -467,63 +473,62 @@ _KERNEL_GATES = {
 
 
 @functools.cache
-def _gate_lookup(k: int) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-    """(offsets, table, weights): the lookup tables of every k-qubit gate.
+def _gate_updates() -> dict[str, tuple[int, ...] | None]:
+    """The kernel update of every kernel gate, by name, read on first use
+    from :func:`standard_gate`'s local (s, v).
 
-    Gate ``name`` owns the 4**k rows of ``table`` from ``offsets[name]`` on.
-    Row ``offsets[name] + e`` is for a Pauli row whose local (x | z) bits
-    on the gate's qubits are c, with ``e = c @ weights = sum_j c_j 2**j``:
-    it holds the image's 2k local bits, then the power of i the image adds.
+    A 1Q gate's update is seven masks, each 0 or -1 so that ``col & mask``
+    keeps or drops a column: (xx, xz, zx, zz) give the new columns
+    ``x' = x & xx ^ z & xz`` and ``z' = x & zx ^ z & zz``, and (tx, tz,
+    txz) the rows whose power of i gains 2, ``x & tx ^ z & tz ^ x & z &
+    txz``.  The rows that gain an odd power are ``x' & z' ^ x & z``: the
+    image of a Hermitian row is Hermitian, and ``i**(x.z) W(x, z)`` is.
+    CNOT's update is None: it is ``x_t ^= x_c; z_c ^= z_t`` with no
+    phase.  Both rules are checked here on every local row.
     """
-    weights = 1 << np.arange(2 * k)
-    local = (np.arange(4**k)[:, None] >> np.arange(2 * k)) & 1
-    offsets: dict[str, int] = {}
-    parts = []
-    for i, name in enumerate(_KERNEL_GATES[k]):
-        op = standard_gate(name, tuple(range(k)), k)
-        offsets[name] = i * 4**k
-        parts.append(np.column_stack([(local @ op.s.T.astype(np.int64)) % 2, op._phase_of(local)]))
-    return offsets, np.concatenate(parts).astype(np.uint8), weights
-
-
-def _conjugate_rows(b: np.ndarray, r: np.ndarray, gates: Iterable[GateLabel], n: int):
-    """Conjugate every row of ``(b, r)`` in place by the gates of one layer.
-
-    The gates act on disjoint qubits, so their order does not matter and
-    all gates with the same number of qubits go through one table lookup.
-    """
-    groups: dict[int, tuple[list[tuple[int, ...]], list[str]]] = {}
-    for gate in gates:
-        q = gate.qubits
-        cols, names = groups.setdefault(len(q), ([], []))
-        cols.append((*q, *(n + j for j in q)))
-        names.append(gate.name)
-    for k, (cols, names) in groups.items():
-        try:
-            offsets, table, weights = _gate_lookup(k)
-            start = [offsets[name] for name in names]
-        except KeyError:
-            for name, c in zip(names, cols):
-                standard_gate(name, c[:k], n)  # raises the gate's own error
-            raise  # pragma: no cover
-        cols = np.array(cols)
-        idx = b[:, cols] @ weights
-        idx += start
-        image = table[idx]
-        b[:, cols] = image[..., :-1]
-        r += image[..., -1].sum(axis=1, dtype=np.int64)
+    updates: dict[str, tuple[int, ...] | None] = {}
+    for k, names in _KERNEL_GATES.items():
+        local = (np.arange(4**k)[:, None] >> np.arange(2 * k)) & 1
+        for name in names:
+            op = standard_gate(name, tuple(range(k)), k)
+            image = (local @ op.s.T.astype(np.int64)) % 2
+            phase = op._phase_of(local)
+            if k == 2:
+                # local columns (x_c, x_t, z_c, z_t)
+                want = local.copy()
+                want[:, 1] ^= local[:, 0]
+                want[:, 2] ^= local[:, 3]
+                if not np.array_equal(image, want) or np.any(phase):
+                    raise RuntimeError("CNOT is not x_t ^= x_c, z_c ^= z_t without phase")
+                updates[name] = None
+                continue
+            if np.any(phase & 1 != (image[:, 0] & image[:, 1]) ^ (local[:, 0] & local[:, 1])):
+                raise RuntimeError(f"{name} breaks the odd-phase rule")
+            # local rows 1, 2, 3 are X, Z and XZ; XZ's image bits are the XOR
+            # of the other two, and a bit t3 splits as t1 ^ t2 ^ (t1^t2^t3)
+            twos = phase >> 1
+            updates[name] = tuple(-int(bit) for bit in (
+                image[1, 0], image[2, 0], image[1, 1], image[2, 1],
+                twos[1], twos[2], twos[1] ^ twos[2] ^ twos[3],
+            ))
+    return updates
 
 
 class PauliRows:
-    """A stack of Pauli rows ``i**r[k] * W(b[k])``, conjugated in place gate
-    by gate (see the module docstring for the layout)."""
+    """A stack of Pauli rows ``i**r[k] * W(b[k])``, bit-sliced into Python
+    ints and conjugated in place gate by gate (see the module docstring for
+    the layout).  ``b`` and ``r`` are read-only arrays built on each read."""
 
-    __slots__ = ("n", "b", "r")
+    __slots__ = ("n", "count", "x", "z", "lo", "hi")
 
     def __init__(self, n: int, b: np.ndarray, r: Sequence[int] | np.ndarray):
         self.n = int(n)
-        self.b = np.array(b, dtype=np.uint8)
-        self.r = np.array(r, dtype=np.int64)
+        b = np.asarray(b, dtype=np.uint8)
+        r = np.asarray(r, dtype=np.int64) % 4
+        self.count = len(b)
+        columns = _pack_rows(b.T)
+        self.x, self.z = columns[:self.n], columns[self.n:]
+        self.lo, self.hi = _pack_rows([r & 1, r >> 1])
 
     @classmethod
     def of(cls, paulis: Sequence[PauliOp]) -> "PauliRows":
@@ -536,26 +541,75 @@ class PauliRows:
 
     def apply_layer(self, gates: Iterable[GateLabel]):
         """Conjugate every row by the gates of one layer (disjoint qubits)."""
-        _conjugate_rows(self.b, self.r, gates, self.n)
+        updates = _gate_updates()
+        x, z, lo, hi = self.x, self.z, self.lo, self.hi
+        try:
+            for gate in gates:
+                update = updates[gate.name]
+                if update is None:
+                    c, t = gate.qubits
+                    x[t] ^= x[c]
+                    z[c] ^= z[t]
+                    continue
+                (q,) = gate.qubits
+                xx, xz, zx, zz, tx, tz, txz = update
+                cx, cz = x[q], z[q]
+                both = cx & cz
+                x[q] = nx = cx & xx ^ cz & xz
+                z[q] = nz = cx & zx ^ cz & zz
+                ones = nx & nz ^ both
+                hi ^= cx & tx ^ cz & tz ^ both & txz ^ lo & ones
+                lo ^= ones
+        except (KeyError, ValueError):
+            standard_gate(gate.name, gate.qubits, self.n)  # raises the gate's own error
+            raise
+        self.lo, self.hi = lo, hi
 
     def apply_circuit(self, circuit: Circuit):
+        """Conjugate every row by each layer of ``circuit``, which must
+        have the rows' width."""
+        if circuit.n != self.n:
+            raise ValueError("qubit-count mismatch")
         for layer in circuit.layers:
-            _conjugate_rows(self.b, self.r, layer, self.n)
+            self.apply_layer(layer)
 
     def multiply_row(self, k: int, p: PauliOp):
         """Row k becomes ``p`` times row k."""
-        n = self.n
+        bit = 1 << k
+        xs, zs = np.flatnonzero(p.x), np.flatnonzero(p.z)
         # W(a) W(b) = i**(2 a_z.b_x) W(a xor b)
-        self.r[k] += p.phase + 2 * int(p.z @ self.b[k, :n])
-        self.b[k] ^= p.vec
+        power = p.phase + 2 * sum(self.x[q] >> k & 1 for q in zs)
+        for q in xs:
+            self.x[q] ^= bit
+        for q in zs:
+            self.z[q] ^= bit
+        ones = bit if power & 1 else 0
+        self.hi ^= (bit if power & 2 else 0) ^ self.lo & ones
+        self.lo ^= ones
+
+    @property
+    def b(self) -> np.ndarray:
+        """The (rows, 2n) (x | z) bit matrix."""
+        b = _unpack_rows([*self.x, *self.z], self.count).T
+        b.setflags(write=False)
+        return b
+
+    @property
+    def r(self) -> np.ndarray:
+        """The rows' powers of i, mod 4."""
+        lo, hi = _unpack_rows([self.lo, self.hi], self.count).astype(np.int64)
+        r = lo + 2 * hi
+        r.setflags(write=False)
+        return r
 
     def pauli(self, k: int) -> PauliOp:
         n = self.n
-        return PauliOp(n, self.b[k, :n], self.b[k, n:], int(self.r[k]))
+        bits = [c >> k & 1 for c in (*self.x, *self.z)]
+        return PauliOp(n, bits[:n], bits[n:], (self.lo >> k & 1) + 2 * (self.hi >> k & 1))
 
     def clifford(self) -> CliffordOp:
         """The Clifford whose columns are these 2n rows."""
-        return CliffordOp(self.n, self.b.T, self.r % 4, validate=False)
+        return CliffordOp(self.n, _unpack_rows([*self.x, *self.z], self.count), self.r, validate=False)
 
 
 def layer_to_clifford(layer: Layer, n: int) -> CliffordOp:
@@ -644,9 +698,9 @@ class StabilizerState:
     """An n-qubit stabilizer state given by n independent commuting generators.
 
     Each generator is a Hermitian Pauli with eigenvalue +1 on the state.
-    The generators are one read-only row stack in the :class:`PauliRows`
-    layout: row k of the (n, 2n) uint8 matrix ``b`` is generator k's
-    (x | z) vector and ``r[k]`` its power of i, mod 4.
+    The generators are stored as the read-only arrays a :class:`PauliRows`
+    stack reads out: row k of the (n, 2n) uint8 matrix ``b`` is generator
+    k's (x | z) vector and ``r[k]`` its power of i, mod 4.
     """
 
     __slots__ = ("n", "b", "r")
@@ -711,8 +765,8 @@ class StabilizerState:
         return StabilizerState.from_rows(image, self.r + c._phase_of(self.b))
 
     def apply_circuit(self, circuit: Circuit) -> "StabilizerState":
-        """The state after ``circuit``, its generators carried through the
-        row kernel layer by layer."""
+        """The state after ``circuit`` (of the state's width), its
+        generators carried through the row kernel layer by layer."""
         rows = PauliRows(self.n, self.b, self.r)
         rows.apply_circuit(circuit)
         return StabilizerState.from_rows(rows.b, rows.r)

@@ -268,20 +268,24 @@ def _expand_ops(ops: list[tuple[str, tuple[int, ...]]], order: list[int], device
     return seq
 
 
-def _elimination_orders(device: DeviceSpec, trials: int, digest: int) -> list[list[int]]:
-    """The distinct elimination orders to try, in draw order.
+def _elimination_orders(eccs: list[int], trials: int, digest: int) -> list[list[int]]:
+    """The distinct elimination orders to try, in draw order, on a device
+    whose qubits have eccentricities ``eccs``.
 
-    All ``trials - 1`` random orders are drawn, so the stream never
-    depends on which repeat; a repeat is dropped because it would rebuild
-    the same candidate, and ``min`` keeps the first of equal candidates.
+    The first is the device's eccentricity order (most peripheral first,
+    ties by index).  All ``trials - 1`` random orders are drawn, so the
+    stream never depends on which repeat; a repeat is dropped because it
+    would rebuild the same candidate, and ``min`` keeps the first of equal
+    candidates.
     """
-    first = device.eccentricity_order()
+    n = len(eccs)
+    first = sorted(range(n), key=lambda q: (-eccs[q], q))
     orders = [first]
     seen = {tuple(first)}
     # leading key 0: the stream every pinned golden circuit was drawn from
     rng = stream(0, "compile-orders", digest)
     for _ in range(trials - 1):
-        order = tuple(int(q) for q in rng.permutation(device.n))
+        order = tuple(int(q) for q in rng.permutation(n))
         if order not in seen:
             seen.add(order)
             orders.append(list(order))
@@ -317,13 +321,15 @@ def _cnot_ge_ops(w: list[int]) -> list[tuple[str, tuple[int, int]]]:
     return ops
 
 
-def _cnot_sequence(rows: list[int], device: DeviceSpec, options: CompileOptions) -> tuple[list[GateLabel], int]:
+def _cnot_sequence(
+    rows: list[int], device: DeviceSpec, eccs: list[int], options: CompileOptions
+) -> tuple[list[GateLabel], int]:
     """The cheapest device gate sequence realizing |x> -> |m x> over the
     elimination orders, for m given as int rows, and the number of orders
-    evaluated."""
+    evaluated; ``eccs`` are the device's qubit eccentricities."""
     n = device.n
     digest = _digest(bytes(row >> j & 1 for row in rows for j in range(n)))
-    orders = _elimination_orders(device, options.trials, digest)
+    orders = _elimination_orders(eccs, options.trials, digest)
     candidates = (_expand_ops(_cnot_ge_ops(_permuted(rows, order)), order, device) for order in orders)
     return min(candidates, key=lambda seq: _sequence_cost(seq, n, options.cost)), len(orders)
 
@@ -341,7 +347,7 @@ def compile_cnot_circuit(matrix: np.ndarray, device: DeviceSpec, options: Compil
     if m.shape != (n, n):
         raise ValueError(f"matrix must be {n} x {n} for this device")
     # _cnot_ge_ops raises on a singular matrix
-    seq, _ = _cnot_sequence(_pack_rows(m), device, options)
+    seq, _ = _cnot_sequence(_pack_rows(m), device, device.eccentricities(), options)
     return _pack_layers(seq, n)
 
 
@@ -371,8 +377,9 @@ def _one_qubit_products() -> tuple[tuple[int, ...], ...]:
     for a in range(len(table)):
         rows = PauliRows(1, columns, phases)
         rows.apply_layer((GateLabel(f"C{a}", (0,)),))
+        bits, powers = rows.b, rows.r
         product.append(tuple(
-            position[rows.b[2 * b:2 * b + 2].T.tobytes(), (rows.r[2 * b:2 * b + 2] % 4).tobytes()]
+            position[bits[2 * b:2 * b + 2].T.tobytes(), powers[2 * b:2 * b + 2].tobytes()]
             for b in range(len(table))
         ))
     return tuple(product)
@@ -552,7 +559,7 @@ def compile_clifford(
         raise ValueError("operator and device disagree on qubit count")
     digest = _digest(op.s.tobytes(), op.v.tobytes())
     rows = _pack_rows(op.s)
-    orders = _elimination_orders(device, options.trials, digest)
+    orders = _elimination_orders(device.eccentricities(), options.trials, digest)
     seqs = (_expand_ops(_gge_ops(_permuted(rows, [*order, *(n + q for q in order)]), n), order, device)
             for order in orders)
     candidates = ((seq, _merge_one_qubit_runs(seq, device)) for seq in seqs)
@@ -625,10 +632,13 @@ def _conjugate_bits(rows: list[int], gates: list[GateLabel], n: int):
             raise ValueError(f"bit tracking takes H, P and CNOT, not {gate.name!r}")
 
 
-def _meas_sequence(rows: list[int], device: DeviceSpec, options: CompileOptions) -> tuple[list[GateLabel], int]:
+def _meas_sequence(
+    rows: list[int], device: DeviceSpec, eccs: list[int], options: CompileOptions
+) -> tuple[list[GateLabel], int]:
     """Gates mapping the state whose generators have (x | z) int rows
     ``rows`` to a computational basis state, in the form [1Q block][CNOT
-    block][1Q block], and the number of CNOT eliminations run.
+    block][1Q block], and the number of CNOT eliminations run; ``eccs``
+    are the device's qubit eccentricities.
 
     Gate choice reads only the bits, so the rows are tracked without
     phases; the caller replays the chosen gates with phases.
@@ -656,7 +666,7 @@ def _meas_sequence(rows: list[int], device: DeviceSpec, options: CompileOptions)
     emit([_gate("P", (q,)) for q in range(n) if flips[q]])
     # A CNOT word with column action M on the X block (|x> -> |M^T x>)
     # takes both blocks to M.
-    cnots, trials = _cnot_sequence(mt, device, options)
+    cnots, trials = _cnot_sequence(mt, device, eccs, options)
     emit(cnots)
     if rows != [r | r << n for r in m]:
         raise RuntimeError("CNOT stage did not align the X and Z blocks")
@@ -675,14 +685,17 @@ def _best_meas_sequence(
     canon = state.canonicalize()
     digest = _digest(canon.b.tobytes(), canon.r.tobytes())
     rows = _pack_rows(state.b)
-    orders = _elimination_orders(device, options.trials, digest)
+    eccs = device.eccentricities()
+    orders = _elimination_orders(eccs, options.trials, digest)
     candidates = []
     for order in orders:
         pos = [0] * n
         for k, q in enumerate(order):
             pos[q] = k
         idx = [*order, *(n + q for q in order)]
-        seq, inner = _meas_sequence([_gather_bits(r, idx) for r in rows], _relabeled_device(device, pos), options)
+        # new label k is qubit order[k], at the same eccentricity
+        seq, inner = _meas_sequence([_gather_bits(r, idx) for r in rows], _relabeled_device(device, pos),
+                                    [eccs[q] for q in order], options)
         candidates.append(([_gate(g.name, tuple(order[q] for q in g.qubits)) for g in seq], inner))
     best_seq, _ = min(candidates,
                       key=lambda c: _sequence_cost(_merge_one_qubit_runs(c[0], device), n, options.cost))

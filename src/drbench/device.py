@@ -129,14 +129,19 @@ class DeviceSpec:
             path.append(found[path[-1]][0])
         return path[::-1]
 
-    def eccentricity_order(self) -> list[int]:
-        """Qubits from most to least peripheral, ties by index."""
+    def eccentricities(self) -> list[int]:
+        """Each qubit's greatest distance to another qubit along undirected
+        links (n when some qubit is out of reach), one search per qubit."""
         eccs = []
         for q in range(self.n):
             found = self._search(q)
-            ecc = max(d for _, d in found.values()) if len(found) == self.n else self.n
-            eccs.append((-(ecc), q))
-        return [q for _, q in sorted(eccs)]
+            eccs.append(max(d for _, d in found.values()) if len(found) == self.n else self.n)
+        return eccs
+
+    def eccentricity_order(self) -> list[int]:
+        """Qubits from most to least peripheral, ties by index."""
+        eccs = self.eccentricities()
+        return sorted(range(self.n), key=lambda q: (-eccs[q], q))
 
 
 def all_to_all(n: int, gate_set: str = "C24") -> DeviceSpec:

@@ -9,6 +9,7 @@ returned.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,9 +129,10 @@ class BenchmarkCircuit:
     element_depths: tuple[int, ...] = ()
     segment_trials: tuple[int, int, int] = field(default=(0, 0, 0), compare=False)
 
-    @property
+    @functools.cached_property
     def full_circuit(self) -> Circuit:
-        return self.prep.concat(self.core).concat(self.meas)
+        """prep, core and meas as one circuit, built and validated once."""
+        return self.prep.concat(self.core, self.meas)
 
     @property
     def target_bits(self) -> np.ndarray:
@@ -183,9 +185,10 @@ def generate_drb_circuit(
                 core_layers.extend(block.layers)
     # the state the measurement stage must rotate, frame included:
     # conjugating by the frame flips the generators it anticommutes with
-    acc_x, acc_z = rows.b[n, :n], rows.b[n, n:]
-    rows.r[:n] += 2 * ((rows.b[:n, :n] @ acc_z + rows.b[:n, n:] @ acc_x) % 2)
-    state = StabilizerState.from_rows(rows.b[:n], rows.r[:n])
+    b = rows.b
+    acc_x, acc_z = b[n, :n], b[n, n:]
+    flips = (b[:n, :n] @ acc_z + b[:n, n:] @ acc_x) % 2
+    state = StabilizerState.from_rows(b[:n], rows.r[:n] + 2 * flips)
     meas, bits, meas_stats = compile_stabilizer_meas(state, device, design.compile_options)
     if frames is not None and not design.emit_frame_gates:
         meas = fold_pauli_before_circuit(meas, acc_x, acc_z, device)
@@ -226,13 +229,13 @@ def generate_crb_circuit(
         net = compose(op, net)
     elements.append(invert(net))
 
-    core = Circuit(n, ())
+    subs = []
     cnots = []
     depths = []
     trials = 0
     for op in elements:
         sub, stats = compile_clifford(op, device, design.compile_options)
-        core = core.concat(sub)
+        subs.append(sub)
         cnots.append(stats.cnots)
         depths.append(stats.depth)
         trials += stats.trials
@@ -242,7 +245,7 @@ def generate_crb_circuit(
         n=n,
         length=m,
         prep=Circuit(n, ()),
-        core=core,
+        core=Circuit(n, ()).concat(*subs),
         meas=Circuit(n, ()),
         target=(0,) * n,
         seed=(design.seed, m, index),

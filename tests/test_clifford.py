@@ -15,6 +15,7 @@ from drbench.clifford import (
     PauliOp,
     PauliRows,
     StabilizerState,
+    _KERNEL_GATES,
     apply_clifford,
     circuit_to_clifford,
     compose,
@@ -321,6 +322,13 @@ class TestStabilizerState:
             assert np.isclose(np.trace(rho), 1.0)
             assert oracles.states_equal_dense(state, state.canonicalize())
 
+    def test_circuit_of_another_width_rejected(self):
+        state = StabilizerState.zero_state(3)
+        for circ in (Circuit(2, ((GateLabel("H", (0,)),),)),
+                     Circuit(4, ((GateLabel("CNOT", (0, 3)),),))):
+            with pytest.raises(ValueError, match="qubit-count mismatch"):
+                state.apply_circuit(circ)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             StabilizerState([PauliOp.from_label("XI"), PauliOp.from_label("ZI")])
@@ -428,6 +436,18 @@ class TestStabilizerRows:
         assert is_eigenstate(state, p) == in_row_space
 
 
+@st.composite
+def row_stacks(draw, n: int) -> list[PauliOp]:
+    """Stacks of 1 to 130 rows, so the bit-sliced columns cross 64-bit
+    word boundaries: each row is one of a few distinct Paulis with its
+    phase shifted."""
+    pool = draw(st.lists(paulis(n), min_size=1, max_size=6))
+    count = draw(st.integers(1, 130))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 3)),
+                          min_size=count, max_size=count))
+    return [PauliOp(n, p.x, p.z, p.phase + shift) for p, shift in picks]
+
+
 class TestRowKernel:
     """The in-place row-stack kernel against dense conjugation."""
 
@@ -435,13 +455,27 @@ class TestRowKernel:
     @given(st.data())
     def test_rows_match_dense_conjugation(self, data):
         circ = data.draw(random_circuits())
-        rows_in = data.draw(st.lists(paulis(circ.n), min_size=1, max_size=2))
+        rows_in = data.draw(row_stacks(circ.n))
         rows = PauliRows.of(rows_in)
         rows.apply_circuit(circ)
         u = oracles.circuit_unitary(circ)
-        for k, p in enumerate(rows_in):
+        images = {}
+        for p in set(rows_in):
             x, z, phase = oracles.decompose_pauli(u @ oracles.pauli_op_matrix(p) @ u.conj().T, circ.n)
-            assert rows.pauli(k) == PauliOp(circ.n, x, z, phase)
+            images[p] = PauliOp(circ.n, x, z, phase)
+        assert [rows.pauli(k) for k in range(len(rows_in))] == [images[p] for p in rows_in]
+        assert rows.b.tolist() == [images[p].vec.tolist() for p in rows_in]
+        assert rows.r.tolist() == [images[p].phase for p in rows_in]
+
+    def test_every_kernel_gate_on_identity_rows_is_the_standard_gate(self):
+        assert ONE_QUBIT_NAMES == _KERNEL_GATES[1] and _KERNEL_GATES[2] == ("CNOT",)
+        for n in (1, 2, 3):
+            for q in range(n):
+                for name in ONE_QUBIT_NAMES:
+                    assert layer_to_clifford((GateLabel(name, (q,)),), n) == standard_gate(name, (q,), n)
+        for n in (2, 3):
+            for pair in itertools.permutations(range(n), 2):
+                assert layer_to_clifford((GateLabel("CNOT", pair),), n) == standard_gate("CNOT", pair, n)
 
     def test_identity_rows_give_the_layer_clifford(self):
         layer = (GateLabel("C5", (0,)), GateLabel("CNOT", (2, 1)))
@@ -461,6 +495,32 @@ class TestRowKernel:
         rows = PauliRows.of([b])
         rows.multiply_row(0, a)
         assert rows.pauli(0) == a * b
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_multiply_row_in_a_stack_matches_pauli_product(self, data):
+        n = data.draw(st.integers(1, 4))
+        rows_in = data.draw(row_stacks(n))
+        k = data.draw(st.integers(0, len(rows_in) - 1))
+        p = data.draw(paulis(n))
+        rows = PauliRows.of(rows_in)
+        rows.multiply_row(k, p)
+        want = [p * row if i == k else row for i, row in enumerate(rows_in)]
+        assert [rows.pauli(i) for i in range(len(rows_in))] == want
+
+    def test_circuit_of_another_width_rejected(self):
+        for circ in (Circuit(2, ((GateLabel("H", (0,)),),)),
+                     Circuit(4, ((GateLabel("CNOT", (0, 3)),),))):
+            with pytest.raises(ValueError, match="qubit-count mismatch"):
+                PauliRows.identity(3).apply_circuit(circ)
+
+    def test_b_and_r_are_read_only(self):
+        rows = PauliRows.of([PauliOp.from_label("XZ"), PauliOp.from_label("-YI")])
+        with pytest.raises(ValueError, match="read-only"):
+            rows.b[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            rows.r[:1] += 2
+        assert rows.pauli(0) == PauliOp.from_label("XZ")
 
 
 class TestBatchedAlgebra:

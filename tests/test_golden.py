@@ -14,7 +14,8 @@ import pytest
 
 from drbench import compiling
 from drbench.cli import main
-from drbench.clifford import CliffordOp, PauliOp, StabilizerState
+from drbench.clifford import CliffordOp, PauliOp, PauliRows, StabilizerState
+from drbench.device import DeviceSpec
 from drbench.io import circuit_from_text, design_from_config
 
 CONFIGS = {
@@ -215,21 +216,28 @@ def test_every_cnot_on_a_declared_edge(tmp_path, name):
 # row stacks, and reads each sampled state straight off its Clifford, so it
 # makes none; CRB composes its sampled elements, fixes each compiled
 # element's signs with one compose and reads each fix as a Pauli.  A return
-# to per-Pauli tracking shows up here as a count.
+# to per-Pauli tracking shows up here as a count.  PauliRows.apply_layer
+# counts the layers the row kernel conjugates by: DRB tracking, the prep,
+# meas and composition replays, and CRB's two replays per element (the 1Q
+# product table, built once per process, is built before counting).
 WORK_COUNTS = {
     "drb_ring4_c24": {"CliffordOp.conjugate_pauli": 0, "CliffordOp.compose": 0,
-                      "PauliOp.__init__": 0, "PauliOp.__mul__": 0, "StabilizerState.apply": 0},
+                      "PauliOp.__init__": 0, "PauliOp.__mul__": 0, "StabilizerState.apply": 0,
+                      "PauliRows.apply_layer": 266},
     "crb_ring4_c24": {"CliffordOp.conjugate_pauli": 0, "CliffordOp.compose": 16,
-                      "PauliOp.__init__": 10, "PauliOp.__mul__": 0, "StabilizerState.apply": 0},
+                      "PauliOp.__init__": 10, "PauliOp.__mul__": 0, "StabilizerState.apply": 0,
+                      "PauliRows.apply_layer": 933},
 }
 
 
 @pytest.mark.parametrize("name", sorted(WORK_COUNTS))
 def test_clifford_work_counts(tmp_path, monkeypatch, name):
     counts = dict.fromkeys(WORK_COUNTS[name], 0)
+    compiling._one_qubit_products()
     for key in counts:
         cls_name, method = key.split(".")
-        cls = {"CliffordOp": CliffordOp, "PauliOp": PauliOp, "StabilizerState": StabilizerState}[cls_name]
+        cls = {"CliffordOp": CliffordOp, "PauliOp": PauliOp, "PauliRows": PauliRows,
+               "StabilizerState": StabilizerState}[cls_name]
         original = getattr(cls, method)
 
         def counted(*args, _original=original, _key=key, **kwargs):
@@ -251,12 +259,18 @@ def test_clifford_work_counts(tmp_path, monkeypatch, name):
 # distinct outer order is merged once to be costed and every winner once
 # more (DRB: 35 orders + 12 segments = 47; CRB: 29 orders + 10 elements =
 # 39), and ``segment_trials`` adds the inner CNOT eliminations to the outer
-# orders (DRB: 35 + 103 = 138).
+# orders (DRB: 35 + 103 = 138).  ``DeviceSpec._search`` counts breadth-first
+# searches with the CNOT-realization cache emptied first: the eccentricities
+# take one per qubit once per compile (4 x 12 DRB segments, 4 x 10 CRB
+# elements), not once per relabeled device, and the rest are shortest
+# paths and the config's connectivity check.
 COMPILE_COUNTS = {
     "drb_ring4_c24": {"_pack_layers": 18, "_cnot_ge_ops": 103, "_gge_ops": 0,
-                      "_merge_one_qubit_runs": 47, "segment_trials": 138},
+                      "_merge_one_qubit_runs": 47, "segment_trials": 138,
+                      "DeviceSpec._search": 65},
     "crb_ring4_c24": {"_pack_layers": 20, "_cnot_ge_ops": 0, "_gge_ops": 29,
-                      "_merge_one_qubit_runs": 39, "segment_trials": 29},
+                      "_merge_one_qubit_runs": 39, "segment_trials": 29,
+                      "DeviceSpec._search": 44},
 }
 
 
@@ -264,13 +278,15 @@ COMPILE_COUNTS = {
 def test_compile_work_counts(tmp_path, monkeypatch, name):
     counts = dict.fromkeys(COMPILE_COUNTS[name], 0)
     for step in counts.keys() - {"segment_trials"}:
-        original = getattr(compiling, step)
+        owner, attr = (DeviceSpec, "_search") if step == "DeviceSpec._search" else (compiling, step)
+        original = getattr(owner, attr)
 
         def counted(*args, _original=original, _step=step, **kwargs):
             counts[_step] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(compiling, step, counted)
+        monkeypatch.setattr(owner, attr, counted)
+    compiling._cnot_realization.cache_clear()
     run = generate_run(tmp_path, name)
     assert circuits_digest(run) == GOLDEN[name]
     manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
