@@ -127,9 +127,16 @@ def _inverse_variance(p, shots):
     return 1.0 / (np.maximum(p * (1.0 - p), 0.25 / shots) / shots)
 
 
+def _check_covered(lengths, table: dict, what: str) -> None:
+    """A ValueError naming the lengths that ``table`` has no entry for."""
+    if missing := sorted(m for m in lengths if m not in table):
+        raise ValueError(f"{what} missing for lengths {missing}")
+
+
 def binomial_weights(points: dict[int, float], shots_by_length: dict[int, int]) -> dict[int, float]:
     """Inverse binomial-variance weights, floored so P_m in {0, 1} cannot
     produce an infinite weight."""
+    _check_covered(points, shots_by_length, "shot counts")
     out = {}
     for m, p in points.items():
         if shots_by_length[m] <= 0:
@@ -390,6 +397,7 @@ def fit_decay(points: dict[int, float], weights: dict[int, float] | None = None,
     if weights is None:
         w = np.ones_like(ys)
     else:
+        _check_covered(lengths, weights, "weights")
         w = np.array([weights[m] for m in lengths], dtype=float)
         if np.any(w <= 0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be positive and finite")

@@ -29,7 +29,10 @@ local (s, v), and CNOT's rule is checked against it, so gate definitions
 live in one place.  The (rows, 2n) (x | z) matrix ``b`` and the powers
 ``r`` are built only when read, as read-only arrays.  The Clifford of a
 circuit is the 2n identity rows W(e_j) carried through it, read back as
-the columns of (s, v).
+the columns of (s, v).  ``apply_layer`` applies its gates in order, so
+it takes whole gate sequences too.  Every conjugation of Pauli rows by
+gates in ``generate`` runs here: DRB tracking, circuit Cliffords, and
+the compilers' stage checks, replays and sign fixes.
 
 A :class:`StabilizerState` stores its n generators as the read-only
 arrays a row stack reads out: ``b`` is the (n, 2n) (x | z) matrix and
@@ -271,24 +274,6 @@ class CliffordOp:
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.s, np.eye(2 * self.n, dtype=np.uint8)) and np.all(self.v == 0))
 
-    @property
-    def is_pauli(self) -> bool:
-        """True when the action is conjugation by a Pauli (s is the identity)."""
-        return bool(np.array_equal(self.s, np.eye(2 * self.n, dtype=np.uint8)))
-
-    def pauli_part(self) -> PauliOp:
-        """For an s = identity Clifford, the Pauli whose conjugation it equals."""
-        if not self.is_pauli:
-            raise ValueError("Clifford is not a Pauli conjugation")
-        n = self.n
-        # Conjugation by W(q) flips the sign of W(e_j) iff <q, e_j> = 1, so
-        # v[j] = 2 <q, e_j> and q = Lambda (v / 2).
-        half = (self.v // 2).astype(np.uint8)
-        q = (_lambda_matrix(n).astype(np.int64) @ half) % 2
-        x = q[:n].astype(np.uint8)
-        z = q[n:].astype(np.uint8)
-        return PauliOp(n, x, z, int(x @ z) % 2)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordOp):
             return NotImplemented
@@ -421,6 +406,11 @@ class GateLabel:
 Layer = tuple[GateLabel, ...]
 
 
+def _layer_text(layer: Iterable[GateLabel]) -> str:
+    """One layer as a line of circuit text: its gates joined by "; "."""
+    return "; ".join(str(g) for g in layer)
+
+
 @dataclass(frozen=True)
 class Circuit:
     """A fixed-width circuit: a tuple of layers of non-overlapping gates."""
@@ -459,7 +449,7 @@ class Circuit:
         return Circuit(self.n, tuple(layer for c in (self, *others) for layer in c.layers))
 
     def __str__(self) -> str:
-        return "\n".join("; ".join(str(g) for g in layer) for layer in self.layers)
+        return "\n".join(_layer_text(layer) for layer in self.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +525,26 @@ class PauliRows:
         return cls(paulis[0].n, np.stack([p.vec for p in paulis]), [p.phase for p in paulis])
 
     @classmethod
+    def from_columns(cls, count: int, x: Sequence[int], z: Sequence[int]) -> "PauliRows":
+        """``count`` rows with power of i 0, given by their columns: bit k
+        of ``x[q]`` and of ``z[q]`` is row k's x and z bit on qubit q."""
+        rows = cls.__new__(cls)
+        rows.n, rows.count = len(x), count
+        rows.x, rows.z = list(x), list(z)
+        rows.lo = rows.hi = 0
+        return rows
+
+    @classmethod
     def identity(cls, n: int) -> "PauliRows":
         """The 2n rows W(e_j), whose images under a Clifford are its columns."""
-        return cls(n, np.eye(2 * n, dtype=np.uint8), np.zeros(2 * n, dtype=np.int64))
+        return cls.from_columns(2 * n, [1 << q for q in range(n)], [1 << (n + q) for q in range(n)])
 
     def apply_layer(self, gates: Iterable[GateLabel]):
-        """Conjugate every row by the gates of one layer (disjoint qubits)."""
+        """Conjugate every row by ``gates``, applied in order.
+
+        The gates may overlap, so a whole gate sequence can be passed; a
+        layer is the case where their qubits are disjoint.
+        """
         updates = _gate_updates()
         x, z, lo, hi = self.x, self.z, self.lo, self.hi
         try:

@@ -25,23 +25,26 @@ order ``_elimination_orders`` draws them, and keeps ``min(candidates,
 key=cost)``: the first of the cheapest, so a tie never replaces an
 earlier candidate.  A stabilizer compile also runs a CNOT search of its
 own inside every order.  A trial reads only GF(2) bits, so it works on
-Python-int rows (bit j of a row is column j; row operations are XORs and
-the CHP-style gate updates are shifts, in the manner of Aaronson &
-Gottesman, quant-ph/0406196), and it never builds a Circuit: its cost key
-(cnots, depth, gates) is read off a gate sequence, with depth by the
-same greedy earliest-layer rule that ``_pack_layers`` uses, so the key
-equals that of the packed sequence.  ``compile_clifford`` and the
-stabilizer search cost a candidate's sequence after its 1Q runs are
-merged; the CNOT search costs its sequence unmerged, as
-``compile_cnot_circuit`` emits it.  New candidates, from other
-synthesis methods, join the same list and compete under the same key.
-Only the winner is packed and validated as a Circuit, and only the
-winner is replayed with phases: the Clifford compiler derives its Pauli
-sign fix from it and checks the result against the target; prep and
-meas circuits are checked by carrying the state through them.  An order
-that repeats an earlier one is drawn (so the stream does not change) but
-not evaluated: it would rebuild the same candidate, which cannot come
-first among the cheapest, so skipping it cannot change any circuit.
+Python-int rows (bit j of a row is column j; row operations are XORs),
+and it never builds a Circuit: its cost key (cnots, depth, gates) is
+read off a gate sequence, with depth by the same greedy earliest-layer
+rule that ``_pack_layers`` uses, so the key equals that of the packed
+sequence.  ``compile_clifford`` and the stabilizer search cost a
+candidate's sequence after its 1Q runs are merged; the CNOT search costs
+its sequence unmerged, as ``compile_cnot_circuit`` emits it.  New
+candidates, from other synthesis methods, join the same list and compete
+under the same key.  An order that repeats an earlier one is drawn (so
+the stream does not change) but not evaluated: it would rebuild the same
+candidate, which cannot come first among the cheapest, so skipping it
+cannot change any circuit.
+
+Every conjugation of Pauli rows by gates runs on the row kernel,
+``PauliRows`` (CHP-style, Aaronson & Gottesman, quant-ph/0406196), one
+call per gate sequence: each stabilizer candidate's CNOT-stage check and
+the winner's replay with phases.  The Clifford compiler reads its Pauli
+sign fix off the replay's phase difference to the target, the prep
+compiler solves its fix from canonical forms, and only the emitted
+circuit is packed, then checked against its target.
 """
 
 from __future__ import annotations
@@ -63,8 +66,6 @@ from .clifford import (
     _gf2_rref,
     _pack_rows,
     circuit_to_clifford,
-    compose,
-    invert,
     one_qubit_clifford_table,
     standard_gate,
 )
@@ -564,11 +565,12 @@ def compile_clifford(
             for order in orders)
     candidates = ((seq, _merge_one_qubit_runs(seq, device)) for seq in seqs)
     best_seq, best_merged = min(candidates, key=lambda c: _sequence_cost(c[1], n, options.cost))
-    # one Pauli correction fixes the phase vector
-    realized = circuit_to_clifford(_pack_layers(best_merged, n))
-    fix = compose(invert(realized), op)
-    pauli = fix.pauli_part()
-    seq = _pauli_gates(pauli.x, pauli.z) + best_seq
+    # A Pauli run first negates column j exactly when it anticommutes with
+    # W(e_j): X_q negates column n+q (Z_q) and Z_q negates column q (X_q).
+    realized = PauliRows.identity(n)
+    realized.apply_layer(best_merged)
+    flip = (op.v - realized.r) % 4 // 2
+    seq = _pauli_gates(flip[n:], flip[:n]) + best_seq
     circuit = _pack_layers(_merge_one_qubit_runs(seq, device), n)
     final = circuit_to_clifford(circuit)
     if final != op:
@@ -580,22 +582,21 @@ def compile_clifford(
 # Stabilizer prep and measurement
 
 
-def _flips_and_factor(a: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """(d, m, mt) for symmetric a over GF(2) given as int rows: m is unit
-    lower triangular with m m^T = a + diag(d), and mt holds the rows of m^T.
+def _flips_and_factor(a: list[int]) -> tuple[list[int], list[int]]:
+    """(d, mt) for symmetric a over GF(2) given as int rows: mt holds the
+    rows of m^T, where m is unit lower triangular with m m^T = a + diag(d).
 
     Gaussian elimination without pivoting leaves the Schur complement of
     the leading j x j block at (j, j); d_j sets it to 1, so every leading
     principal minor of a + diag(d) is invertible, which fixes d.  The
     elimination is then a + diag(d) = L U, with L[i][j] = 1 when row j was
     added into row i and U unit upper triangular, and symmetry makes
-    U = L^T: m is L, recorded as it goes, by rows and by columns.
+    U = L^T: m is L, recorded as it goes by its columns.
     """
     rows = list(a)
     n = len(rows)
     d = []
-    m = [1 << i for i in range(n)]
-    mt = list(m)
+    mt = [1 << i for i in range(n)]
     for j in range(n):
         bit = 1 << j
         d.append(0 if rows[j] & bit else 1)
@@ -603,33 +604,8 @@ def _flips_and_factor(a: list[int]) -> tuple[list[int], list[int], list[int]]:
         for i in range(j + 1, n):
             if rows[i] & bit:
                 rows[i] ^= rows[j]
-                m[i] |= bit
                 mt[j] |= 1 << i
-    return d, m, mt
-
-
-def _conjugate_bits(rows: list[int], gates: list[GateLabel], n: int):
-    """Conjugate phase-free Pauli rows in place by H, P and CNOT gates, in
-    order.  Bit q of a row is its x_q and bit n+q its z_q."""
-    for gate in gates:
-        if gate.name == "CNOT":
-            c, t = gate.qubits
-            for k, r in enumerate(rows):
-                # x_t ^= x_c and z_c ^= z_t
-                rows[k] = r ^ (r >> c & 1) << t ^ (r >> (n + t) & 1) << (n + c)
-        elif gate.name == "H":
-            (q,) = gate.qubits
-            for k, r in enumerate(rows):
-                # swap x_q and z_q
-                flip = (r >> q ^ r >> (n + q)) & 1
-                rows[k] = r ^ flip << q ^ flip << (n + q)
-        elif gate.name == "P":
-            (q,) = gate.qubits
-            for k, r in enumerate(rows):
-                # z_q ^= x_q
-                rows[k] = r ^ (r >> q & 1) << (n + q)
-        else:
-            raise ValueError(f"bit tracking takes H, P and CNOT, not {gate.name!r}")
+    return d, mt
 
 
 def _meas_sequence(
@@ -640,36 +616,38 @@ def _meas_sequence(
     block][1Q block], and the number of CNOT eliminations run; ``eccs``
     are the device's qubit eccentricities.
 
-    Gate choice reads only the bits, so the rows are tracked without
-    phases; the caller replays the chosen gates with phases.
+    Gate choice reads only the bits, so no phases are tracked; the caller
+    replays the chosen gates with phases.
     """
     n = device.n
     xmask = (1 << n) - 1
-    rows = list(rows)
-    seq: list[GateLabel] = []
-
-    def emit(gates: list[GateLabel]):
-        _conjugate_bits(rows, gates, n)
-        seq.extend(gates)
-
-    # H on qubits without an X-block pivot makes the X block invertible.
+    # H on qubits without an X-block pivot makes the X block invertible:
+    # it swaps x_q and z_q in every row.
     pivots = set(_gf2_eliminate([r & xmask for r in rows], n))
-    emit([_gate("H", (q,)) for q in range(n) if q not in pivots])
+    hmask = xmask ^ sum(1 << q for q in pivots)
+    swaps = [(r ^ r >> n) & hmask for r in rows]
+    rows = [r ^ w ^ w << n for r, w in zip(rows, swaps)]
+    seq = [_gate("H", (q,)) for q in range(n) if hmask >> q & 1]
     # Re-mix generators so the X block becomes the identity (no gates).
     _gf2_eliminate(rows, 2 * n)
     if any(r & xmask != 1 << i for i, r in enumerate(rows)):
         raise RuntimeError("X block did not reduce to the identity")
     # With X = I the Z block is symmetric.  One elimination without
     # pivoting picks the P flips d that keep every leading principal minor
-    # invertible and factors Z + diag(d) = M M^T, M unit lower triangular.
-    flips, m, mt = _flips_and_factor([r >> n for r in rows])
-    emit([_gate("P", (q,)) for q in range(n) if flips[q]])
+    # invertible and factors Z + diag(d) = M M^T, M unit lower triangular;
+    # the flips turn the Z block into Z + diag(d).
+    flips, mt = _flips_and_factor([r >> n for r in rows])
+    seq.extend(_gate("P", (q,)) for q in range(n) if flips[q])
     # A CNOT word with column action M on the X block (|x> -> |M^T x>)
-    # takes both blocks to M.
+    # takes both blocks to M, whose column q is row q of M^T.  Column q of
+    # the symmetric Z + diag(d) is its row q.
     cnots, trials = _cnot_sequence(mt, device, eccs, options)
-    emit(cnots)
-    if rows != [r | r << n for r in m]:
+    check = PauliRows.from_columns(n, [1 << q for q in range(n)],
+                                   [r >> n ^ d << q for q, (r, d) in enumerate(zip(rows, flips))])
+    check.apply_layer(cnots)
+    if not check.x == check.z == mt:
         raise RuntimeError("CNOT stage did not align the X and Z blocks")
+    seq.extend(cnots)
     # P everywhere cancels the Z block; H everywhere moves X to Z.
     seq.extend(_gate("P", (q,)) for q in range(n))
     seq.extend(_gate("H", (q,)) for q in range(n))
@@ -735,7 +713,9 @@ def compile_stabilizer_prep(
     # Reversing H/P/CNOT gates inverts the symplectic action; the sign
     # mismatch left over is a single Pauli, solved from the canonical forms.
     zero = StabilizerState.zero_state(n)
-    got = zero.apply_circuit(_pack_layers(seq, n)).canonicalize()
+    replay = PauliRows(n, zero.b, zero.r)
+    replay.apply_layer(seq)
+    got = StabilizerState.from_rows(replay.b, replay.r).canonicalize()
     want = state.canonicalize()
     if not np.array_equal(got.b, want.b):
         raise RuntimeError("prep candidate stabilizes the wrong group")

@@ -7,12 +7,12 @@ pipelines can be compared digest to digest.
 
 Every JSON value a reader takes goes through :func:`field`, which checks
 its JSON kind without coercion (a bool is neither an integer nor a
-number, null is not an absent field) and, for numbers, its range; keys a
-reader does not know fail :func:`check_keys`.  Circuit files take only
-gates the row kernel runs, with their qubit counts.  Every reader raises
-FormatError alone, with a message naming the field (``field
-'device.edges' ...``, ``field 'runs[0].p' ...``); the command line exits
-with code 2 on it.
+number, null is not an absent field) and, for numbers, that they are
+finite and in range; keys a reader does not know fail
+:func:`check_keys`.  Circuit files take only gates the row kernel runs,
+with their qubit counts.  Every reader raises FormatError alone, with a
+message naming the field (``field 'device.edges' ...``, ``field
+'runs[0].p' ...``); the command line exits with code 2 on it.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .clifford import _KERNEL_GATES, Circuit, GateLabel
+from .clifford import _KERNEL_GATES, Circuit, GateLabel, _layer_text
 from .compiling import CompileOptions
 from .device import GATE_SET_IDS, DeviceSpec, all_to_all, ring, ring_with_center
 from .protocols import (
@@ -92,7 +93,8 @@ def field(obj, key, name: str, kind, default=_REQUIRED, low=None, high=None):
     A kind is ``int``, ``float`` (any number), ``bool``, ``str``, ``list``
     or ``dict``; ``[kind]`` is a list of that kind and a tuple of kinds
     takes any of them.  A bool is neither an integer nor a number, and
-    nothing is coerced.  Null is a value, not an absent field.
+    nothing is coerced.  Null is a value, not an absent field, and NaN
+    and +-Infinity (which Python's json reads) are no JSON numbers.
     """
     try:
         value = obj[key]
@@ -106,6 +108,8 @@ def field(obj, key, name: str, kind, default=_REQUIRED, low=None, high=None):
                                        and (high is None or value <= high)):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise FormatError(f"field '{name}' must be {bounds}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise FormatError(f"field '{name}' must be a finite number, got {value!r}")
     return value
 
 
@@ -185,9 +189,7 @@ def circuit_to_text(circ: BenchmarkCircuit) -> str:
         lines.append("# element_cnots=" + ",".join(map(str, circ.element_cnots)))
     if circ.element_depths:
         lines.append("# element_depths=" + ",".join(map(str, circ.element_depths)))
-    lines.extend(
-        "; ".join(str(g) for g in layer) for layer in circ.full_circuit.layers
-    )
+    lines.extend(_layer_text(layer) for layer in circ.full_circuit.layers)
     return "\n".join(lines) + "\n"
 
 
@@ -548,16 +550,17 @@ def runs_from_results(obj) -> list[dict]:
     runs = []
     for i, run in enumerate(field(obj, "runs", "runs", [dict])):
         name = f"runs[{i}]"
-        values = {key: field(run, key, f"{name}.{key}", kind) for key, kind in (
-            ("n", int), ("r", float), ("r_sigma", float), ("A", float), ("B", float),
-            ("points", dict))}
-        values["p"] = field(run, "p", f"{name}.p", float, low=0, high=1)
+        # each with the range ``analyze`` writes
+        values = {key: field(run, key, f"{name}.{key}", kind, _REQUIRED, *bounds) for key, kind, *bounds in (
+            ("n", int, 1), ("r", float, 0, 1), ("r_sigma", float, 0), ("A", float), ("B", float),
+            ("p", float, 0, 1), ("points", dict))}
         values["protocol"] = field(run, "protocol", f"{name}.protocol", str, "DRB")
         points = values["points"]
         if not points or not all(m.isascii() and m.isdigit() for m in points):
             raise FormatError(f"field '{name}.points' must map lengths m to success "
                               f"probabilities, got {points!r}")
-        values["points"] = {int(m): field(points, m, f"{name}.points.{m}", float) for m in points}
+        values["points"] = {int(m): field(points, m, f"{name}.points.{m}", float, low=0, high=1)
+                            for m in points}
         runs.append(values)
     return runs
 

@@ -20,6 +20,7 @@ from .clifford import (
     PauliOp,
     PauliRows,
     StabilizerState,
+    _layer_text,
     compose,
     invert,
 )
@@ -208,10 +209,6 @@ def generate_drb_circuit(
     )
     _check_composition(circ)
     return circ
-
-
-def _layer_text(layer) -> str:
-    return "; ".join(str(g) for g in layer)
 
 
 def generate_crb_circuit(

@@ -154,6 +154,10 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             fit_decay(points, {0: 0.0, 2: 1.0, 4: 1.0}, n=1)
 
+    def test_missing_weights_named(self):
+        with pytest.raises(ValueError, match=r"weights missing for lengths \[10\]"):
+            fit_decay({0: 1.0, 5: 0.9, 10: 0.8}, {0: 1.0, 5: 1.0}, n=1)
+
 
 class TestBootstrap:
     def test_default_resamples(self):
@@ -474,3 +478,9 @@ class TestWeights:
     def test_zero_shot_rejected(self):
         with pytest.raises(ValueError):
             binomial_weights({0: 0.5}, {0: 0})
+
+    def test_missing_shot_counts_named(self):
+        with pytest.raises(ValueError, match=r"shot counts missing for lengths \[0\]"):
+            binomial_weights({0: 0.9}, {})
+        with pytest.raises(ValueError, match=r"missing for lengths \[2, 8\]"):
+            binomial_weights({8: 0.5, 0: 0.9, 2: 0.7}, {0: 10})

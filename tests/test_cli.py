@@ -640,8 +640,19 @@ class TestAnalyze:
 GOOD_RUN = {"n": 2, "protocol": "DRB", "A": 0.25, "B": 0.75, "p": 0.9, "r": 0.075,
             "r_sigma": 0.01, "points": {"0": 1.0, "4": 0.7}}
 # results runs that report read without checks: a missing r ended in a
-# KeyError and a string point in a TypeError
+# KeyError and a string point in a TypeError; NaN, infinities and values
+# outside the ranges analyze writes exited 0 and reached the SVG and table
 BAD_RUNS = [
+    ({"A": float("nan")}, "runs[1].A"),
+    ({"B": float("-inf")}, "runs[1].B"),
+    ({"r_sigma": float("nan")}, "runs[1].r_sigma"),
+    ({"points": {"5": float("inf")}}, "runs[1].points.5"),
+    ({"n": 0}, "runs[1].n"),
+    ({"r": -0.5}, "runs[1].r"),
+    ({"r": 1.5}, "runs[1].r"),
+    ({"r_sigma": -1}, "runs[1].r_sigma"),
+    ({"points": {"1": 1.7}}, "runs[1].points.1"),
+    ({"points": {"0": 1.0, "4": -3}}, "runs[1].points.4"),
     ({"r": None}, "runs[1].r"),
     ({"n": 2.0}, "runs[1].n"),
     ({"r_sigma": "0.01"}, "runs[1].r_sigma"),

@@ -26,6 +26,7 @@ from drbench.clifford import (
     one_qubit_clifford_table,
     standard_gate,
 )
+from drbench.compiling import _pack_layers
 
 
 def random_circuit(n: int, depth: int, rng: np.random.Generator) -> Circuit:
@@ -205,15 +206,6 @@ class TestComposeInvert:
         b = circuit_to_clifford(random_circuit(3, 5, rng))
         for p in [PauliOp.from_label(lbl) for lbl in ["XIZ", "-YYI", "IZX"]]:
             assert compose(a, b).conjugate_pauli(p) == a.conjugate_pauli(b.conjugate_pauli(p))
-
-    def test_pauli_part(self):
-        for lbl, q in [("X", 0), ("Y", 1), ("Z", 2)]:
-            circ = Circuit(3, ((GateLabel(lbl, (q,)),),))
-            op = circuit_to_clifford(circ)
-            assert op.is_pauli
-            part = op.pauli_part()
-            expected = PauliOp.identity(3) * _embed_pauli(lbl, q, 3)
-            assert np.array_equal(part.x, expected.x) and np.array_equal(part.z, expected.z)
 
 
 def _embed_pauli(letter: str, q: int, n: int) -> PauliOp:
@@ -476,6 +468,26 @@ class TestRowKernel:
         for n in (2, 3):
             for pair in itertools.permutations(range(n), 2):
                 assert layer_to_clifford((GateLabel("CNOT", pair),), n) == standard_gate("CNOT", pair, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_overlapping_gate_sequence_matches_its_packed_circuit(self, data):
+        n = data.draw(st.integers(1, 5))
+        one = st.builds(lambda name, q: GateLabel(name, (q,)),
+                        st.sampled_from(ONE_QUBIT_NAMES), st.integers(0, n - 1))
+        gates = [one]
+        if n > 1:
+            gates.append(st.permutations(range(n)).map(lambda order: GateLabel("CNOT", order[:2])))
+        seq = data.draw(st.lists(st.one_of(gates), max_size=12))
+        rows = PauliRows.identity(n)
+        rows.apply_layer(seq)
+        assert rows.clifford() == circuit_to_clifford(_pack_layers(seq, n))
+
+    def test_rows_from_columns(self):
+        b = np.array([[1, 0, 0, 1], [0, 1, 1, 1], [1, 1, 0, 0]], dtype=np.uint8)
+        rows = PauliRows.from_columns(3, [0b101, 0b110], [0b010, 0b011])
+        assert rows.b.tolist() == b.tolist() and rows.r.tolist() == [0, 0, 0]
+        assert [rows.pauli(k) for k in range(3)] == [PauliRows(2, b, [0, 0, 0]).pauli(k) for k in range(3)]
 
     def test_identity_rows_give_the_layer_clifford(self):
         layer = (GateLabel("C5", (0,)), GateLabel("CNOT", (2, 1)))

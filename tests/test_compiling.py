@@ -385,9 +385,8 @@ class TestZBlockFactor:
         a = np.zeros((n, n), dtype=np.uint8)
         a[np.triu_indices(n)] = upper
         a |= a.T
-        d, m_rows, mt_rows = _flips_and_factor(_pack_rows(a))
-        m = _unpack_rows(m_rows, n)
-        assert np.array_equal(_unpack_rows(mt_rows, n), m.T)
+        d, mt_rows = _flips_and_factor(_pack_rows(a))
+        m = _unpack_rows(mt_rows, n).T
         assert np.array_equal(np.tril(m), m) and np.all(np.diag(m) == 1)
         flipped = a ^ np.diag(np.array(d, dtype=np.uint8))
         product = np.zeros((n, n), dtype=np.uint8)
@@ -403,21 +402,21 @@ class TestZBlockFactor:
             block[k - 1, k - 1] ^= 1
             assert gf2_rank(block) == k - 1
 
-    @pytest.mark.parametrize("which", ["m", "mt"])
+    @pytest.mark.parametrize("which", ["d", "mt"])
     def test_wrong_factor_fails_the_alignment_check(self, rng, monkeypatch, which):
         original = _flips_and_factor
 
         def one_bit_off(a):
-            d, m, mt = original(a)
-            # entry (1, 0) of m, in its rows (what the CNOT stage must reach)
-            # or in those of m^T (the map the CNOT stage realizes); either
-            # way m stays invertible, so the CNOT stage runs and the
-            # alignment check after it must catch the wrong factor
-            if which == "m":
-                m = [m[0], m[1] ^ 1, *m[2:]]
+            d, mt = original(a)
+            # the first P flip (the Z block the CNOT stage starts from) or
+            # entry (1, 0) of m, in the rows of m^T (the map the CNOT stage
+            # realizes); either way m stays invertible, so the CNOT stage
+            # runs and the alignment check after it must catch the error
+            if which == "d":
+                d = [d[0] ^ 1, *d[1:]]
             else:
                 mt = [mt[0] ^ 2, *mt[1:]]
-            return d, m, mt
+            return d, mt
 
         monkeypatch.setattr(compiling, "_flips_and_factor", one_bit_off)
         state = sample_stabilizer_state_uniform(3, rng)

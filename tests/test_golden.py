@@ -214,19 +214,22 @@ def test_every_cnot_on_a_declared_edge(tmp_path, name):
 # constructions and products, and StabilizerState.apply while generating a
 # config.  DRB tracks states through the row-stack kernel and keeps them as
 # row stacks, and reads each sampled state straight off its Clifford, so it
-# makes none; CRB composes its sampled elements, fixes each compiled
-# element's signs with one compose and reads each fix as a Pauli.  A return
-# to per-Pauli tracking shows up here as a count.  PauliRows.apply_layer
-# counts the layers the row kernel conjugates by: DRB tracking, the prep,
-# meas and composition replays, and CRB's two replays per element (the 1Q
-# product table, built once per process, is built before counting).
+# makes none; CRB composes only its sampled elements (6), and reads each
+# compiled element's sign fix off one kernel replay.  A return to per-Pauli
+# tracking or to dense sign algebra shows up here as a count.
+# PauliRows.apply_layer counts the calls into the row kernel.  DRB tracking,
+# each segment's final check and the composition check call it per layer;
+# each stabilizer candidate's CNOT-stage check (35 outer orders) and each
+# prep's sign replay (6) call it once.  CRB calls it once per element for
+# the sign fix (10) and per layer for the checks (the 1Q product table,
+# built once per process, is built before counting).
 WORK_COUNTS = {
     "drb_ring4_c24": {"CliffordOp.conjugate_pauli": 0, "CliffordOp.compose": 0,
                       "PauliOp.__init__": 0, "PauliOp.__mul__": 0, "StabilizerState.apply": 0,
-                      "PauliRows.apply_layer": 266},
-    "crb_ring4_c24": {"CliffordOp.conjugate_pauli": 0, "CliffordOp.compose": 16,
-                      "PauliOp.__init__": 10, "PauliOp.__mul__": 0, "StabilizerState.apply": 0,
-                      "PauliRows.apply_layer": 933},
+                      "PauliRows.apply_layer": 243},
+    "crb_ring4_c24": {"CliffordOp.conjugate_pauli": 0, "CliffordOp.compose": 6,
+                      "PauliOp.__init__": 0, "PauliOp.__mul__": 0, "StabilizerState.apply": 0,
+                      "PauliRows.apply_layer": 632},
 }
 
 
@@ -251,11 +254,11 @@ def test_clifford_work_counts(tmp_path, monkeypatch, name):
 
 # Calls of the compilers' packing, elimination and 1Q-merging steps while
 # generating a config, and the manifest's summed ``segment_trials``.  Trials
-# are costed from their gate sequences, so only winners are packed into
-# circuits (DRB: meas once, prep twice for the phase replay and the result;
-# CRB: each element twice, before and after its sign fix), and repeated
-# elimination orders are skipped (at trials 3 every segment would otherwise
-# run 3 outer orders of 3 CNOT eliminations each: 108, not 103).  Every
+# are costed from their gate sequences and every replay runs on the row
+# kernel, so each emitted circuit is packed once (DRB: 6 prep and 6 meas
+# segments; CRB: 10 elements), and repeated elimination orders are skipped
+# (at trials 3 every segment would otherwise run 3 outer orders of 3 CNOT
+# eliminations each: 108, not 103).  Every
 # distinct outer order is merged once to be costed and every winner once
 # more (DRB: 35 orders + 12 segments = 47; CRB: 29 orders + 10 elements =
 # 39), and ``segment_trials`` adds the inner CNOT eliminations to the outer
@@ -265,10 +268,10 @@ def test_clifford_work_counts(tmp_path, monkeypatch, name):
 # elements), not once per relabeled device, and the rest are shortest
 # paths and the config's connectivity check.
 COMPILE_COUNTS = {
-    "drb_ring4_c24": {"_pack_layers": 18, "_cnot_ge_ops": 103, "_gge_ops": 0,
+    "drb_ring4_c24": {"_pack_layers": 12, "_cnot_ge_ops": 103, "_gge_ops": 0,
                       "_merge_one_qubit_runs": 47, "segment_trials": 138,
                       "DeviceSpec._search": 65},
-    "crb_ring4_c24": {"_pack_layers": 20, "_cnot_ge_ops": 0, "_gge_ops": 29,
+    "crb_ring4_c24": {"_pack_layers": 10, "_cnot_ge_ops": 0, "_gge_ops": 29,
                       "_merge_one_qubit_runs": 39, "segment_trials": 29,
                       "DeviceSpec._search": 44},
 }

@@ -74,6 +74,13 @@ class TestField:
                 field({"p": bad}, "p", "p", float, low=0, high=1)
         with pytest.raises(FormatError, match="field 'n' must be >= 1, got 0"):
             field({"n": 0}, "n", "n", int, low=1)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(FormatError, match="field 'a' must be a finite number"):
+                field({"a": bad}, "a", "a", float)
+            with pytest.raises(FormatError, match="field 'v' must be a finite number"):
+                field({"v": bad}, "v", "v", (float, dict))
+        with pytest.raises(FormatError, match="field 'q' must be a finite number, got inf"):
+            field({"q": float("inf")}, "q", "q", float, low=0)
         assert field([5, 6], 1, "l[1]", int) == 6
 
 
