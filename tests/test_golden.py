@@ -295,3 +295,42 @@ def test_compile_work_counts(tmp_path, monkeypatch, name):
     manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
     counts["segment_trials"] = sum(sum(c["segment_trials"]) for c in manifest["experiment"]["circuits"])
     assert counts == COMPILE_COUNTS[name]
+
+
+# Dataset digests of golden runs simulated at a fixed seed.  The models
+# have no layer-depolarizing term, so every draw lands on a named gate or
+# readout source and the per-shot outcomes do not depend on how the
+# simulator orders its frame rows.  A digest covers the dataset's row
+# lines; its first line, the provenance, names the run directory.
+SIM_SEED = 11
+SIM_SHOTS = 1000
+CALIBRATION8 = {"n": 8, "one_qubit": 0.0005, "cnot": 0.004, "readout": 0.01}
+DATASETS = {
+    ("drb_ring4_c24", "main_sim", False):
+        "123fcb81b6ff4c74b79490091bbab4d798651954cae59e925873120f8625e256",
+    ("crb_ring4_c24", "main_sim", False):
+        "2a17858d72b918486f30bf0391b4e4f89ffd1e00cebbcb266c099ebbca296e24",
+    ("drb_rwc5_category", "crosstalk5", False):
+        "ad306dba57cdeb9e7d6b7c4db45accfbbcd5e7cf39d5826cbb86d34a6a6bc2a7",
+    ("drb_all8_pairing", "calibration8", True):
+        "7801d468e7001ec417a5eedb7ca6fba2cef4f403026db7d7dfce859fb381ed99",
+}
+
+
+def simulate_digest(tmp_path: Path, name: str, model: str, histogram: bool) -> str:
+    run = generate_run(tmp_path, name)
+    if model == "calibration8":
+        model = str(tmp_path / "calibration8.json")
+        Path(model).write_text(json.dumps(CALIBRATION8), encoding="utf-8")
+    out = tmp_path / "dataset.jsonl"
+    argv = ["simulate", "--run", str(run), "--model", model, "--seed", str(SIM_SEED),
+            "--shots", str(SIM_SHOTS), "--out", str(out)]
+    assert main(argv + ["--histogram"] * histogram) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == len(list((run / "circuits").glob("*.txt")))
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(DATASETS), ids=lambda key: f"{key[0]}-{key[1]}")
+def test_dataset_matches_golden_digest(tmp_path, key):
+    assert simulate_digest(tmp_path, *key) == DATASETS[key]
