@@ -459,8 +459,9 @@ def bootstrap(dataset: Dataset, resamples: int = 1000,
     d = 4.0**n
     fits = np.stack([p, (d - 1.0) * (1.0 - p) / d, a, b], axis=1)  # drb_error_rate
     ok = np.all(np.isfinite(fits), axis=1)
-    if not ok.any():
-        raise RuntimeError("every bootstrap resample failed to fit")
+    if ok.sum() < 2:
+        raise RuntimeError(f"{ok.sum()} of {resamples} bootstrap resamples fit; "
+                           "the spread needs at least 2")
     p_sigma, r_sigma, a_sigma, b_sigma = (float(v) for v in fits[ok].std(axis=0, ddof=1))
     p_iv = _clamp_interval(point.p, p_sigma, 0.0, 1.0)
     r_iv = _clamp_interval(point.r, r_sigma, 0.0, 1.0)

@@ -31,8 +31,10 @@ live in one place.  The (rows, 2n) (x | z) matrix ``b`` and the powers
 circuit is the 2n identity rows W(e_j) carried through it, read back as
 the columns of (s, v).  ``apply_layer`` applies its gates in order, so
 it takes whole gate sequences too.  Every conjugation of Pauli rows by
-gates in ``generate`` runs here: DRB tracking, circuit Cliffords, and
-the compilers' stage checks, replays and sign fixes.
+gates in ``generate`` and ``simulate`` runs here: DRB tracking, circuit
+Cliffords, the compilers' stage checks, replays and sign fixes, and the
+simulator's effect tables.  The 1Q gates' positions in the 24-element
+table and its product table are kept here too, built on first use.
 
 A :class:`StabilizerState` stores its n generators as the read-only
 arrays a row stack reads out: ``b`` is the (n, 2n) (x | z) matrix and
@@ -379,6 +381,36 @@ def standard_gate(name: str, qubits: tuple[int, ...] | Sequence[int], n: int) ->
             op = table[k]
             return _embed(n, qubits, op.s, op.v)
     raise ValueError(f"unknown gate name {name!r}")
+
+
+@functools.cache
+def _one_qubit_index() -> dict[str, int]:
+    """Position in :func:`one_qubit_clifford_table` of every 1Q gate name."""
+    table = one_qubit_clifford_table()
+    index = {f"C{k}": k for k in range(len(table))}
+    for name in ("I", "X", "Y", "Z", "H", "P"):
+        index[name] = table.index(standard_gate(name, (0,), 1))
+    return index
+
+
+@functools.cache
+def _one_qubit_products() -> tuple[tuple[int, ...], ...]:
+    """``product[a][b]``: position of C<a> after C<b>."""
+    table = one_qubit_clifford_table()
+    position = {(op.s.tobytes(), op.v.tobytes()): k for k, op in enumerate(table)}
+    # the columns of every C<b>, two rows each, carried through each C<a>
+    columns = np.concatenate([op.s.T for op in table])
+    phases = np.concatenate([op.v for op in table])
+    product = []
+    for a in range(len(table)):
+        rows = PauliRows(1, columns, phases)
+        rows.apply_layer((GateLabel(f"C{a}", (0,)),))
+        bits, powers = rows.b, rows.r
+        product.append(tuple(
+            position[bits[2 * b:2 * b + 2].T.tobytes(), powers[2 * b:2 * b + 2].tobytes()]
+            for b in range(len(table))
+        ))
+    return tuple(product)
 
 
 # ---------------------------------------------------------------------------

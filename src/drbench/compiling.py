@@ -64,10 +64,10 @@ from .clifford import (
     StabilizerState,
     _gf2_eliminate,
     _gf2_rref,
+    _one_qubit_index,
+    _one_qubit_products,
     _pack_rows,
     circuit_to_clifford,
-    one_qubit_clifford_table,
-    standard_gate,
 )
 from .device import GATE_SETS, DeviceSpec
 from .streams import stream
@@ -354,36 +354,6 @@ def compile_cnot_circuit(matrix: np.ndarray, device: DeviceSpec, options: Compil
 
 # ---------------------------------------------------------------------------
 # 1Q-run merging and translation
-
-
-@functools.cache
-def _one_qubit_index() -> dict[str, int]:
-    """Position in :func:`one_qubit_clifford_table` of every 1Q gate name."""
-    table = one_qubit_clifford_table()
-    index = {f"C{k}": k for k in range(len(table))}
-    for name in ("I", "X", "Y", "Z", "H", "P"):
-        index[name] = table.index(standard_gate(name, (0,), 1))
-    return index
-
-
-@functools.cache
-def _one_qubit_products() -> tuple[tuple[int, ...], ...]:
-    """``product[a][b]``: position of C<a> after C<b>."""
-    table = one_qubit_clifford_table()
-    position = {(op.s.tobytes(), op.v.tobytes()): k for k, op in enumerate(table)}
-    # the columns of every C<b>, two rows each, carried through each C<a>
-    columns = np.concatenate([op.s.T for op in table])
-    phases = np.concatenate([op.v for op in table])
-    product = []
-    for a in range(len(table)):
-        rows = PauliRows(1, columns, phases)
-        rows.apply_layer((GateLabel(f"C{a}", (0,)),))
-        bits, powers = rows.b, rows.r
-        product.append(tuple(
-            position[bits[2 * b:2 * b + 2].T.tobytes(), powers[2 * b:2 * b + 2].tobytes()]
-            for b in range(len(table))
-        ))
-    return tuple(product)
 
 
 @functools.cache

@@ -1,16 +1,20 @@
 """Pauli-frame Monte Carlo simulation of benchmark circuits.
 
 Errors are stochastic Paulis drawn after each ideal layer, plus optional
-per-layer global depolarization and measurement bit flips.  The engine
-propagates a running error frame through the remaining circuit instead of
-touching state vectors (signs are irrelevant to outcomes, so the frame is
-its x and z bits only).  Shots are packed 64 to a ``uint64`` word, one
-row of words per x or z part of each qubit.  Each circuit is compiled
-once into row operations: a CNOT is two row XORs and a 1Q gate its 2x2
-symplectic map on the qubit's rows.  Errors are drawn only for the shots
-they hit and XORed in; a shot succeeds when the frame's X support plus
-measurement flips vanish.  This accounts exactly for error cancellation
-and for errors the final measurement cannot see.
+per-layer global depolarization and measurement bit flips.  Outcomes come
+from the error frame, not from state vectors: signs are irrelevant to
+outcomes, so a frame is its x and z bits, and propagating it through a
+Clifford is linear over GF(2).  One backward pass therefore gives the
+effect of every possible flip, as in Stim's error analysis (Gidney,
+arXiv:2103.02202): the measured Z_j are carried back through each
+layer's inverse on a :class:`PauliRows` stack, and after each layer the
+effect table records which measured bits a flip of each frame row
+(x_0..x_{n-1}, then z_0..z_{n-1}) flips, n bits in ceil(n / 64) words, so
+the width is unlimited.  Errors are drawn only for the shots they hit, a
+depolarizing hit as 2n uniform bits on those frame rows; each shot's
+outcome flips are the XOR of its hits' effects, and a shot succeeds when
+they vanish.  This accounts exactly for error cancellation and for
+errors the final measurement cannot see.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import GateLabel, standard_gate
+from .clifford import GateLabel, PauliRows, _one_qubit_index, _one_qubit_products
 from .device import ring_center_edges
 from .protocols import BenchmarkCircuit
 
@@ -153,79 +157,37 @@ def layer_error_rate(model: ErrorModel, gates) -> float:
     return 1.0 - identity_prob
 
 
-# the three 2x2 maps a frame applies with at most one row XOR: none,
-# x ^= z and z ^= x; with the x and z rows exchanged after, they give all six
-_XOR_MAPS = ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 1]])
-
-
 @functools.cache
-def _one_qubit_step(name: str) -> tuple[int, bool]:
-    """How the frame applies the 1Q gate ``name``: (xor, swap).
+def _inverse(name: str, qubits: tuple[int, ...]) -> GateLabel:
+    """The gate that undoes ``name`` on ``qubits``: a CNOT itself, a 1Q gate
+    the C<b> whose product with it is the identity."""
+    if name == "CNOT":
+        return GateLabel(name, qubits)
+    index = _one_qubit_index()
+    if name not in index:
+        raise ValueError(f"unknown gate name {name!r}")
+    return GateLabel(f"C{_one_qubit_products()[index[name]].index(index['I'])}", qubits)
 
-    ``xor`` indexes ``_XOR_MAPS`` (0 none, 1 x ^= z, 2 z ^= x); ``swap``
-    then exchanges which stored row holds the qubit's x part and which its
-    z part.  The gate's 2x2 symplectic map comes from its CliffordOp.
+
+def _effects(layers, n: int) -> np.ndarray:
+    """The measured bits that a flip of each frame row flips, per step.
+
+    Returns a (len(layers) + 1, 2n, ceil(n / 64)) uint64 table: bit j of
+    ``effects[k, r]`` (word j // 64, bit j % 64) is set when flipping frame
+    row r (x_0..x_{n-1}, then z_0..z_{n-1}) right after layer k flips
+    measured bit j; the last step is the measurement.  The rows Z_j are
+    carried backward through each layer's inverse: a flip anticommutes
+    with the carried Z_j, and so flips bit j, where Z_j has a z part on
+    the flipped x row's qubit or an x part on the flipped z row's qubit.
     """
-    s = standard_gate(name, (0,), 1).s.tolist()
-    for xor, m in enumerate(_XOR_MAPS):
-        if s == m:
-            return xor, False
-        if s == m[::-1]:
-            return xor, True
-    raise AssertionError(f"{name} has no symplectic 2x2 map")  # pragma: no cover
-
-
-def _compile_layer(layer, n: int, loc: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The (dst, src) row pairs that apply ``layer``: ``rows[dst] ^= rows[src]``.
-
-    ``loc[r]`` is the stored row of logical row r (x_0..x_{n-1}, then
-    z_0..z_{n-1}); gates that exchange a qubit's x and z parts update it
-    instead of moving data.  The gates act on disjoint qubits, so no row
-    is both a destination and a source.
-    """
-    dst: list[int] = []
-    src: list[int] = []
-    for gate in layer:
-        if gate.name == "CNOT":
-            c, t = gate.qubits
-            dst += (loc[t], loc[n + c])  # x_t ^= x_c; z_c ^= z_t
-            src += (loc[c], loc[n + t])
-            continue
-        (q,) = gate.qubits
-        xor, swap = _one_qubit_step(gate.name)
-        if xor:
-            x, z = loc[q], loc[n + q]
-            dst.append(x if xor == 1 else z)
-            src.append(z if xor == 1 else x)
-        if swap:
-            loc[q], loc[n + q] = loc[n + q], loc[q]
-    return np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp)
-
-
-def _compile(circ: BenchmarkCircuit, model: ErrorModel):
-    """Compile ``circ`` once into frame operations.
-
-    Returns (steps, xrows, sources).  ``steps[k]`` applies layer k, and one
-    last empty step stands for the measurement.  ``xrows`` are the stored
-    rows of the final x parts.  ``sources`` lists every error source as
-    (step, x row, z row, p), acting after that step: a gate-error entry
-    XORs in a uniform non-identity Pauli; a z row of -1 marks a readout
-    flip (X only) and an x row of -1 the layer's depolarizing channel.
-    """
-    n = circ.n
-    loc = list(range(2 * n))
-    steps, sources = [], []
-    for segment, is_core in ((circ.prep, False), (circ.core, True), (circ.meas, False)):
-        for layer in segment.layers:
-            steps.append(_compile_layer(layer, n, loc))
-            k = len(steps) - 1
-            sources += [(k, loc[q], loc[n + q], p)
-                        for gate in layer for q, p in model.rates_for(gate) if p > 0.0]
-            if is_core and model.layer_depol > 0.0:
-                sources.append((k, -1, -1, model.layer_depol))
-    steps.append(_compile_layer((), n, loc))
-    sources += [(len(steps) - 1, loc[q], -1, f) for q, f in enumerate(model.meas_flip) if f > 0.0]
-    return steps, loc[:n], sources
+    rows = PauliRows.from_columns(n, [0] * n, [1 << j for j in range(n)])
+    table = (rows.z + rows.x) * min(len(layers) + 1, 2)  # steps L and L - 1, last first
+    for layer in layers[:0:-1]:
+        rows.apply_layer([_inverse(gate.name, gate.qubits) for gate in layer])
+        table += rows.z + rows.x
+    size = 8 * -(-n // 64)
+    data = b"".join([column.to_bytes(size, "little") for column in table])
+    return np.frombuffer(data, dtype="<u8").reshape(-1, 2 * n, size // 8)[::-1]
 
 
 def _distinct_positions(rng: np.random.Generator, shots: int, counts: np.ndarray):
@@ -282,29 +244,6 @@ def _draw_hits(sources, shots: int, n: int, rng: np.random.Generator):
     ), int(counts.sum())
 
 
-def _run(rows: np.ndarray, steps, step, row, pos) -> np.ndarray:
-    """Apply ``steps`` in order to the packed ``rows``, each followed by the
-    bit flips (row, pos) drawn for it; ``rows`` is updated in place."""
-    words = rows.shape[1]
-    order = np.argsort(step, kind="stable")
-    index = row[order] * words + (pos[order] >> 6)
-    bit = np.left_shift(np.uint64(1), (pos[order] & 63).astype(np.uint64))
-    bounds = np.searchsorted(step[order], np.arange(len(steps) + 1)).tolist()
-    flat = rows.reshape(-1)
-    for k, (dst, src) in enumerate(steps):
-        if dst.size:
-            rows[dst] ^= rows[src]
-        a, b = bounds[k], bounds[k + 1]
-        if a < b:
-            np.bitwise_xor.at(flat, index[a:b], bit[a:b])
-    return rows
-
-
-def _unpack(rows: np.ndarray, shots: int) -> np.ndarray:
-    """The (rows, shots) 0/1 array of packed rows; shot s is bit s % 64 of word s // 64."""
-    return np.unpackbits(rows.astype("<u8").view(np.uint8), axis=1, bitorder="little")[:, :shots]
-
-
 def simulate_circuit(
     circ: BenchmarkCircuit,
     model: ErrorModel,
@@ -325,26 +264,38 @@ def simulate_circuit(
         raise ValueError("model and circuit disagree on qubit count")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    steps, xrows, sources = _compile(circ, model)
+    layers = circ.prep.layers + circ.core.layers + circ.meas.layers
+    core = range(circ.prep.depth, circ.prep.depth + circ.core.depth)
+    # error sources (step, x row, z row, p) act after their step: a gate
+    # entry XORs in a uniform non-identity Pauli; a z row of -1 marks a
+    # readout flip (X only) and an x row of -1 the depolarizing channel
+    sources = []
+    for k, layer in enumerate(layers):
+        sources += [(k, q, n + q, p) for gate in layer for q, p in model.rates_for(gate) if p > 0.0]
+        if k in core and model.layer_depol > 0.0:
+            sources.append((k, -1, -1, model.layer_depol))
+    sources += [(len(layers), q, -1, f) for q, f in enumerate(model.meas_flip) if f > 0.0]
     (step, row, pos), events = _draw_hits(sources, shots, n, rng)
-    words = -(-shots // 64)
-    frame = _run(np.zeros((2 * n, words), dtype=np.uint64), steps, step, row, pos)
-    measured = frame[xrows]
-    failed = np.bitwise_or.reduce(measured, axis=0)
-    failed[-1] &= np.uint64((1 << (shots % 64 or 64)) - 1)
-    successes = shots - int(np.bitwise_count(failed).sum())
+    effects = _effects(layers, n)
+    flips = np.zeros((shots, effects.shape[2]), dtype=np.uint64)
+    np.bitwise_xor.at(flips, pos, effects[step, row])
+    successes = shots - int(np.count_nonzero(flips.any(axis=1)))
     if tally is not None:
-        tally["shot_layers"] = tally.get("shot_layers", 0) + (len(steps) - 1) * shots
+        tally["shot_layers"] = tally.get("shot_layers", 0) + len(layers) * shots
         tally["error_events"] = tally.get("error_events", 0) + events
     hist = None
     if histogram:
-        weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-        values = weights @ (circ.target_bits[:, None] ^ _unpack(measured, shots)).astype(np.int64)
-        uniq, counts = np.unique(values, return_counts=True)
-        order = np.lexsort((uniq, -counts))[:64]
-        hist = tuple(
-            (format(int(uniq[i]), f"0{n}b"), int(counts[i])) for i in order
-        )
+        # each shot's outcome packed in bitstring order (qubit 0 first) and
+        # sorted as bytes; a stable sort by count keeps ties in that order
+        bits = np.unpackbits(flips.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+        outcomes = np.packbits(circ.target_bits ^ bits[:, :n], axis=1)
+        outcomes = outcomes[np.lexsort(outcomes.T[::-1])]
+        starts = np.flatnonzero(np.r_[True, (outcomes[1:] != outcomes[:-1]).any(axis=1)])
+        counts = np.diff(starts, append=shots)
+        order = np.argsort(-counts, kind="stable")[:64]
+        text = np.unpackbits(outcomes[starts[order]], axis=1)[:, :n] + ord("0")
+        hist = tuple((chars.tobytes().decode(), int(count))
+                     for chars, count in zip(text, counts[order]))
     return successes, hist
 
 

@@ -1,13 +1,22 @@
-"""Every drbench name the benchmark times or imports still exists.
+"""Every drbench name the benchmark times or imports still exists, and
+its counters still read what they expect from the calls they wrap.
 
 The benchmark under ``perfbench/`` wraps functions listed in
-``spans.TARGETS`` and imports readers in ``workloads.py``; a rename would
-only fail there.  This reads those files' source and never runs them.
+``spans.TARGETS``, reads counters off the wrapped calls' arguments and
+results with ``spans.COUNTERS``, and imports readers in ``workloads.py``;
+a rename or a changed call shape would only fail there.  This reads those
+files' source, loads ``spans.py`` for its tables and counters, and never
+runs the benchmark.
 """
 
 import ast
 import importlib
+import importlib.util
+import json
+import sys
 from pathlib import Path
+
+from drbench.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -35,3 +44,61 @@ def test_workload_imports_exist():
                                              "crb_rescale"}
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_counters_read_the_pipeline_calls(tmp_path, monkeypatch):
+    # wrap every drbench binding of each counted function, as the span
+    # recorder does, run a small DRB and CRB generate and simulate, and
+    # check the counters' totals against the manifests
+    spans = load_spans()
+    calls = {name: [] for name in spans.COUNTERS}
+    for name, module, function in spans.TARGETS:
+        if name not in calls:
+            continue
+        original = getattr(importlib.import_module(module), function)
+
+        def recorded(*args, _original=original, _calls=calls[name], **kwargs):
+            result = _original(*args, **kwargs)
+            _calls.append((result, args))
+            return result
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("drbench") and \
+                    getattr(mod, function, None) is original:
+                monkeypatch.setattr(mod, function, recorded)
+    configs = {
+        "drb": {"protocol": "DRB", "sampler": {"kind": "pcnot", "p_cnot": 0.5},
+                "lengths": [0, 2, 4]},
+        "crb": {"protocol": "CRB", "lengths": [1, 2, 3]},
+    }
+    manifests = {}
+    for name, config in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**config, "device": {"preset": "ring", "n": 3},
+                                    "circuits_per_length": 1, "seed": 5}), encoding="utf-8")
+        run = tmp_path / name
+        assert main(["generate", "--config", str(path), "--out", str(run)]) == 0
+        assert main(["simulate", "--run", str(run), "--model", "main_sim", "--shots", "70"]) == 0
+        manifests[name] = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    totals = {}
+    for name, recorded_calls in calls.items():
+        assert recorded_calls, name
+        for result, args in recorded_calls:
+            for key, value in spans.COUNTERS[name](result, args).items():
+                assert isinstance(value, int), (key, value)
+                totals[key] = totals.get(key, 0) + value
+    segments = {name: [c["segment_cnots"] for c in manifest["experiment"]["circuits"]]
+                for name, manifest in manifests.items()}
+    # DRB compiles each circuit's prep and meas, CRB every core element
+    assert totals["compiling.cnots_emitted"] == (
+        sum(prep + meas for prep, _, meas in segments["drb"])
+        + sum(core for _, core, _ in segments["crb"]))
+    assert totals["simulate.shot_layers"] == sum(
+        manifest["simulations"][-1]["shot_layers"] for manifest in manifests.values())

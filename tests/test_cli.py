@@ -477,6 +477,25 @@ class TestAnalyze:
         assert obj["runs"][0]["r"] == 0.0
         assert obj["runs"][0]["diagnostics"]["degenerate"] is True
 
+    def test_one_fitted_resample_exit4(self, tmp_path, monkeypatch, capsys):
+        # only the point fit (row 0) and resample 1 fit: one resample has no
+        # spread, so analyze fails instead of writing NaN sigmas
+        from drbench import analysis
+
+        def fit_rows(*args, _original=analysis._fit_rows):
+            a, b, p, *rest = _original(*args)
+            p = p.copy()
+            p[2:] = np.nan
+            return (a, b, p, *rest)
+
+        run = generate(tmp_path, lengths=[0, 4, 8, 12], circuits_per_length=6)
+        data = self.simulate(run)
+        monkeypatch.setattr(analysis, "_fit_rows", fit_rows)
+        results = run / "results.json"
+        assert main(["analyze", str(data), "--out", str(results), "--resamples", "100"]) == 4
+        assert "1 of 100 bootstrap resamples fit" in capsys.readouterr().err
+        assert not results.exists()
+
     def test_mixing_two_datasets(self, tmp_path):
         rng = np.random.default_rng(8)
         paths = []

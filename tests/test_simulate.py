@@ -8,19 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from drbench.clifford import Circuit, GateLabel, PauliOp, circuit_to_clifford, layer_to_clifford
+from drbench.clifford import Circuit, GateLabel, PauliOp, circuit_to_clifford
 from drbench.device import all_to_all
 from drbench.protocols import BenchmarkCircuit, ExperimentDesign, generate_drb_circuit, generate_experiment
 from drbench.sampling import PCnotSampler
 from drbench.simulate import (
     Dataset,
     ErrorModel,
-    _compile,
-    _compile_layer,
     _distinct_positions,
+    _effects,
     _pauli_distributions,
-    _run,
-    _unpack,
     build_model_crosstalk5,
     build_model_from_calibration,
     build_model_layer_depolarizing,
@@ -67,17 +64,11 @@ def trivial_circuit(n=1, m=1):
     return core_circuit(n, (tuple(GateLabel("I", (q,)) for q in range(n)),) * m)
 
 
-def pack(bits):
-    """(rows, shots) 0/1 array -> (rows, ceil(shots / 64)) uint64 words,
-    shot s at bit s % 64 of word s // 64, padding bits clear."""
-    rows, shots = bits.shape
-    padded = np.zeros((rows, -(-shots // 64) * 64), dtype=np.uint8)
-    padded[:, :shots] = bits
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8").astype(np.uint64)
-
+# the 1 - 1e-4 point of the chi-square law with 7 degrees of freedom
+# (29.8775), rounded up
+CHI2_7DOF_1E4 = 29.88
 
 ONE_QUBIT_NAMES = ("I", "X", "Y", "Z", "H", "P") + tuple(f"C{k}" for k in range(24))
-NO_HITS = (np.empty(0, dtype=np.int64),) * 3
 
 
 @st.composite
@@ -256,28 +247,110 @@ class TestSimulateCircuit:
                 assert abs(state[idx]) == pytest.approx(1.0, abs=1e-9)
 
 
-class TestPackedKernel:
-    """The packed frame against the dense update ``(s @ frame) % 2``."""
+def effect_bits(effects, n):
+    """The effect table as (steps, 2n, n) 0/1 bits: [k, r, j] is measured bit j."""
+    words = np.ascontiguousarray(effects, dtype="<u8").view(np.uint8)
+    return np.unpackbits(words, axis=2, bitorder="little")[..., :n]
+
+
+class TestEffectTable:
+    """The backward effect table against forward suffix Cliffords."""
 
     @settings(max_examples=150, deadline=None)
-    @given(random_layers(), st.sampled_from([1, 63, 64, 65, 200]), st.integers(0, 2**32 - 1))
-    def test_propagation_matches_dense(self, circuit, shots, seed):
+    @given(random_layers())
+    def test_effects_match_dense(self, circuit):
+        # a flip of frame row l after layer k reaches the measurement as the
+        # suffix's image of e_l, whose x part is the flipped outcome bits
         n, layers = circuit
-        frame = np.random.default_rng(seed).integers(0, 2, size=(2 * n, shots), dtype=np.uint8)
-        start = frame.copy()
-        rows = pack(frame)
-        loc = list(range(2 * n))
-        for layer in layers:
-            _run(rows, [_compile_layer(layer, n, loc)], *NO_HITS)
-            frame = (layer_to_clifford(layer, n).s @ frame) % 2
-            assert np.array_equal(_unpack(rows[loc], shots), frame)
-            if shots % 64:
-                assert not np.any(rows[:, -1] >> np.uint64(shots % 64))
-        # the whole circuit compiled at once ends in the same x rows
-        steps, xrows, sources = _compile(core_circuit(n, layers), ErrorModel(n=n))
-        assert sources == []
-        whole = _run(pack(start), steps, *NO_HITS)
-        assert np.array_equal(_unpack(whole[xrows], shots), frame[:n])
+        effects = _effects(layers, n)
+        assert effects.shape == (len(layers) + 1, 2 * n, 1)
+        bits = effect_bits(effects, n)
+        for k in range(len(layers) + 1):
+            s = circuit_to_clifford(Circuit(n, tuple(layers[k + 1:]))).s
+            for row in range(2 * n):
+                e = np.zeros(2 * n, dtype=np.uint8)
+                e[row] = 1
+                assert np.array_equal(bits[k, row], ((s @ e) % 2)[:n]), (k, row)
+
+    def test_two_words(self):
+        # n = 65: qubit 64 is bit 0 of the second word; the CNOT carries an
+        # X on qubit 0 after layer 0 to qubits 0 and 64
+        n = 65
+        layers = [(GateLabel("I", (0,)),), (GateLabel("CNOT", (0, 64)),)]
+        effects = _effects(layers, n)
+        assert effects.shape == (3, 2 * n, 2)
+        assert effects[0, 0].tolist() == [1, 1]
+        assert effects[0, 64].tolist() == effects[2, 64].tolist() == [0, 1]
+        assert not effects[:, n:].any()  # the CNOT keeps Z flips on Z's
+
+
+class TestPackedKernel:
+    """Whole simulations of hand-built circuits with known outcomes."""
+
+    @pytest.mark.parametrize("shots", [1, 63, 64, 65, 200])
+    def test_shot_counts(self, rng, shots):
+        circ = generate_drb_circuit(small_design(n=3, device=all_to_all(3, "HPI"), seed=9), 3,
+                                    rng)
+        target = "".join(str(b) for b in circ.target)
+        tally = {}
+        assert simulate_circuit(circ, ErrorModel(n=3), shots, rng, histogram=True,
+                                tally=tally) == (shots, ((target, shots),))
+        depth = circ.prep.depth + circ.core.depth + circ.meas.depth
+        assert tally == {"shot_layers": depth * shots, "error_events": 0}
+        flipped = target[0] + str(1 - int(target[1])) + target[2]
+        model = ErrorModel(n=3, meas_flip=(0.0, 1.0, 0.0))
+        assert simulate_circuit(circ, model, shots, rng, histogram=True) == (
+            0, ((flipped, shots),))
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_wide_histogram(self, rng, n):
+        # a certain readout flip on qubit 0, then on qubit n - 1
+        for q in (0, n - 1):
+            flips = [0.0] * n
+            flips[q] = 1.0
+            _, hist = simulate_circuit(trivial_circuit(n=n), ErrorModel(n=n, meas_flip=flips), 100,
+                                       rng, histogram=True)
+            assert hist == (("".join("1" if j == q else "0" for j in range(n)), 100),)
+
+    def test_histogram_order(self, rng):
+        # n = 10 spans two bytes of packed outcomes; with 30% readout flips
+        # many of the top 64 outcomes tie on count, and ties go by bitstring
+        n = 10
+        model = ErrorModel(n=n, meas_flip=(0.3,) * n)
+        _, hist = simulate_circuit(trivial_circuit(n=n), model, 2000, rng, histogram=True)
+        assert len(hist) == 64
+        assert list(hist) == sorted(hist, key=lambda entry: (-entry[1], entry[0]))
+        assert len({count for _, count in hist}) < 64
+
+    def test_two_word_error_carried_by_cnot(self, rng):
+        # a gate error on qubit 0 before CNOT 0 -> 64: X and Y flip qubits 0
+        # and 64, Z flips nothing
+        n = 65
+        model = ErrorModel(n=n, gate_errors={("1Q", (0,)): ((0, 1.0),)})
+        layers = [(GateLabel("I", (0,)),), (GateLabel("CNOT", (0, 64)),)]
+        shots = 3000
+        successes, hist = simulate_circuit(core_circuit(n, layers), model, shots, rng,
+                                           histogram=True)
+        both = "1" + "0" * 63 + "1"
+        assert dict(hist) == {"0" * n: successes, both: shots - successes}
+        assert abs(successes / shots - 1 / 3) <= 4 * math.sqrt(2 / 9 / shots)
+
+    def test_depolarizing_event_gives_uniform_outcomes(self):
+        # a certain depolarizing event draws a uniform 6-bit Pauli, and any
+        # Clifford after it leaves its x part, the outcome, uniform; the
+        # chi-square bound is the 1 - 1e-4 point with 7 degrees of freedom
+        n = 3
+        model = build_model_layer_depolarizing(n, 0.0)
+        idle = tuple(GateLabel("I", (q,)) for q in range(n))
+        after = [(GateLabel("H", (0,)), GateLabel("C5", (1,)), GateLabel("C17", (2,))),
+                 (GateLabel("CNOT", (0, 2)), GateLabel("C11", (1,)))]
+        shots = 8000
+        _, hist = simulate_circuit(core_circuit(n, [idle], meas=after), model, shots,
+                                   stream(2024, "uniform"), histogram=True)
+        counts = dict(hist)
+        assert len(counts) == 8 and sum(counts.values()) == shots
+        expected = shots / 8
+        assert sum((c - expected) ** 2 / expected for c in counts.values()) < CHI2_7DOF_1E4
 
     def test_zero_noise_65_shots(self, rng):
         circ = generate_drb_circuit(small_design(seed=9), 4, rng)
