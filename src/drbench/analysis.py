@@ -481,11 +481,13 @@ def predict_r_from_rates(spec: SamplerSpec, device: DeviceSpec, model: ErrorMode
     prediction for the fitted r."""
     if device.n != model.n:
         raise ValueError(f"device has {device.n} qubits but model has {model.n}")
+    cnots = {edge: GateLabel("CNOT", edge) for edge in device.edges}
+    idles = [GateLabel("I", (q,)) for q in range(device.n)]
     total = 0.0
     for placement, prob in cnot_placement_distribution(spec, device):
         covered = {q for pair in placement for q in pair}
-        gates = [GateLabel("CNOT", pair) for pair in placement]
-        gates.extend(GateLabel("I", (q,)) for q in range(device.n) if q not in covered)
+        gates = [cnots[pair] for pair in placement]
+        gates.extend(idle for q, idle in enumerate(idles) if q not in covered)
         total += prob * layer_error_rate(model, gates)
     return total
 

@@ -119,7 +119,7 @@ def _load_run(run_dir: Path):
             raise dio.FormatError(f"field 'experiment.protocol' must be DRB or CRB, "
                                   f"got {protocol!r}")
         shots = dio.field(experiment, "shots", "experiment.shots", int, low=1)
-        seed = dio.field(manifest, "master_seed", "master_seed", int)
+        seed = dio.field(manifest, "master_seed", "master_seed", int, low=0)
     except dio.FormatError as exc:
         raise dio.FormatError(f"manifest {path}: {exc}") from None
     if not entries:
@@ -133,10 +133,12 @@ def _load_run(run_dir: Path):
             circ = dio.circuit_from_text(circuit_path.read_text(encoding="utf-8"))
         except dio.FormatError as exc:
             raise dio.FormatError(f"{circuit_path}: {exc}") from None
-        found = "".join(str(b) for b in circ.target)
-        if target != found:
+        if circuits and circ.n != circuits[0].n:
+            raise dio.FormatError(f"{circuit_path}: circuit header 'n' is {circ.n}, but the "
+                                  f"run's first circuit has n={circuits[0].n}")
+        if target != circ.target_text:
             raise ConfigError(f"manifest field experiment.circuits[{i}].target is {target!r} "
-                              f"but {circuit_path} has target {found!r}")
+                              f"but {circuit_path} has target {circ.target_text!r}")
         circuits.append(circ)
     return manifest, circuits, protocol, shots, seed
 

@@ -112,9 +112,7 @@ class CompileOptions:
 
 @dataclass(frozen=True)
 class CompileStats:
-    """Size measures of a compiled circuit; ``alpha`` is the value of the
-    configured cost metric (the per-element depth measure used when
-    rescaling group-benchmark error rates).
+    """Size measures of a compiled circuit.
 
     ``trials`` counts the candidates evaluated to find the circuit: the
     distinct elimination orders, plus for stabilizer circuits the CNOT
@@ -126,18 +124,11 @@ class CompileStats:
     cnots: int
     gates: int
     depth: int
-    alpha: float
     trials: int = dataclasses.field(default=0, compare=False)
 
 
-def circuit_stats(circ: Circuit, cost: str = "cnots") -> CompileStats:
-    values = {"cnots": circ.cnot_count, "depth": circ.depth, "gates": circ.num_gates}
-    return CompileStats(
-        cnots=values["cnots"],
-        gates=values["gates"],
-        depth=values["depth"],
-        alpha=float(values[cost]),
-    )
+def circuit_stats(circ: Circuit) -> CompileStats:
+    return CompileStats(cnots=circ.cnot_count, gates=circ.num_gates, depth=circ.depth)
 
 
 def _cost_key(cnots: int, depth: int, gates: int, cost: str) -> tuple[int, int, int]:
@@ -545,7 +536,7 @@ def compile_clifford(
     final = circuit_to_clifford(circuit)
     if final != op:
         raise RuntimeError("compiled circuit does not match the target Clifford")
-    return circuit, dataclasses.replace(circuit_stats(circuit, options.cost), trials=len(orders))
+    return circuit, dataclasses.replace(circuit_stats(circuit), trials=len(orders))
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +658,7 @@ def compile_stabilizer_meas(
     bits = state.apply_circuit(circuit).to_basis_bits()
     if bits is None:
         raise RuntimeError("measurement circuit did not produce a basis state")
-    return circuit, bits, dataclasses.replace(circuit_stats(circuit, options.cost), trials=trials)
+    return circuit, bits, dataclasses.replace(circuit_stats(circuit), trials=trials)
 
 
 def compile_stabilizer_prep(
@@ -696,4 +687,4 @@ def compile_stabilizer_prep(
     circuit = _pack_layers(_merge_one_qubit_runs(seq, device), n)
     if zero.apply_circuit(circuit) != state:
         raise RuntimeError("prep circuit does not prepare the target state")
-    return circuit, dataclasses.replace(circuit_stats(circuit, options.cost), trials=trials)
+    return circuit, dataclasses.replace(circuit_stats(circuit), trials=trials)

@@ -180,7 +180,7 @@ def circuit_to_text(circ: BenchmarkCircuit) -> str:
         f"# protocol={circ.protocol}",
         f"# n={circ.n}",
         f"# m={circ.length}",
-        "# target=" + "".join(str(b) for b in circ.target),
+        f"# target={circ.target_text}",
         "# seed=" + ",".join(str(s) for s in circ.seed),
         f"# segments={circ.prep.depth},{circ.core.depth},{circ.meas.depth}",
     ]
@@ -228,6 +228,10 @@ def circuit_from_text(text: str) -> BenchmarkCircuit:
         m = int(headers["m"])
     except ValueError:
         raise FormatError("circuit headers 'n' and 'm' must be integers") from None
+    if n < 1:
+        raise FormatError(f"circuit header 'n' must be >= 1, got {n}")
+    if m < 0:
+        raise FormatError(f"circuit header 'm' must be >= 0, got {m}")
     target_text = headers["target"]
     if len(target_text) != n or set(target_text) - {"0", "1"}:
         raise FormatError(f"circuit header 'target' must be {n} characters, each 0 or 1, "
@@ -523,20 +527,11 @@ def model_from_spec(spec: str, n: int) -> ErrorModel:
 
 
 def model_coverage_gaps(model: ErrorModel, circuits) -> list[str]:
-    """Gate labels used by the circuits but absent from the model."""
-    gaps = []
-    seen = set()
-    for circ in circuits:
-        for layer in circ.full_circuit.layers:
-            for gate in layer:
-                kind = "CNOT" if gate.name == "CNOT" else "1Q"
-                key = (kind, gate.qubits)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if key not in model.gate_errors:
-                    gaps.append(str(gate) if kind == "CNOT" else f"1Q {gate.qubits[0]}")
-    return sorted(gaps)
+    """Gate keys used by the circuits but absent from the model."""
+    keys = {model.key(gate) for circ in circuits
+            for layer in circ.full_circuit.layers for gate in layer}
+    return sorted(f"{kind} {','.join(map(str, qubits))}"
+                  for kind, qubits in keys - model.gate_errors.keys())
 
 
 # -- results files ----------------------------------------------------------

@@ -136,6 +136,11 @@ class BenchmarkCircuit:
         return self.prep.concat(self.core, self.meas)
 
     @property
+    def target_text(self) -> str:
+        """The target bitstring as text, qubit 0 first."""
+        return "".join(str(b) for b in self.target)
+
+    @property
     def target_bits(self) -> np.ndarray:
         return np.array(self.target, dtype=np.uint8)
 
@@ -280,7 +285,7 @@ def generate_experiment(design: ExperimentDesign) -> tuple[list[BenchmarkCircuit
             {
                 "id": c.circuit_id,
                 "m": c.length,
-                "target": "".join(str(b) for b in c.target),
+                "target": c.target_text,
                 "seed": list(c.seed),
                 "segment_cnots": [seg.cnot_count for seg in (c.prep, c.core, c.meas)],
                 "segment_depths": [seg.depth for seg in (c.prep, c.core, c.meas)],

@@ -1,7 +1,12 @@
 """Pauli-frame Monte Carlo simulation of benchmark circuits.
 
 Errors are stochastic Paulis drawn after each ideal layer, plus optional
-per-layer global depolarization and measurement bit flips.  Outcomes come
+per-layer global depolarization and measurement bit flips.  In Pauli
+fidelities the law is one product: a gate's error entry (q, p), a
+uniformly random non-identity Pauli on qubit q with probability p, has
+fidelity 1 - 4p/3; the fidelities on one qubit multiply; and a qubit of
+net fidelity f comes out clean with probability (1 + 3f) / 4, which
+:func:`layer_error_rate` multiplies over the qubits.  Outcomes come
 from the error frame, not from state vectors: signs are irrelevant to
 outcomes, so a frame is its x and z bits, and propagating it through a
 Clifford is linear over GF(2).  One backward pass therefore gives the
@@ -96,9 +101,14 @@ class ErrorModel:
             clean[(kind, qubits)] = tuple(checked)
         object.__setattr__(self, "gate_errors", clean)
 
+    @staticmethod
+    def key(gate: GateLabel) -> GateKey:
+        """The ``gate_errors`` key of a gate: ("CNOT", (c, t)) for a CNOT,
+        ("1Q", (q,)) for any other gate."""
+        return ("CNOT" if gate.name == "CNOT" else "1Q", gate.qubits)
+
     def rates_for(self, gate: GateLabel) -> tuple[RateEntry, ...]:
-        kind = "CNOT" if gate.name == "CNOT" else "1Q"
-        return self.gate_errors.get((kind, gate.qubits), ())
+        return self.gate_errors.get(self.key(gate), ())
 
 
 @dataclass(frozen=True)
@@ -126,31 +136,21 @@ class Dataset:
     error_events: int = 0
 
 
-def _pauli_distributions(model: ErrorModel, gates) -> list[np.ndarray]:
-    """Each qubit's net Pauli distribution after a layer of gate errors.
-
-    Convolves each qubit's distribution over all error entries touching
-    it, so two errors on one qubit may cancel.  Index k encodes the Pauli
-    with (x, z) = (k >> 1, k & 1): I, Z, X, Y.
-    """
-    dists = [np.array([1.0, 0.0, 0.0, 0.0]) for _ in range(model.n)]
-    for gate in gates:
-        for q, p in model.rates_for(gate):
-            err = np.array([1.0 - p, p / 3.0, p / 3.0, p / 3.0])
-            old = dists[q]
-            new = np.zeros(4)
-            for a in range(4):
-                for b in range(4):
-                    new[a ^ b] += old[a] * err[b]
-            dists[q] = new
-    return dists
-
-
 def layer_error_rate(model: ErrorModel, gates) -> float:
     """Exact probability that a layer of gates leaves a net error, the
-    layer-depolarizing term included."""
+    layer-depolarizing term included.
+
+    In Pauli fidelities (Flammia and Wallman, arXiv:1907.12976): an entry
+    of rate p has fidelity 1 - 4p/3 on its qubit, the fidelities on one
+    qubit multiply, and a qubit of net fidelity f comes out clean with
+    probability (1 + 3f) / 4.  The layer-depolarizing term is affine.
+    """
     n = model.n
-    identity_prob = math.prod(float(d[0]) for d in _pauli_distributions(model, gates))
+    fidelities = [1.0] * n
+    for gate in gates:
+        for q, p in model.rates_for(gate):
+            fidelities[q] *= 1.0 - 4.0 * p / 3.0
+    identity_prob = math.prod((1.0 + 3.0 * f) / 4.0 for f in fidelities)
     if model.layer_depol > 0.0:
         lam = 1.0 - model.layer_depol
         identity_prob = lam * identity_prob + (1.0 - lam) * 0.25**n
@@ -320,7 +320,7 @@ def run_experiment(
         rows.append(DataRow(
             circuit_id=circ.circuit_id,
             m=circ.length,
-            target="".join(str(b) for b in circ.target),
+            target=circ.target_text,
             shots=shots,
             successes=successes,
             histogram=hist,

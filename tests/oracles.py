@@ -278,6 +278,40 @@ def decay_sse(ms, ys, w, p: float, floor: float | None = None) -> float:
     return float(res @ res)
 
 
+# (x, z) bits of the single-qubit Paulis I, X, Y, Z
+_PAULI_BITS = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+def layer_pauli_distribution(entries, n: int, depol: float = 0.0) -> dict:
+    """The net n-qubit Pauli a layer's errors leave, by enumeration.
+
+    ``entries`` lists (qubit, p): each entry is I with probability 1 - p
+    and X, Y or Z with p/3 each, independently.  Every joint outcome of
+    the entries is enumerated and each qubit's (x, z) bits are XORed;
+    then, with probability ``depol``, each of the 4^n Paulis is XORed in
+    with equal weight.  Returns {(x bits, z bits): probability}.
+    """
+    dist: dict = {}
+    for outcome in itertools.product(range(4), repeat=len(entries)):
+        prob = 1.0
+        x, z = [0] * n, [0] * n
+        for (q, p), k in zip(entries, outcome):
+            prob *= 1.0 - p if k == 0 else p / 3.0
+            x[q] ^= _PAULI_BITS[k][0]
+            z[q] ^= _PAULI_BITS[k][1]
+        key = (tuple(x), tuple(z))
+        dist[key] = dist.get(key, 0.0) + prob
+    if depol == 0.0:
+        return dist
+    out = {key: (1.0 - depol) * prob for key, prob in dist.items()}
+    for (x, z), prob in dist.items():
+        for paulis in itertools.product(range(4), repeat=n):
+            key = (tuple(a ^ _PAULI_BITS[k][0] for a, k in zip(x, paulis)),
+                   tuple(b ^ _PAULI_BITS[k][1] for b, k in zip(z, paulis)))
+            out[key] = out.get(key, 0.0) + depol * prob / 4.0**n
+    return out
+
+
 def phase_of_loop(s: np.ndarray, v: np.ndarray, c: np.ndarray) -> int:
     """Phase exponent of the image of W(c) under the Clifford (s, v), one
     support bit at a time: the product of the images of c's generators in

@@ -306,7 +306,7 @@ class TestPredictR:
         assert predict_r_from_rates(spec, all_to_all(2), ErrorModel(n=2)) == 0.0
 
     def test_pairing_closed_form(self):
-        for n in (2, 4):
+        for n in (2, 4, 6, 8, 10):
             spec = PairingSampler(p_cnot=0.5)
             got = predict_r_from_rates(spec, all_to_all(n), build_model_main_sim(n))
             want = 1.0 - (0.5 * 0.9975**2 + 0.5 * 0.9995**2) ** (n / 2)

@@ -1,12 +1,14 @@
-"""Every drbench name the benchmark times or imports still exists, and
-its counters still read what they expect from the calls they wrap.
+"""Every drbench name the benchmark times or imports still exists, its
+counters still read what they expect from the calls they wrap, and its
+workloads' output checks pass.
 
 The benchmark under ``perfbench/`` wraps functions listed in
 ``spans.TARGETS``, reads counters off the wrapped calls' arguments and
 results with ``spans.COUNTERS``, and imports readers in ``workloads.py``;
 a rename or a changed call shape would only fail there.  This reads those
-files' source, loads ``spans.py`` for its tables and counters, and never
-runs the benchmark.
+files' source and loads ``spans.py`` and ``workloads.py`` for their
+tables, counters and checks; it runs each workload's pipeline through
+``drbench.cli.main`` but never runs the benchmark's timing.
 """
 
 import ast
@@ -15,6 +17,8 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from drbench.cli import main
 
@@ -46,18 +50,20 @@ def test_workload_imports_exist():
         assert hasattr(importlib.import_module(module), name), (module, name)
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def load_perfbench(name: str):
+    """Load ``perfbench/<name>.py`` as a module without putting perfbench on
+    the import path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_counters_read_the_pipeline_calls(tmp_path, monkeypatch):
     # wrap every drbench binding of each counted function, as the span
     # recorder does, run a small DRB and CRB generate and simulate, and
     # check the counters' totals against the manifests
-    spans = load_spans()
+    spans = load_perfbench("spans")
     calls = {name: [] for name in spans.COUNTERS}
     for name, module, function in spans.TARGETS:
         if name not in calls:
@@ -102,3 +108,24 @@ def test_counters_read_the_pipeline_calls(tmp_path, monkeypatch):
         + sum(core for _, core, _ in segments["crb"]))
     assert totals["simulate.shot_layers"] == sum(
         manifest["simulations"][-1]["shot_layers"] for manifest in manifests.values())
+
+
+workloads = load_perfbench("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_checks_pass(tmp_path, monkeypatch, name):
+    # iterations 0-2 of seed 5 at full size, as the benchmark runs them: a
+    # change that moves a workload's outputs out of its checks fails here
+    workload = workloads.WORKLOADS[name]("full")
+    failures = []
+    checks = workloads.Checks(failures.append)
+    for index in range(3):
+        seed = workloads.iteration_seed(5, index)
+        cwd = tmp_path / f"it{index}"
+        workload.write_inputs(cwd, seed)
+        monkeypatch.chdir(cwd)
+        for _, argv in workload.steps(seed):
+            assert main(argv) == 0, argv
+        workload.check(cwd, checks)
+    assert checks.attempted > 0 and checks.failed == 0, failures

@@ -183,11 +183,13 @@ MANIFEST_FIELDS = {
     "experiment.circuits[0].target": lambda m: m["experiment"]["circuits"][0].pop("target"),
 }
 
-# fields simulate reads from a generated manifest, each with a value of the wrong type
+# fields simulate reads from a generated manifest, each with a value of the
+# wrong type or range (a master_seed of -1 ended in exit 3 "simulation failed")
 MANIFEST_BAD_TYPES = [
     ("experiment.shots", lambda m: m["experiment"].update(shots="many")),
     ("experiment.shots", lambda m: m["experiment"].update(shots=True)),
     ("master_seed", lambda m: m.update(master_seed="x")),
+    ("master_seed", lambda m: m.update(master_seed=-1)),
     ("experiment.circuits", lambda m: m["experiment"].update(circuits=5)),
     ("experiment.protocol", lambda m: m["experiment"].update(protocol=7)),
     ("experiment.protocol", lambda m: m["experiment"].update(protocol=None)),
@@ -196,6 +198,14 @@ MANIFEST_BAD_TYPES = [
 
 # malformed target headers of a circuit file on n = 3
 BAD_TARGETS = ["0x1", "0121", "2", ""]
+
+# header lines of a one-circuit run's file out of range, and the part of the
+# message naming each: n = 0 ended in a ValueError traceback (exit 1), and
+# m = -5 was written to the dataset, which analyze then refused
+BAD_HEADERS = [
+    ("# n=0\n# m=0\n# target=\n", "circuit header 'n' must be >= 1"),
+    ("# n=2\n# m=-5\n# target={target}\n", "circuit header 'm' must be >= 0"),
+]
 
 # gates the row kernel does not run, which loaded and then failed the
 # simulation with exit 3, and the part of the message naming each
@@ -358,6 +368,34 @@ class TestSimulate:
         self.set_first_target(run, target)
         assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
         assert "circuit header 'target' must be 3 characters, each 0 or 1" in capsys.readouterr().err
+        assert not (run / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize("headers,problem", BAD_HEADERS, ids=("n", "m"))
+    def test_circuit_header_out_of_range_exit2(self, tmp_path, capsys, headers, problem):
+        run = generate(tmp_path, lengths=[0], circuits_per_length=1)
+        (entry,) = read_manifest(run)["experiment"]["circuits"]
+        path = run / "circuits" / f"{entry['id']}.txt"
+        path.write_text(f"# drbench circuit v1\n# id={entry['id']}\n# protocol=DRB\n"
+                        + headers.format(target=entry["target"])
+                        + "# seed=0,0,0\n# segments=0,0,0\n", encoding="utf-8")
+        assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and problem in err
+        assert not (run / "dataset.jsonl").exists()
+
+    def test_circuit_widths_differ_exit2(self, tmp_path, capsys):
+        # ended in exit 3, "model and circuit disagree on qubit count"
+        run = generate(tmp_path)
+        wide = generate(tmp_path, name="wide",
+                        device={"n": 3, "preset": "all_to_all", "gate_set": "HPI"})
+        entry = read_manifest(wide)["experiment"]["circuits"][-1]
+        path = run / "circuits" / f"{entry['id']}.txt"
+        path.write_bytes((wide / "circuits" / path.name).read_bytes())
+        corrupt_manifest(run, lambda m: m["experiment"]["circuits"][-1].update(
+            target=entry["target"]))
+        assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "circuit header 'n' is 3" in err
         assert not (run / "dataset.jsonl").exists()
 
     def test_circuit_target_disagrees_with_manifest_exit2(self, tmp_path, capsys):

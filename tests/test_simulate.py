@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,7 +17,6 @@ from drbench.simulate import (
     ErrorModel,
     _distinct_positions,
     _effects,
-    _pauli_distributions,
     build_model_crosstalk5,
     build_model_from_calibration,
     build_model_layer_depolarizing,
@@ -86,6 +85,21 @@ def random_layers(draw):
     return n, layers
 
 
+ERROR_RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def noisy_layers(draw):
+    """(n, gate_errors, layer keys, layer_depol): up to three gates, which
+    may share qubits, with up to two error entries each on any qubits."""
+    n = draw(st.integers(1, 3))
+    keys = [("1Q", (q,)) for q in range(n)]
+    keys += [("CNOT", (c, t)) for c in range(n) for t in range(n) if c != t]
+    entries = st.lists(st.tuples(st.integers(0, n - 1), ERROR_RATES), max_size=2)
+    errors = draw(st.dictionaries(st.sampled_from(keys), entries, max_size=3))
+    return n, errors, draw(st.lists(st.sampled_from(keys), max_size=3)), draw(ERROR_RATES)
+
+
 class TestErrorModel:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -128,6 +142,24 @@ class TestLayerErrorRate:
         expected = 1.0 - ((1 - p1) * (1 - p2) + 3 * (p1 / 3) * (p2 / 3))
         gates = [GateLabel("CNOT", (0, 1))] + [GateLabel("H", (0,))]
         assert layer_error_rate(model, gates) == pytest.approx(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(noisy_layers(), st.sampled_from(ONE_QUBIT_NAMES))
+    # two entries on one qubit
+    @example((2, {("CNOT", (0, 1)): ((0, 0.3), (0, 0.2))}, [("CNOT", (0, 1))], 0.0), "H")
+    # crosstalk onto a qubit that a p = 1 entry also hits, under layer_depol
+    @example((3, {("CNOT", (1, 2)): ((1, 0.1), (0, 0.05)), ("1Q", (0,)): ((0, 1.0),)},
+              [("CNOT", (1, 2)), ("1Q", (0,))], 0.2), "P")
+    # p = 0 under full depolarization
+    @example((1, {("1Q", (0,)): ((0, 0.0),)}, [("1Q", (0,))], 1.0), "I")
+    def test_matches_enumeration(self, setup, name):
+        n, errors, layer, depol = setup
+        model = ErrorModel(n=n, gate_errors=errors, layer_depol=depol)
+        gates = [GateLabel("CNOT" if kind == "CNOT" else name, qubits) for kind, qubits in layer]
+        entries = [entry for key in layer for entry in errors.get(key, ())]
+        dist = oracles.layer_pauli_distribution(entries, n, depol)
+        clean = dist.get(((0,) * n, (0,) * n), 0.0)
+        assert layer_error_rate(model, gates) == pytest.approx(1.0 - clean, abs=1e-12)
 
     def test_depol_contribution(self):
         model = ErrorModel(n=2, layer_depol=0.4)
@@ -429,10 +461,11 @@ class TestPackedKernel:
         model = build_model_crosstalk5()
         layer = (GateLabel("CNOT", (4, 0)), GateLabel("H", (1,)), GateLabel("P", (2,)),
                  GateLabel("C3", (3,)))
-        expected = 1.0
-        for d, f in zip(_pauli_distributions(model, layer), model.meas_flip):
-            no_x = d[0] + d[1]
-            expected *= no_x * (1 - f) + (1 - no_x) * f
+        entries = [entry for gate in layer for entry in model.rates_for(gate)]
+        # a readout reads right when no x part hit its qubit and it did not
+        # flip, or an x part hit and it flipped
+        expected = sum(prob * math.prod(f if xq else 1 - f for xq, f in zip(x, model.meas_flip))
+                       for (x, _), prob in oracles.layer_pauli_distribution(entries, 5).items())
         shots = 200_000
         successes, _ = simulate_circuit(core_circuit(5, [layer]), model, shots,
                                         stream(2024, "crosstalk5"))
