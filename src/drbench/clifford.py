@@ -11,7 +11,14 @@ parametrization, so equality of (s, v) is equality of the physical map.
 Bit vectors are packed as (x | z): indices [0, n) are X components and
 [n, 2n) are Z components.
 
-Circuits are tracked with one in-place kernel, :class:`PauliRows`, in the
+The native gates are defined once.  The 24 single-qubit Cliffords are a
+table of ints ``(a, b, c, d, vx, vz)``: the gate maps X to ``i**vx W(a,
+c)`` and Z to ``i**vz W(b, d)``, so its local (s, v) is ``((a, b), (c,
+d)), (vx, vz)``.  The table is in lexicographic order, ``C<k>`` names
+entry k, the identity is C8, and I, X, Y, Z, H and P are the entries
+with their (s, v).  CNOT has no entry: its rule is the kernel's own.
+
+Gates are applied by one in-place kernel, :class:`PauliRows`, in the
 manner of the CHP tableau (Aaronson & Gottesman, quant-ph/0406196),
 bit-sliced by column as in Stim (Gidney, arXiv:2103.02202).  It holds a
 stack of Pauli rows ``i**r[k] * W(b[k])`` as Python ints: for each qubit
@@ -24,17 +31,19 @@ with a few XORs and ANDs of its qubits' columns.  CNOT is ``x[t] ^=
 x[c]; z[c] ^= z[t]`` and leaves every phase alone in the X-left-of-Z
 convention.  A 1Q gate maps its qubit's (x, z) columns by its local 2 x 2
 bit matrix and adds the power of i its image carries for local X, Z and
-XZ.  The 1Q updates are read on first use from :func:`standard_gate`'s
-local (s, v), and CNOT's rule is checked against it, so gate definitions
-live in one place.  The (rows, 2n) (x | z) matrix ``b`` and the powers
-``r`` are built only when read, as read-only arrays.  The Clifford of a
-circuit is the 2n identity rows W(e_j) carried through it, read back as
-the columns of (s, v).  ``apply_layer`` applies its gates in order, so
-it takes whole gate sequences too.  Every conjugation of Pauli rows by
-gates in ``generate`` and ``simulate`` runs here: DRB tracking, circuit
-Cliffords, the compilers' stage checks, replays and sign fixes, and the
-simulator's effect tables.  The 1Q gates' positions in the 24-element
-table and its product table are kept here too, built on first use.
+XZ, all read straight from its table entry.  The (rows, 2n) (x | z)
+matrix ``b`` and the powers ``r`` are built only when read, as read-only
+arrays.  The (s, v) of a circuit, a layer or one gate
+(:func:`standard_gate`) is read off the kernel: the 2n identity rows
+W(e_j) carried through it, read back as the columns of (s, v).
+``apply_layer`` applies its gates in order, so it takes whole gate
+sequences too.  Every conjugation of Pauli rows by gates in ``generate``
+and ``simulate`` runs here: DRB tracking, circuit Cliffords, the
+compilers' stage checks, replays and sign fixes, and the simulator's
+effect tables.  The 1Q table's product table is built here on first use.
+
+A :class:`CliffordOp` is an (s, v) value with validation and equality;
+its operations are :func:`compose` and :func:`invert`.
 
 A :class:`StabilizerState` stores its n generators as the read-only
 arrays a row stack reads out: ``b`` is the (n, 2n) (x | z) matrix and
@@ -49,6 +58,7 @@ images of products of generators.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -65,9 +75,6 @@ __all__ = [
     "one_qubit_clifford_table",
     "compose",
     "invert",
-    "conjugate_pauli",
-    "apply_clifford",
-    "is_eigenstate",
     "circuit_to_clifford",
     "layer_to_clifford",
 ]
@@ -238,40 +245,6 @@ class CliffordOp:
         parity = np.einsum("ij,ij->j", self.s[:n].astype(np.int64), self.s[n:].astype(np.int64)) % 2
         return bool(np.all(self.v % 2 == parity))
 
-    def _phase_of(self, c: np.ndarray) -> np.ndarray:
-        """Phase exponents of the images of the phase-free Paulis W(c), one
-        per (x | z) vector along the last axis of ``c``.
-
-        W(c) is the product of the generators in c's support in index order,
-        so its image is the ordered product of the columns' images.
-        """
-        return _product_phases(self.s.T, self.v, c)
-
-    def conjugate_pauli(self, p: PauliOp) -> PauliOp:
-        """Return U p U^dagger for this Clifford U."""
-        if p.n != self.n:
-            raise ValueError("qubit-count mismatch")
-        n = self.n
-        vec = p.vec
-        image = (self.s.astype(np.int64) @ vec) % 2
-        phase = p.phase + int(self._phase_of(vec))
-        return PauliOp(n, image[:n].astype(np.uint8), image[n:].astype(np.uint8), phase)
-
-    def compose(self, other: "CliffordOp") -> "CliffordOp":
-        """Return self after other (``other`` acts first)."""
-        if self.n != other.n:
-            raise ValueError("qubit-count mismatch")
-        s = (self.s.astype(np.int64) @ other.s.astype(np.int64)) % 2
-        v = (other.v + self._phase_of(other.s.T)) % 4
-        return CliffordOp(self.n, s.astype(np.uint8), v, validate=False)
-
-    def invert(self) -> "CliffordOp":
-        n = self.n
-        lam = _lambda_matrix(n)
-        s_inv = (lam @ self.s.T.astype(np.int64) @ lam) % 2
-        v = -self._phase_of(s_inv.T) % 4
-        return CliffordOp(n, s_inv.astype(np.uint8), v, validate=False)
-
     @property
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.s, np.eye(2 * self.n, dtype=np.uint8)) and np.all(self.v == 0))
@@ -296,36 +269,70 @@ class CliffordOp:
 # Standard gates
 
 
-def _embed(n: int, qubits: tuple[int, ...], s_local: np.ndarray, v_local: np.ndarray) -> CliffordOp:
-    k = len(qubits)
-    idx = np.array([*qubits, *(n + q for q in qubits)], dtype=np.intp)
-    s = np.eye(2 * n, dtype=np.uint8)
-    s[np.ix_(idx, idx)] = s_local
-    v = np.zeros(2 * n, dtype=np.int64)
-    v[idx] = v_local
-    return CliffordOp(n, s, v, validate=False)
-
-
-_ONE_QUBIT_GATES: dict[str, tuple[tuple[tuple[int, int], tuple[int, int]], tuple[int, int]]] = {
-    # name: (s rows ((x_of_X, x_of_Z), (z_of_X, z_of_Z)), (v_X, v_Z))
-    "I": (((1, 0), (0, 1)), (0, 0)),
-    "X": (((1, 0), (0, 1)), (0, 2)),
-    "Y": (((1, 0), (0, 1)), (2, 2)),
-    "Z": (((1, 0), (0, 1)), (2, 0)),
-    "H": (((0, 1), (1, 0)), (0, 0)),
-    "P": (((1, 0), (1, 1)), (1, 0)),
-}
-
-_CNOT_S = np.array(
-    # columns: images of X_c, X_t, Z_c, Z_t with local order (control, target)
-    [
-        [1, 0, 0, 0],
-        [1, 1, 0, 0],
-        [0, 0, 1, 1],
-        [0, 0, 0, 1],
-    ],
-    dtype=np.uint8,
+# The 24 single-qubit Cliffords as (a, b, c, d, vx, vz): X maps to
+# i**vx W(a, c) and Z to i**vz W(b, d).  ((a, b), (c, d)) is invertible over
+# GF(2), and each image is Hermitian (vx = ac and vz = bd mod 2).
+# Lexicographic order, so the identity is C8.
+_ONE_QUBIT_CLIFFORDS = tuple(
+    (a, b, c, d, vx, vz)
+    for a, b, c, d in itertools.product((0, 1), repeat=4) if a * d ^ b * c
+    for vx in (a * c, a * c + 2)
+    for vz in (b * d, b * d + 2)
 )
+
+# position in the table of every 1Q gate name; P is diag(1, i)
+_ONE_QUBIT_INDEX = {
+    name: _ONE_QUBIT_CLIFFORDS.index(gate) for name, gate in (
+        ("I", (1, 0, 0, 1, 0, 0)),
+        ("X", (1, 0, 0, 1, 0, 2)),
+        ("Y", (1, 0, 0, 1, 2, 2)),
+        ("Z", (1, 0, 0, 1, 2, 0)),
+        ("H", (0, 1, 1, 0, 0, 0)),
+        ("P", (1, 0, 1, 1, 1, 0)),
+    )
+} | {f"C{k}": k for k in range(len(_ONE_QUBIT_CLIFFORDS))}
+
+# gate names the kernel knows, by number of qubits
+_KERNEL_GATES = {1: tuple(_ONE_QUBIT_INDEX), 2: ("CNOT",)}
+
+
+def _one_qubit_update(a: int, b: int, c: int, d: int, vx: int, vz: int) -> tuple[int, ...]:
+    """The kernel's seven masks for the 1Q gate ``(a, b, c, d, vx, vz)``.
+
+    Each mask is 0 or -1, so that ``col & mask`` keeps or drops a column:
+    (xx, xz, zx, zz) give the new columns ``x' = x & xx ^ z & xz`` and
+    ``z' = x & zx ^ z & zz``, and (tx, tz, txz) the rows whose power of i
+    gains 2, ``x & tx ^ z & tz ^ x & z & txz``.  The rows that gain an odd
+    power are ``x' & z' ^ x & z``: the image of a Hermitian row is
+    Hermitian, and ``i**(x.z) W(x, z)`` is.  XZ maps to ``i**vx W(a, c)
+    i**vz W(b, d)``, of power ``vx + vz + 2bc``, so its bit 1 splits as
+    tx ^ tz ^ txz.
+    """
+    vxz = (vx + vz + 2 * b * c) % 4
+    return tuple(-bit for bit in (a, b, c, d, vx >> 1, vz >> 1, (vx ^ vz ^ vxz) >> 1))
+
+
+# The kernel update of every kernel gate, by name.  CNOT's is None: it is
+# ``x_t ^= x_c; z_c ^= z_t`` with no phase.
+_GATE_UPDATES: dict[str, tuple[int, ...] | None] = {
+    name: _one_qubit_update(*_ONE_QUBIT_CLIFFORDS[k]) for name, k in _ONE_QUBIT_INDEX.items()
+} | {"CNOT": None}
+
+
+def _check_gate(name: str, qubits: tuple[int, ...], n: int):
+    """Raise the ValueError that says why ``name`` on ``qubits`` is not a
+    kernel gate within n qubits; return when it is one."""
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"repeated qubit in {name} {qubits}")
+    if any(q < 0 or q >= n for q in qubits):
+        raise ValueError(f"qubit out of range in {name} {qubits} for n={n}")
+    if name == "CNOT":
+        if len(qubits) != 2:
+            raise ValueError("CNOT takes exactly two qubits")
+    elif len(qubits) != 1:
+        raise ValueError(f"{name} takes exactly one qubit")
+    if name not in _GATE_UPDATES:
+        raise ValueError(f"unknown gate name {name!r}")
 
 
 @functools.cache
@@ -336,80 +343,37 @@ def one_qubit_clifford_table() -> tuple[CliffordOp, ...]:
     sits at C8.  Products over positions follow :func:`compose`:
     ``product[a][b]`` is the position of C<a> after C<b> (C<b> acts first).
     """
-    ops = []
-    for flat in sorted(
-        (a, b, c, d)
-        for a in (0, 1)
-        for b in (0, 1)
-        for c in (0, 1)
-        for d in (0, 1)
-        if (a * d + b * c) % 2 == 1
-    ):
-        a, b, c, d = flat
-        s = np.array([[a, b], [c, d]], dtype=np.uint8)
-        p0 = (a * c) % 2
-        p1 = (b * d) % 2
-        for v in sorted((v0, v1) for v0 in (p0, p0 + 2) for v1 in (p1, p1 + 2)):
-            ops.append(CliffordOp(1, s, np.array(v, dtype=np.int64), validate=False))
-    return tuple(ops)
+    return tuple(CliffordOp(1, ((a, b), (c, d)), (vx, vz), validate=False)
+                 for a, b, c, d, vx, vz in _ONE_QUBIT_CLIFFORDS)
 
 
 def standard_gate(name: str, qubits: tuple[int, ...] | Sequence[int], n: int) -> CliffordOp:
-    """The CliffordOp of a named gate acting on ``qubits`` within n qubits.
+    """The CliffordOp of a named gate acting on ``qubits`` within n qubits,
+    read off the row kernel.
 
     Recognized names: I, X, Y, Z, H, P (phase gate, diag(1, i)), CNOT
     (control first), and C0..C23 from :func:`one_qubit_clifford_table`.
     """
     qubits = tuple(int(q) for q in qubits)
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"repeated qubit in {name} {qubits}")
-    if any(q < 0 or q >= n for q in qubits):
-        raise ValueError(f"qubit out of range in {name} {qubits} for n={n}")
-    if name == "CNOT":
-        if len(qubits) != 2:
-            raise ValueError("CNOT takes exactly two qubits")
-        return _embed(n, qubits, _CNOT_S, np.zeros(4, dtype=np.int64))
-    if len(qubits) != 1:
-        raise ValueError(f"{name} takes exactly one qubit")
-    if name in _ONE_QUBIT_GATES:
-        rows, v = _ONE_QUBIT_GATES[name]
-        return _embed(n, qubits, np.array(rows, dtype=np.uint8), np.array(v, dtype=np.int64))
-    if name.startswith("C") and name[1:].isdigit():
-        k = int(name[1:])
-        table = one_qubit_clifford_table()
-        if k < len(table):
-            op = table[k]
-            return _embed(n, qubits, op.s, op.v)
-    raise ValueError(f"unknown gate name {name!r}")
-
-
-@functools.cache
-def _one_qubit_index() -> dict[str, int]:
-    """Position in :func:`one_qubit_clifford_table` of every 1Q gate name."""
-    table = one_qubit_clifford_table()
-    index = {f"C{k}": k for k in range(len(table))}
-    for name in ("I", "X", "Y", "Z", "H", "P"):
-        index[name] = table.index(standard_gate(name, (0,), 1))
-    return index
+    _check_gate(name, qubits, n)
+    return layer_to_clifford((GateLabel(name, qubits),), n)
 
 
 @functools.cache
 def _one_qubit_products() -> tuple[tuple[int, ...], ...]:
     """``product[a][b]``: position of C<a> after C<b>."""
-    table = one_qubit_clifford_table()
-    position = {(op.s.tobytes(), op.v.tobytes()): k for k, op in enumerate(table)}
-    # the columns of every C<b>, two rows each, carried through each C<a>
-    columns = np.concatenate([op.s.T for op in table])
-    phases = np.concatenate([op.v for op in table])
+    position = {gate: k for k, gate in enumerate(_ONE_QUBIT_CLIFFORDS)}
+    # the images of X and Z under every C<b>, rows 2b and 2b + 1, carried
+    # through each C<k>
+    columns = [row for a, b, c, d, _, _ in _ONE_QUBIT_CLIFFORDS for row in ((a, c), (b, d))]
+    phases = [v for *_, vx, vz in _ONE_QUBIT_CLIFFORDS for v in (vx, vz)]
     product = []
-    for a in range(len(table)):
+    for k in range(len(_ONE_QUBIT_CLIFFORDS)):
         rows = PauliRows(1, columns, phases)
-        rows.apply_layer((GateLabel(f"C{a}", (0,)),))
-        bits, powers = rows.b, rows.r
-        product.append(tuple(
-            position[bits[2 * b:2 * b + 2].T.tobytes(), powers[2 * b:2 * b + 2].tobytes()]
-            for b in range(len(table))
-        ))
+        rows.apply_layer((GateLabel(f"C{k}", (0,)),))
+        bits, powers = rows.b.tolist(), rows.r.tolist()
+        images = zip(bits[0::2], bits[1::2], powers[0::2], powers[1::2])
+        product.append(tuple(position[a, b, c, d, vx, vz] for (a, c), (b, d), vx, vz in images))
     return tuple(product)
 
 
@@ -487,54 +451,6 @@ class Circuit:
 # ---------------------------------------------------------------------------
 # Row-stack kernel
 
-# gate names the kernel knows, by number of qubits
-_KERNEL_GATES = {
-    1: ("I", "X", "Y", "Z", "H", "P", *(f"C{k}" for k in range(24))),
-    2: ("CNOT",),
-}
-
-
-@functools.cache
-def _gate_updates() -> dict[str, tuple[int, ...] | None]:
-    """The kernel update of every kernel gate, by name, read on first use
-    from :func:`standard_gate`'s local (s, v).
-
-    A 1Q gate's update is seven masks, each 0 or -1 so that ``col & mask``
-    keeps or drops a column: (xx, xz, zx, zz) give the new columns
-    ``x' = x & xx ^ z & xz`` and ``z' = x & zx ^ z & zz``, and (tx, tz,
-    txz) the rows whose power of i gains 2, ``x & tx ^ z & tz ^ x & z &
-    txz``.  The rows that gain an odd power are ``x' & z' ^ x & z``: the
-    image of a Hermitian row is Hermitian, and ``i**(x.z) W(x, z)`` is.
-    CNOT's update is None: it is ``x_t ^= x_c; z_c ^= z_t`` with no
-    phase.  Both rules are checked here on every local row.
-    """
-    updates: dict[str, tuple[int, ...] | None] = {}
-    for k, names in _KERNEL_GATES.items():
-        local = (np.arange(4**k)[:, None] >> np.arange(2 * k)) & 1
-        for name in names:
-            op = standard_gate(name, tuple(range(k)), k)
-            image = (local @ op.s.T.astype(np.int64)) % 2
-            phase = op._phase_of(local)
-            if k == 2:
-                # local columns (x_c, x_t, z_c, z_t)
-                want = local.copy()
-                want[:, 1] ^= local[:, 0]
-                want[:, 2] ^= local[:, 3]
-                if not np.array_equal(image, want) or np.any(phase):
-                    raise RuntimeError("CNOT is not x_t ^= x_c, z_c ^= z_t without phase")
-                updates[name] = None
-                continue
-            if np.any(phase & 1 != (image[:, 0] & image[:, 1]) ^ (local[:, 0] & local[:, 1])):
-                raise RuntimeError(f"{name} breaks the odd-phase rule")
-            # local rows 1, 2, 3 are X, Z and XZ; XZ's image bits are the XOR
-            # of the other two, and a bit t3 splits as t1 ^ t2 ^ (t1^t2^t3)
-            twos = phase >> 1
-            updates[name] = tuple(-int(bit) for bit in (
-                image[1, 0], image[2, 0], image[1, 1], image[2, 1],
-                twos[1], twos[2], twos[1] ^ twos[2] ^ twos[3],
-            ))
-    return updates
-
 
 class PauliRows:
     """A stack of Pauli rows ``i**r[k] * W(b[k])``, bit-sliced into Python
@@ -577,7 +493,7 @@ class PauliRows:
         The gates may overlap, so a whole gate sequence can be passed; a
         layer is the case where their qubits are disjoint.
         """
-        updates = _gate_updates()
+        updates = _GATE_UPDATES
         x, z, lo, hi = self.x, self.z, self.lo, self.hi
         try:
             for gate in gates:
@@ -597,7 +513,7 @@ class PauliRows:
                 hi ^= cx & tx ^ cz & tz ^ both & txz ^ lo & ones
                 lo ^= ones
         except (KeyError, ValueError):
-            standard_gate(gate.name, gate.qubits, self.n)  # raises the gate's own error
+            _check_gate(gate.name, gate.qubits, self.n)
             raise
         self.lo, self.hi = lo, hi
 
@@ -794,12 +710,6 @@ class StabilizerState:
         b = np.hstack([np.zeros((n, n), dtype=np.uint8), np.eye(n, dtype=np.uint8)])
         return cls.from_rows(b, 2 * np.asarray(bits, dtype=np.int64))
 
-    def apply(self, c: CliffordOp) -> "StabilizerState":
-        if c.n != self.n:
-            raise ValueError("qubit-count mismatch")
-        image = (self.b.astype(np.int64) @ c.s.T) % 2
-        return StabilizerState.from_rows(image, self.r + c._phase_of(self.b))
-
     def apply_circuit(self, circuit: Circuit) -> "StabilizerState":
         """The state after ``circuit`` (of the state's width), its
         generators carried through the row kernel layer by layer."""
@@ -844,36 +754,26 @@ class StabilizerState:
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation aliases
+# Clifford operations
 
 
 def compose(a: CliffordOp, b: CliffordOp) -> CliffordOp:
-    """The Clifford "b then a" (matrix product a.b of the unitaries)."""
-    return a.compose(b)
+    """The Clifford "b then a" (matrix product a.b of the unitaries).
+
+    Column j of b maps through a to the ordered product of a's images of
+    the generators in its support.
+    """
+    if a.n != b.n:
+        raise ValueError("qubit-count mismatch")
+    s = (a.s.astype(np.int64) @ b.s.astype(np.int64)) % 2
+    v = (b.v + _product_phases(a.s.T, a.v, b.s.T)) % 4
+    return CliffordOp(a.n, s.astype(np.uint8), v, validate=False)
 
 
 def invert(c: CliffordOp) -> CliffordOp:
-    return c.invert()
-
-
-def conjugate_pauli(c: CliffordOp, p: PauliOp) -> PauliOp:
-    return c.conjugate_pauli(p)
-
-
-def apply_clifford(c: CliffordOp, state: StabilizerState) -> StabilizerState:
-    return state.apply(c)
-
-
-def is_eigenstate(state: StabilizerState, p: PauliOp) -> bool:
-    """Whether ``p`` stabilizes or anti-stabilizes ``state``.
-
-    True iff ``p`` commutes with all n generators.  A maximal stabilizer
-    group is its own centralizer, so that is the same as the (x | z)
-    vector lying in the row space of the tableau: the state is an
-    eigenstate of ``p`` for either eigenvalue sign.
-    """
-    if p.n != state.n:
-        raise ValueError("qubit-count mismatch")
-    n = state.n
-    x, z = state.b[:, :n].astype(np.int64), state.b[:, n:].astype(np.int64)
-    return not np.any((x @ p.z + z @ p.x) % 2)
+    """The inverse Clifford: s^-1 = Lambda s^T Lambda, and column j's
+    phase is minus the one c gives W(s^-1 e_j), so c maps it back to W(e_j)."""
+    lam = _lambda_matrix(c.n)
+    s_inv = (lam @ c.s.T.astype(np.int64) @ lam) % 2
+    v = -_product_phases(c.s.T, c.v, s_inv.T) % 4
+    return CliffordOp(c.n, s_inv.astype(np.uint8), v, validate=False)

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import (
+    _ONE_QUBIT_INDEX,
     Circuit,
     CliffordOp,
     GateLabel,
@@ -64,7 +65,6 @@ from .clifford import (
     StabilizerState,
     _gf2_eliminate,
     _gf2_rref,
-    _one_qubit_index,
     _one_qubit_products,
     _pack_rows,
     circuit_to_clifford,
@@ -351,7 +351,7 @@ def compile_cnot_circuit(matrix: np.ndarray, device: DeviceSpec, options: Compil
 def _word_table(gate_set: str) -> tuple[tuple[str, ...], ...]:
     """``words[k]``: a shortest word of the gate set's generators whose
     product is C<k>, by breadth-first search from the identity's ``()``."""
-    index = _one_qubit_index()
+    index = _ONE_QUBIT_INDEX
     product = _one_qubit_products()
     words: dict[int, tuple[str, ...]] = {index["I"]: ()}
     frontier = [index["I"]]
@@ -371,7 +371,7 @@ def _merge_one_qubit_runs(seq: list[GateLabel], device: DeviceSpec) -> list[Gate
     """Fuse maximal runs of 1Q gates per qubit and re-emit them as words
     from the device's gate set; identity runs vanish."""
     words = _word_table(device.gate_set)
-    index = _one_qubit_index()
+    index = _ONE_QUBIT_INDEX
     product = _one_qubit_products()
     identity = index["I"]
     pending: dict[int, int] = {}

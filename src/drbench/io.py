@@ -197,9 +197,12 @@ def _int_tuple(value: str, field: str) -> tuple[int, ...]:
     if value == "":
         return ()
     try:
-        return tuple(int(v) for v in value.split(","))
+        values = tuple(int(v) for v in value.split(","))
     except ValueError:
         raise FormatError(f"circuit header '{field}' must be comma-separated ints") from None
+    if any(v < 0 for v in values):
+        raise FormatError(f"circuit header '{field}' entries must be >= 0, got {value!r}")
+    return values
 
 
 def circuit_from_text(text: str) -> BenchmarkCircuit:
@@ -375,15 +378,22 @@ def _device_from_config(obj: dict) -> DeviceSpec:
         if preset not in _PRESETS:
             raise FormatError(f"field 'device.preset' must be one of {sorted(_PRESETS)}, "
                               f"got {preset!r}")
-        return _PRESETS[preset](n, gate_set)
+        try:
+            return _PRESETS[preset](n, gate_set)
+        except ValueError as exc:
+            raise FormatError(f"field 'device.n' is invalid for preset {preset!r}: {exc}") from None
     edges = field(obj, "edges", "device.edges", [[int]])
     if any(len(e) != 2 for e in edges):
         raise FormatError(f"field 'device.edges' must be a list of [control, target] "
                           f"integer pairs, got {edges!r}")
     try:
-        return DeviceSpec(n=n, edges=tuple(map(tuple, edges)), gate_set=gate_set)
+        device = DeviceSpec(n=n, edges=tuple(map(tuple, edges)), gate_set=gate_set)
     except ValueError as exc:
         raise FormatError(f"field 'device.edges' is invalid: {exc}") from None
+    # every compiler routes CNOTs along shortest paths between qubits
+    if not device.is_connected():
+        raise FormatError(f"field 'device.edges' must link every qubit, got {edges!r}")
+    return device
 
 
 def _sampler_from_config(obj: dict, device: DeviceSpec) -> SamplerSpec:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import GateLabel, PauliRows, _one_qubit_index, _one_qubit_products
+from .clifford import _ONE_QUBIT_INDEX, GateLabel, PauliRows, _one_qubit_products
 from .device import ring_center_edges
 from .protocols import BenchmarkCircuit
 
@@ -163,7 +163,7 @@ def _inverse(name: str, qubits: tuple[int, ...]) -> GateLabel:
     the C<b> whose product with it is the identity."""
     if name == "CNOT":
         return GateLabel(name, qubits)
-    index = _one_qubit_index()
+    index = _ONE_QUBIT_INDEX
     if name not in index:
         raise ValueError(f"unknown gate name {name!r}")
     return GateLabel(f"C{_one_qubit_products()[index[name]].index(index['I'])}", qubits)

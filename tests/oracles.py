@@ -180,6 +180,14 @@ def stabilizer_projector(state) -> np.ndarray:
     return rho
 
 
+def is_eigenstate(state, p) -> bool:
+    """Whether the state is an eigenvector of the Pauli ``p``, of any
+    eigenvalue: conjugating its projector by ``p`` leaves it unchanged."""
+    rho = stabilizer_projector(state)
+    m = pauli_op_matrix(p)
+    return np.allclose(m @ rho @ m.conj().T, rho, atol=1e-8)
+
+
 def states_equal_dense(state_a, state_b) -> bool:
     return np.allclose(stabilizer_projector(state_a), stabilizer_projector(state_b), atol=1e-8)
 

@@ -39,11 +39,9 @@ from drbench import (
     compile_clifford,
     compile_stabilizer_meas,
     compile_stabilizer_prep,
-    conjugate_pauli,
     crb_rescale,
     extract_building_block_rates,
     generate_experiment,
-    is_eigenstate,
     layer_error_rate,
     predict_r_from_rates,
     ring,
@@ -180,9 +178,10 @@ def test_criterion_4_eigenstate_frequency_law():
             rng = stream(4000, n)
             hits = np.zeros(len(paulis), dtype=np.int64)
             for _ in range(samples):
-                state = sample_stabilizer_state_uniform(n, rng)
+                # an eigenstate of p exactly when p commutes with every generator
+                generators = sample_stabilizer_state_uniform(n, rng).generators
                 for j, p in enumerate(paulis):
-                    hits[j] += is_eigenstate(state, p)
+                    hits[j] += all(g.commutes(p) for g in generators)
             expected = (2 ** n - 1) / (4 ** n - 1)
             for j, label in enumerate(fixed[n]):
                 freq = hits[j] / samples
@@ -229,10 +228,9 @@ def test_criterion_5_group_and_compiler_oracles():
             for _ in range(46):
                 state = sample_stabilizer_state_uniform(n, rng)
                 prep, _ = compile_stabilizer_prep(state, device, opts)
-                assert StabilizerState.zero_state(n).apply(
-                    circuit_to_clifford(prep, n)) == state
+                assert StabilizerState.zero_state(n).apply_circuit(prep) == state
                 meas, bits, _ = compile_stabilizer_meas(state, device, opts)
-                rotated = state.apply(circuit_to_clifford(meas, n))
+                rotated = state.apply_circuit(meas)
                 got = rotated.to_basis_bits()
                 assert got is not None and np.array_equal(got, bits)
                 _assert_device_legal(prep, device)
@@ -240,15 +238,11 @@ def test_criterion_5_group_and_compiler_oracles():
                 states += 1
         assert cliffords >= 1000 and states >= 500
 
-        # every Clifford at n <= 2: tableau conjugation vs dense matrices
+        # every Clifford at n <= 2: its compiled circuit's dense conjugation
+        # of each generator gives back the tableau
         opts = CompileOptions(trials=1)
         for n in (1, 2):
             device = all_to_all(n)
-            paulis = []
-            for bits in itertools.product((0, 1), repeat=2 * n):
-                if any(bits):
-                    paulis.append(PauliOp(n, bits[:n], bits[n:]))
-            pmats = np.stack([oracles.pauli_op_matrix(p) for p in paulis])
             for index in range(symplectic_group_order(n)):
                 s = symplectic_from_index(index, n)
                 parity = np.einsum("ij,ij->j", s[:n].astype(np.int64),
@@ -257,11 +251,8 @@ def test_criterion_5_group_and_compiler_oracles():
                     v = parity + 2 * np.array(signs, dtype=np.int64)
                     op = CliffordOp(n, s, v)
                     circ, _ = compile_clifford(op, device, opts)
-                    u = oracles.circuit_unitary(circ)
-                    dense = u @ pmats @ u.conj().T
-                    mine = np.stack([oracles.pauli_op_matrix(conjugate_pauli(op, p))
-                                     for p in paulis])
-                    assert np.allclose(dense, mine, atol=1e-9), (n, index, signs)
+                    s_dense, v_dense = oracles.clifford_of_unitary(oracles.circuit_unitary(circ), n)
+                    assert CliffordOp(n, s_dense, v_dense) == op, (n, index, signs)
 
 
 def test_criterion_6_crb_drb_consistency():

@@ -207,6 +207,16 @@ BAD_HEADERS = [
     ("# n=2\n# m=-5\n# target={target}\n", "circuit header 'm' must be >= 0"),
 ]
 
+# integer-list headers of a one-layer file with a negative entry, and the
+# header each names: they loaded as given, and segments -1,2,0 (its sum
+# matches the layer count) would have been written back as 0,1,0
+BAD_LIST_HEADERS = [
+    ("# seed=-4,0,0\n# segments=0,1,0\n", "seed"),
+    ("# seed=0,0,0\n# segments=-1,2,0\n", "segments"),
+    ("# seed=0,0,0\n# segments=0,1,0\n# element_cnots=-2\n", "element_cnots"),
+    ("# seed=0,0,0\n# segments=0,1,0\n# element_depths=-3\n", "element_depths"),
+]
+
 # gates the row kernel does not run, which loaded and then failed the
 # simulation with exit 3, and the part of the message naming each
 BAD_GATES = [
@@ -381,6 +391,18 @@ class TestSimulate:
         assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and problem in err
+        assert not (run / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize("headers,name", BAD_LIST_HEADERS, ids=[name for _, name in BAD_LIST_HEADERS])
+    def test_negative_circuit_header_entries_exit2(self, tmp_path, capsys, headers, name):
+        run = generate(tmp_path, lengths=[0], circuits_per_length=1)
+        (entry,) = read_manifest(run)["experiment"]["circuits"]
+        path = run / "circuits" / f"{entry['id']}.txt"
+        path.write_text(f"# drbench circuit v1\n# id={entry['id']}\n# protocol=DRB\n# n=2\n# m=0\n"
+                        f"# target={entry['target']}\n" + headers + "I 0\n", encoding="utf-8")
+        assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"circuit header '{name}' entries must be >= 0" in err
         assert not (run / "dataset.jsonl").exists()
 
     def test_circuit_widths_differ_exit2(self, tmp_path, capsys):

@@ -16,12 +16,10 @@ from drbench.clifford import (
     PauliRows,
     StabilizerState,
     _KERNEL_GATES,
-    apply_clifford,
+    _product_phases,
     circuit_to_clifford,
     compose,
-    conjugate_pauli,
     invert,
-    is_eigenstate,
     layer_to_clifford,
     one_qubit_clifford_table,
     standard_gate,
@@ -51,6 +49,17 @@ def all_paulis(n: int):
         z = np.array(bits[n:], dtype=np.uint8)
         for phase in range(4):
             yield PauliOp(n, x, z, phase)
+
+
+def kernel_images(paulis: list[PauliOp], gates) -> list[PauliOp]:
+    """The images of ``paulis`` under ``gates`` (a Circuit, or a gate
+    sequence applied in order), carried through the row kernel."""
+    rows = PauliRows.of(paulis)
+    if isinstance(gates, Circuit):
+        rows.apply_circuit(gates)
+    else:
+        rows.apply_layer(gates)
+    return [rows.pauli(k) for k in range(len(paulis))]
 
 
 class TestPauliOp:
@@ -101,11 +110,9 @@ class TestStandardGates:
         assert compose(p, p) == standard_gate("Z", (0,), 1)
 
     def test_cnot_conjugations(self):
-        cnot = standard_gate("CNOT", (0, 1), 2)
-        assert conjugate_pauli(cnot, PauliOp.from_label("XI")) == PauliOp.from_label("XX")
-        assert conjugate_pauli(cnot, PauliOp.from_label("IZ")) == PauliOp.from_label("ZZ")
-        assert conjugate_pauli(cnot, PauliOp.from_label("IX")) == PauliOp.from_label("IX")
-        assert conjugate_pauli(cnot, PauliOp.from_label("ZI")) == PauliOp.from_label("ZI")
+        paulis = [PauliOp.from_label(label) for label in ("XI", "IZ", "IX", "ZI")]
+        images = [PauliOp.from_label(label) for label in ("XX", "ZZ", "IX", "ZI")]
+        assert kernel_images(paulis, (GateLabel("CNOT", (0, 1)),)) == images
 
     @pytest.mark.parametrize("name", ["I", "X", "Y", "Z", "H", "P"])
     def test_one_qubit_gates_match_oracle(self, name):
@@ -154,29 +161,25 @@ class TestOneQubitTable:
 
 class TestConjugation:
     def test_exhaustive_one_qubit(self):
-        for u in oracles.one_qubit_clifford_unitaries():
-            s, v = oracles.clifford_of_unitary(u, 1)
-            op = CliffordOp(1, s, v)
-            for p in all_paulis(1):
-                img = op.conjugate_pauli(p)
+        paulis = list(all_paulis(1))
+        for k, u in enumerate(oracles.one_qubit_clifford_unitaries()):
+            for p, img in zip(paulis, kernel_images(paulis, (GateLabel(f"C{k}", (0,)),))):
                 dense = u @ oracles.pauli_op_matrix(p) @ u.conj().T
                 assert np.allclose(oracles.pauli_op_matrix(img), dense)
 
     def test_random_two_qubit_circuits(self, rng):
+        paulis = list(all_paulis(2))
         for _ in range(20):
             circ = random_circuit(2, int(rng.integers(1, 6)), rng)
-            op = circuit_to_clifford(circ)
             u = oracles.circuit_unitary(circ)
-            for p in all_paulis(2):
-                img = op.conjugate_pauli(p)
+            for p, img in zip(paulis, kernel_images(paulis, circ)):
                 dense = u @ oracles.pauli_op_matrix(p) @ u.conj().T
                 assert np.allclose(oracles.pauli_op_matrix(img), dense)
 
     def test_preserves_hermiticity_and_commutation(self, rng):
         circ = random_circuit(3, 8, rng)
-        op = circuit_to_clifford(circ)
         paulis = [PauliOp.from_label(lbl) for lbl in ["XII", "IYI", "ZZI", "IIZ", "YXZ"]]
-        images = [op.conjugate_pauli(p) for p in paulis]
+        images = kernel_images(paulis, circ)
         assert all(img.is_hermitian for img in images)
         for i in range(len(paulis)):
             for j in range(len(paulis)):
@@ -201,11 +204,11 @@ class TestComposeInvert:
             )
             assert np.array_equal(net.s, s) and np.array_equal(net.v, v)
 
-    def test_conjugation_is_homomorphism(self, rng):
-        a = circuit_to_clifford(random_circuit(3, 5, rng))
-        b = circuit_to_clifford(random_circuit(3, 5, rng))
-        for p in [PauliOp.from_label(lbl) for lbl in ["XIZ", "-YYI", "IZX"]]:
-            assert compose(a, b).conjugate_pauli(p) == a.conjugate_pauli(b.conjugate_pauli(p))
+    def test_compose_matches_the_kernel_on_the_joined_circuit(self, rng):
+        for _ in range(10):
+            ca, cb = random_circuit(3, 5, rng), random_circuit(3, 5, rng)
+            net = compose(circuit_to_clifford(ca), circuit_to_clifford(cb))
+            assert net == circuit_to_clifford(cb.concat(ca))
 
 
 def _embed_pauli(letter: str, q: int, n: int) -> PauliOp:
@@ -272,23 +275,23 @@ class TestCircuit:
 class TestStabilizerState:
     def test_zero_state_eigenstates(self):
         state = StabilizerState.zero_state(3)
-        assert is_eigenstate(state, _embed_pauli("Z", 0, 3))
-        assert not is_eigenstate(state, _embed_pauli("X", 0, 3))
+        assert oracles.is_eigenstate(state, _embed_pauli("Z", 0, 3))
+        assert not oracles.is_eigenstate(state, _embed_pauli("X", 0, 3))
         minus_z = PauliOp(3, np.zeros(3), np.eye(3, dtype=np.uint8)[0], 2)
-        assert is_eigenstate(state, minus_z)
-        assert is_eigenstate(state, PauliOp.from_label("ZZI"))
+        assert oracles.is_eigenstate(state, minus_z)
+        assert oracles.is_eigenstate(state, PauliOp.from_label("ZZI"))
 
     def test_plus_state(self):
-        state = apply_clifford(standard_gate("H", (0,), 1), StabilizerState.zero_state(1))
-        assert is_eigenstate(state, PauliOp.from_label("X"))
-        assert not is_eigenstate(state, PauliOp.from_label("Z"))
+        state = StabilizerState.zero_state(1).apply_circuit(Circuit(1, ((GateLabel("H", (0,)),),)))
+        assert oracles.is_eigenstate(state, PauliOp.from_label("X"))
+        assert not oracles.is_eigenstate(state, PauliOp.from_label("Z"))
 
     def test_bell_state(self):
         circ = Circuit(2, ((GateLabel("H", (0,)),), (GateLabel("CNOT", (0, 1)),)))
-        state = StabilizerState.zero_state(2).apply(circuit_to_clifford(circ))
-        assert is_eigenstate(state, PauliOp.from_label("XX"))
-        assert is_eigenstate(state, PauliOp.from_label("ZZ"))
-        assert not is_eigenstate(state, PauliOp.from_label("ZI"))
+        state = StabilizerState.zero_state(2).apply_circuit(circ)
+        assert oracles.is_eigenstate(state, PauliOp.from_label("XX"))
+        assert oracles.is_eigenstate(state, PauliOp.from_label("ZZ"))
+        assert not oracles.is_eigenstate(state, PauliOp.from_label("ZI"))
         assert state.to_basis_bits() is None
         assert state == StabilizerState([PauliOp.from_label("-YY"), PauliOp.from_label("ZZ")])
 
@@ -307,7 +310,7 @@ class TestStabilizerState:
     def test_apply_matches_dense(self, rng):
         for _ in range(10):
             circ = random_circuit(2, 5, rng)
-            state = StabilizerState.zero_state(2).apply(circuit_to_clifford(circ))
+            state = StabilizerState.zero_state(2).apply_circuit(circ)
             rho = oracles.stabilizer_projector(state)
             psi = oracles.circuit_unitary(circ)[:, 0]
             assert np.allclose(rho @ psi, psi)
@@ -415,18 +418,6 @@ class TestStabilizerRows:
             assert (StabilizerState(gens) == state) == equal
         assert hash(StabilizerState(same)) == hash(state)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_eigenstate_matches_row_space(self, data):
-        state = data.draw(stabilizer_states())
-        n = state.n
-        bits = data.draw(st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n))
-        if data.draw(st.booleans()):  # a product of generators
-            bits = np.array(bits[:n]) @ state.b.astype(np.int64) % 2
-        p = PauliOp(n, bits[:n], bits[n:], data.draw(st.integers(0, 3)))
-        in_row_space = oracles.span_rank(np.vstack([state.b, p.vec])) == n
-        assert is_eigenstate(state, p) == in_row_space
-
 
 @st.composite
 def row_stacks(draw, n: int) -> list[PauliOp]:
@@ -459,15 +450,13 @@ class TestRowKernel:
         assert rows.b.tolist() == [images[p].vec.tolist() for p in rows_in]
         assert rows.r.tolist() == [images[p].phase for p in rows_in]
 
-    def test_every_kernel_gate_on_identity_rows_is_the_standard_gate(self):
+    def test_every_kernel_gate_matches_its_dense_unitary(self):
         assert ONE_QUBIT_NAMES == _KERNEL_GATES[1] and _KERNEL_GATES[2] == ("CNOT",)
-        for n in (1, 2, 3):
-            for q in range(n):
-                for name in ONE_QUBIT_NAMES:
-                    assert layer_to_clifford((GateLabel(name, (q,)),), n) == standard_gate(name, (q,), n)
-        for n in (2, 3):
-            for pair in itertools.permutations(range(n), 2):
-                assert layer_to_clifford((GateLabel("CNOT", pair),), n) == standard_gate("CNOT", pair, n)
+        placements = [(name, (q,), n) for n in (1, 2, 3) for q in range(n) for name in ONE_QUBIT_NAMES]
+        placements += [("CNOT", pair, n) for n in (2, 3) for pair in itertools.permutations(range(n), 2)]
+        for name, qubits, n in placements:
+            dense = CliffordOp(n, *oracles.clifford_of_unitary(oracles.gate_unitary(name, qubits, n), n))
+            assert layer_to_clifford((GateLabel(name, qubits),), n) == dense, (name, qubits, n)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -545,7 +534,8 @@ class TestBatchedAlgebra:
         n = op.n
         c = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n),
                                         min_size=1, max_size=6)))
-        assert op._phase_of(c).tolist() == [oracles.phase_of_loop(op.s, op.v, row) for row in c]
+        phases = _product_phases(op.s.T, op.v, c)
+        assert phases.tolist() == [oracles.phase_of_loop(op.s, op.v, row) for row in c]
 
     @settings(max_examples=15, deadline=None)
     @given(st.data())

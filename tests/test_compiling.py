@@ -28,7 +28,7 @@ from drbench.compiling import (
     _flips_and_factor,
     _long_range_cnot_steps,
     _merge_one_qubit_runs,
-    _one_qubit_index,
+    _ONE_QUBIT_INDEX,
     _one_qubit_products,
     _pack_layers,
     _sequence_cost,
@@ -93,7 +93,7 @@ class TestOneQubitTables:
 
     def test_names_index_their_gates(self):
         units = oracles.one_qubit_clifford_unitaries()
-        index = _one_qubit_index()
+        index = _ONE_QUBIT_INDEX
         assert index["I"] == 8
         for name in ("I", "X", "Y", "Z", "H", "P"):
             assert same_up_to_phase(units[index[name]], oracles.GATE_MATRICES[name])
@@ -112,7 +112,7 @@ class TestOneQubitTables:
 
     def test_c24_words_are_single_gates(self):
         words = _word_table("C24")
-        identity = _one_qubit_index()["I"]
+        identity = _ONE_QUBIT_INDEX["I"]
         assert words[identity] == ()
         assert all(words[k] == (f"C{k}",) for k in range(24) if k != identity)
 
@@ -287,7 +287,7 @@ class TestStabilizerCompile:
             for _ in range(5):
                 state = sample_stabilizer_state_uniform(n, rng)
                 circ, bits, stats = compile_stabilizer_meas(state, dev)
-                out = state.apply(circuit_to_clifford(circ))
+                out = state.apply_circuit(circ)
                 assert np.array_equal(out.to_basis_bits(), bits)
                 assert_device_legal(circ, dev)
                 assert stats == circuit_stats(circ)
@@ -298,7 +298,7 @@ class TestStabilizerCompile:
             for _ in range(5):
                 state = sample_stabilizer_state_uniform(n, rng)
                 circ, _ = compile_stabilizer_prep(state, dev)
-                assert StabilizerState.zero_state(n).apply(circuit_to_clifford(circ)) == state
+                assert StabilizerState.zero_state(n).apply_circuit(circ) == state
                 assert_device_legal(circ, dev)
 
     def test_ring_round_trips(self, rng):
@@ -309,8 +309,8 @@ class TestStabilizerCompile:
                     state = sample_stabilizer_state_uniform(n, rng)
                     pcirc, _ = compile_stabilizer_prep(state, dev)
                     mcirc, bits, _ = compile_stabilizer_meas(state, dev)
-                    assert StabilizerState.zero_state(n).apply(circuit_to_clifford(pcirc)) == state
-                    out = state.apply(circuit_to_clifford(mcirc))
+                    assert StabilizerState.zero_state(n).apply_circuit(pcirc) == state
+                    out = state.apply_circuit(mcirc)
                     assert np.array_equal(out.to_basis_bits(), bits)
                     assert_device_legal(pcirc, dev)
                     assert_device_legal(mcirc, dev)
@@ -319,7 +319,7 @@ class TestStabilizerCompile:
         dev = all_to_all(3, "C24")
         state = sample_stabilizer_state_uniform(3, rng)
         circ, _ = compile_stabilizer_prep(state, dev)
-        assert StabilizerState.zero_state(3).apply(circuit_to_clifford(circ)) == state
+        assert StabilizerState.zero_state(3).apply_circuit(circ) == state
         assert_device_legal(circ, dev)
 
     def test_sandwich_structure_all_to_all(self, rng):
@@ -356,7 +356,7 @@ class TestStabilizerCompile:
         dev = all_to_all(3, "HPI")
         state = StabilizerState.zero_state(3)
         circ, bits, _ = compile_stabilizer_meas(state, dev)
-        out = state.apply(circuit_to_clifford(circ))
+        out = state.apply_circuit(circ)
         assert np.array_equal(out.to_basis_bits(), bits)
 
     def test_deterministic(self, rng):

@@ -8,13 +8,14 @@ by name, each contributing its name and its own digest).
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from drbench import compiling
+from drbench import clifford, compiling
 from drbench.cli import main
-from drbench.clifford import CliffordOp, PauliOp, PauliRows, StabilizerState
+from drbench.clifford import PauliOp, PauliRows
 from drbench.device import DeviceSpec
 from drbench.io import circuit_from_text, design_from_config
 
@@ -210,13 +211,15 @@ def test_every_cnot_on_a_declared_edge(tmp_path, name):
             assert device.has_edge(*gate.qubits), (path.name, gate)
 
 
-# Calls of CliffordOp.conjugate_pauli and CliffordOp.compose, PauliOp
-# constructions and products, and StabilizerState.apply while generating a
-# config.  DRB tracks states through the row-stack kernel and keeps them as
-# row stacks, and reads each sampled state straight off its Clifford, so it
-# makes none; CRB composes only its sampled elements (6), and reads each
-# compiled element's sign fix off one kernel replay.  A return to per-Pauli
-# tracking or to dense sign algebra shows up here as a count.
+# Calls of the Clifford operations compose and invert, PauliOp
+# constructions and products while generating a config.  DRB tracks states
+# through the row-stack kernel and keeps them as row stacks, and reads each
+# sampled state straight off its Clifford, so it makes none; CRB composes
+# only its sampled elements (6) and inverts each circuit's product once (4),
+# and reads each compiled element's sign fix off one kernel replay.  A
+# return to per-Pauli tracking or to dense sign algebra shows up here as a
+# count.  ``protocols`` imports compose and invert by name, so every drbench
+# binding of them is counted, as the benchmark's span recorder wraps them.
 # PauliRows.apply_layer counts the calls into the row kernel.  DRB tracking,
 # each segment's final check and the composition check call it per layer;
 # each stabilizer candidate's CNOT-stage check (35 outer orders) and each
@@ -224,11 +227,9 @@ def test_every_cnot_on_a_declared_edge(tmp_path, name):
 # the sign fix (10) and per layer for the checks (the 1Q product table,
 # built once per process, is built before counting).
 WORK_COUNTS = {
-    "drb_ring4_c24": {"CliffordOp.conjugate_pauli": 0, "CliffordOp.compose": 0,
-                      "PauliOp.__init__": 0, "PauliOp.__mul__": 0, "StabilizerState.apply": 0,
+    "drb_ring4_c24": {"compose": 0, "invert": 0, "PauliOp.__init__": 0, "PauliOp.__mul__": 0,
                       "PauliRows.apply_layer": 243},
-    "crb_ring4_c24": {"CliffordOp.conjugate_pauli": 0, "CliffordOp.compose": 6,
-                      "PauliOp.__init__": 0, "PauliOp.__mul__": 0, "StabilizerState.apply": 0,
+    "crb_ring4_c24": {"compose": 6, "invert": 4, "PauliOp.__init__": 0, "PauliOp.__mul__": 0,
                       "PauliRows.apply_layer": 632},
 }
 
@@ -238,16 +239,21 @@ def test_clifford_work_counts(tmp_path, monkeypatch, name):
     counts = dict.fromkeys(WORK_COUNTS[name], 0)
     compiling._one_qubit_products()
     for key in counts:
-        cls_name, method = key.split(".")
-        cls = {"CliffordOp": CliffordOp, "PauliOp": PauliOp, "PauliRows": PauliRows,
-               "StabilizerState": StabilizerState}[cls_name]
-        original = getattr(cls, method)
+        cls_name, _, attr = key.rpartition(".")
+        owner = {"": clifford, "PauliOp": PauliOp, "PauliRows": PauliRows}[cls_name]
+        original = getattr(owner, attr)
 
         def counted(*args, _original=original, _key=key, **kwargs):
             counts[_key] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cls, method, counted)
+        if owner is clifford:
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("drbench") and \
+                        getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, counted)
+        else:
+            monkeypatch.setattr(owner, attr, counted)
     assert generate_digest(tmp_path, name) == GOLDEN[name]
     assert counts == WORK_COUNTS[name]
 

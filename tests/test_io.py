@@ -195,6 +195,10 @@ class TestConfig:
             ({"device": {"edges": [[0, 1]]}}, "device.n"),
             ({"device": {"n": 2}}, "device.edges"),
             ({"device": {"n": 2, "preset": "torus"}}, "device.preset"),
+            # a traceback (self-loop edge) and a late exit 3 (no path between qubits)
+            ({"device": {"n": 2, "preset": "ring_with_center"}}, "device.n"),
+            ({**base, "device": {"n": 3, "edges": []}}, "device.edges"),
+            ({**base, "device": {"n": 4, "edges": [[0, 1], [2, 3]]}}, "device.edges"),
             ({**base, "sampler": {}}, "sampler.kind"),
             ({**base, "sampler": {"kind": "pcnot"}}, "sampler.p_cnot"),
             ({**base, "sampler": {"kind": "magic"}}, "sampler.kind"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from drbench.clifford import StabilizerState, circuit_to_clifford
+from drbench.clifford import StabilizerState
 from drbench.device import all_to_all, ring
 from drbench.protocols import (
     ExperimentDesign,
@@ -84,7 +84,7 @@ class TestDrbGeneration:
         design = drb_design(n=4)
         for m in (0, 3):
             circ = generate_drb_circuit(design, m, rng)
-            final = StabilizerState.zero_state(4).apply(circuit_to_clifford(circ.full_circuit))
+            final = StabilizerState.zero_state(4).apply_circuit(circ.full_circuit)
             assert np.array_equal(final.to_basis_bits(), circ.target_bits)
 
     def test_layers_cover_device(self, rng):
@@ -111,7 +111,7 @@ class TestDrbGeneration:
         c1 = generate_drb_circuit(framed, 4, stream(11, 4, 0))
         assert c0.sampled_layers == c1.sampled_layers
         assert c0.core == c1.core  # frames folded into meas, not the core
-        final = StabilizerState.zero_state(3).apply(circuit_to_clifford(c1.full_circuit))
+        final = StabilizerState.zero_state(3).apply_circuit(c1.full_circuit)
         assert np.array_equal(final.to_basis_bits(), c1.target_bits)
 
     def test_frame_emission_inserts_blocks(self):
@@ -121,7 +121,7 @@ class TestDrbGeneration:
         c0 = generate_drb_circuit(plain, 4, stream(13, 4, 0))
         assert c1.sampled_layers == c0.sampled_layers
         assert c1.core.depth >= c0.core.depth
-        final = StabilizerState.zero_state(3).apply(circuit_to_clifford(c1.full_circuit))
+        final = StabilizerState.zero_state(3).apply_circuit(c1.full_circuit)
         assert np.array_equal(final.to_basis_bits(), c1.target_bits)
 
     def test_emitted_and_folded_share_target(self):
@@ -149,7 +149,7 @@ class TestCrbGeneration:
         for m in (0, 2, 5):
             circ = generate_crb_circuit(design, m, rng)
             assert circ.target == (0, 0, 0)
-            final = StabilizerState.zero_state(3).apply(circuit_to_clifford(circ.full_circuit))
+            final = StabilizerState.zero_state(3).apply_circuit(circ.full_circuit)
             assert np.array_equal(final.to_basis_bits(), np.zeros(3, dtype=np.uint8))
 
     def test_m0_is_trivial_element(self, rng):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from drbench.clifford import CliffordOp, GateLabel, StabilizerState, standard_gate
+from drbench.compiling import CompileOptions, compile_clifford
 from drbench.device import DeviceSpec, all_to_all, pool_gate_names, ring, ring_center_edges, ring_with_center
 from drbench.sampling import (
     CategorySampler,
@@ -155,7 +156,9 @@ class TestUniformSampling:
         a, b = stream(11, "twin", n), stream(11, "twin", n)
         for _ in range(40):
             state = sample_stabilizer_state_uniform(n, a)
-            pushed = StabilizerState.zero_state(n).apply(sample_clifford_uniform(n, b))
+            # |0..0> carried through the sampled Clifford's compiled circuit
+            circ, _ = compile_clifford(sample_clifford_uniform(n, b), all_to_all(n), CompileOptions(trials=1))
+            pushed = StabilizerState.zero_state(n).apply_circuit(circ)
             assert np.array_equal(state.b, pushed.b) and np.array_equal(state.r, pushed.r)
             assert state.b.dtype == pushed.b.dtype and state.r.dtype == pushed.r.dtype
         assert a.bit_generator.state == b.bit_generator.state
