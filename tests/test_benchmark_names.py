@@ -1,6 +1,7 @@
 """Every drbench name the benchmark times or imports still exists, its
-counters still read what they expect from the calls they wrap, and its
-workloads' output checks pass.
+counters still read what they expect from the calls they wrap, its
+workloads' output checks pass, and the circuit files and datasets they
+write at seed 5 keep their pinned digests.
 
 The benchmark under ``perfbench/`` wraps functions listed in
 ``spans.TARGETS``, reads counters off the wrapped calls' arguments and
@@ -12,6 +13,7 @@ tables, counters and checks; it runs each workload's pipeline through
 """
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -113,13 +115,43 @@ def test_counters_read_the_pipeline_calls(tmp_path, monkeypatch):
 workloads = load_perfbench("workloads")
 
 
+# sha256 of the circuit files and datasets each workload writes, per
+# iteration of seed 5 (see ``outputs_digest``); rates_external writes none
+OUTPUT_DIGESTS = {
+    "compare_ring4": [
+        "9b5f6c75c35446eadca5955b108872c4f60cc6413faa592fee60350d52c8c55c",
+        "9d224ea2b13a7620500df5356a77090833dab16f95ec78f4b28a19af590ac5e6",
+        "854abea80b395a3d0a61d788d694408ae79b618ef04dc9fb77125439a1504ad3",
+    ],
+    "sim_wide8": [
+        "d1ede2d48df88f4a578cba886841c9df24e8741178726ab856a89cd80883f655",
+        "56280c4a8fda2e99b1230be5950f4534995d400736945bed9e8815cb37757018",
+        "1f00796db509adce383c43fd141f8cdb0afdb9d7dd5b1f951eb4a02d91500f05",
+    ],
+}
+
+
+def outputs_digest(cwd: Path, run_dirs: tuple[str, ...]) -> str:
+    """One digest over every circuit file and ``dataset.jsonl`` of the
+    runs, in order, each contributing its relative path and its own digest."""
+    acc = hashlib.sha256()
+    for run_dir in run_dirs:
+        run = cwd / run_dir
+        for path in [*sorted((run / "circuits").glob("*.txt")), run / "dataset.jsonl"]:
+            rel = path.relative_to(cwd).as_posix()
+            acc.update(rel.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return acc.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_checks_pass(tmp_path, monkeypatch, name):
     # iterations 0-2 of seed 5 at full size, as the benchmark runs them: a
-    # change that moves a workload's outputs out of its checks fails here
+    # change that moves a workload's outputs out of its checks fails here,
+    # and one that changes a byte of its circuits or datasets fails the pins
     workload = workloads.WORKLOADS[name]("full")
     failures = []
     checks = workloads.Checks(failures.append)
+    digests = []
     for index in range(3):
         seed = workloads.iteration_seed(5, index)
         cwd = tmp_path / f"it{index}"
@@ -128,4 +160,7 @@ def test_workload_checks_pass(tmp_path, monkeypatch, name):
         for _, argv in workload.steps(seed):
             assert main(argv) == 0, argv
         workload.check(cwd, checks)
+        if workload.run_dirs:
+            digests.append(outputs_digest(cwd, workload.run_dirs))
     assert checks.attempted > 0 and checks.failed == 0, failures
+    assert digests == OUTPUT_DIGESTS.get(name, [])
