@@ -218,12 +218,14 @@ def _parse_mixing(rows: list[str], count: int) -> tuple[tuple[float, ...], ...]:
 
 
 def _infer_n(dataset, flag_n: int | None, path: str) -> int:
-    if flag_n is not None:
-        return flag_n
     target = dataset.rows[0].target
-    if target:
+    if flag_n is None:
+        if not target:
+            raise ConfigError(f"dataset {path} rows carry no target; pass --n")
         return len(target)
-    raise ConfigError(f"dataset {path} rows carry no target; pass --n")
+    if target and len(target) != flag_n:
+        raise ConfigError(f"--n {flag_n} disagrees with the {len(target)}-bit targets of dataset {path}")
+    return flag_n
 
 
 def _defined(value: float) -> float | None:
@@ -375,6 +377,9 @@ def _load_results(path: Path) -> list[dict]:
 
 
 def cmd_report(args) -> int:
+    out = Path(args.out)
+    if out.with_suffix(".txt") == out:
+        raise ConfigError(f"--out {out} is the rate table's path; give the SVG another suffix")
     runs = []
     for path in args.results:
         runs.extend(_load_results(Path(path)))
@@ -392,7 +397,6 @@ def cmd_report(args) -> int:
         )
         table.append(f"{label:<10} {run['r']:.6e} {2 * run['r_sigma']:.1e}")
     svg = dio.render_decay_svg(plot_runs)
-    out = Path(args.out)
     dio.write_text(out, svg)
     text = "\n".join(table) + "\n"
     dio.write_text(out.with_suffix(".txt"), text)

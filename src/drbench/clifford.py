@@ -17,6 +17,10 @@ c)`` and Z to ``i**vz W(b, d)``, so its local (s, v) is ``((a, b), (c,
 d)), (vx, vz)``.  The table is in lexicographic order, ``C<k>`` names
 entry k, the identity is C8, and I, X, Y, Z, H and P are the entries
 with their (s, v).  CNOT has no entry: its rule is the kernel's own.
+These 30 names and CNOT are the only gates, and :class:`GateLabel` alone
+checks it: a label names one of them, on two distinct qubits for CNOT and
+one otherwise, none negative, or raises ValueError when it is made.  Only
+the range, qubits < n, is left to :class:`Circuit` and the kernel.
 
 Gates are applied by one in-place kernel, :class:`PauliRows`, in the
 manner of the CHP tableau (Aaronson & Gottesman, quant-ph/0406196),
@@ -292,10 +296,6 @@ _ONE_QUBIT_INDEX = {
     )
 } | {f"C{k}": k for k in range(len(_ONE_QUBIT_CLIFFORDS))}
 
-# gate names the kernel knows, by number of qubits
-_KERNEL_GATES = {1: tuple(_ONE_QUBIT_INDEX), 2: ("CNOT",)}
-
-
 def _one_qubit_update(a: int, b: int, c: int, d: int, vx: int, vz: int) -> tuple[int, ...]:
     """The kernel's seven masks for the 1Q gate ``(a, b, c, d, vx, vz)``.
 
@@ -319,22 +319,6 @@ _GATE_UPDATES: dict[str, tuple[int, ...] | None] = {
 } | {"CNOT": None}
 
 
-def _check_gate(name: str, qubits: tuple[int, ...], n: int):
-    """Raise the ValueError that says why ``name`` on ``qubits`` is not a
-    kernel gate within n qubits; return when it is one."""
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"repeated qubit in {name} {qubits}")
-    if any(q < 0 or q >= n for q in qubits):
-        raise ValueError(f"qubit out of range in {name} {qubits} for n={n}")
-    if name == "CNOT":
-        if len(qubits) != 2:
-            raise ValueError("CNOT takes exactly two qubits")
-    elif len(qubits) != 1:
-        raise ValueError(f"{name} takes exactly one qubit")
-    if name not in _GATE_UPDATES:
-        raise ValueError(f"unknown gate name {name!r}")
-
-
 @functools.cache
 def one_qubit_clifford_table() -> tuple[CliffordOp, ...]:
     """The 24 single-qubit Cliffords, ordered lexicographically by (s, v).
@@ -354,8 +338,6 @@ def standard_gate(name: str, qubits: tuple[int, ...] | Sequence[int], n: int) ->
     Recognized names: I, X, Y, Z, H, P (phase gate, diag(1, i)), CNOT
     (control first), and C0..C23 from :func:`one_qubit_clifford_table`.
     """
-    qubits = tuple(int(q) for q in qubits)
-    _check_gate(name, qubits, n)
     return layer_to_clifford((GateLabel(name, qubits),), n)
 
 
@@ -383,17 +365,28 @@ def _one_qubit_products() -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class GateLabel:
-    """A named gate applied to an ordered tuple of qubit indices."""
+    """A native gate on an ordered tuple of qubits, checked when made: the
+    name is one the kernel runs (a 1Q name or CNOT), CNOT takes two
+    distinct qubits (control first) and every other gate one, and no qubit
+    is negative.  A label that breaks this raises ValueError."""
 
     name: str
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if not self.qubits:
-            raise ValueError("gate must act on at least one qubit")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"repeated qubit in {self}")
+        name, qubits = self.name, tuple(map(int, self.qubits))
+        object.__setattr__(self, "qubits", qubits)
+        if name not in _GATE_UPDATES:
+            raise ValueError(f"unknown gate name {name!r}")
+        if name == "CNOT":
+            if len(qubits) != 2:
+                raise ValueError("CNOT takes exactly two qubits")
+            if qubits[0] == qubits[1]:
+                raise ValueError(f"repeated qubit in {self}")
+        elif len(qubits) != 1:
+            raise ValueError(f"{name} takes exactly one qubit")
+        if min(qubits) < 0:
+            raise ValueError(f"negative qubit in {self}")
 
     def __str__(self) -> str:
         return f"{self.name} {','.join(str(q) for q in self.qubits)}"
@@ -409,7 +402,8 @@ def _layer_text(layer: Iterable[GateLabel]) -> str:
 
 @dataclass(frozen=True)
 class Circuit:
-    """A fixed-width circuit: a tuple of layers of non-overlapping gates."""
+    """A fixed-width circuit: a tuple of layers of non-overlapping gates,
+    each on qubits below n."""
 
     n: int
     layers: tuple[Layer, ...]
@@ -420,7 +414,7 @@ class Circuit:
             seen: set[int] = set()
             for gate in layer:
                 for q in gate.qubits:
-                    if q < 0 or q >= self.n:
+                    if q >= self.n:
                         raise ValueError(f"qubit {q} out of range for n={self.n}")
                     if q in seen:
                         raise ValueError(f"qubit {q} used twice in one layer")
@@ -491,7 +485,8 @@ class PauliRows:
         """Conjugate every row by ``gates``, applied in order.
 
         The gates may overlap, so a whole gate sequence can be passed; a
-        layer is the case where their qubits are disjoint.
+        layer is the case where their qubits are disjoint.  A qubit not
+        below n raises ValueError.
         """
         updates = _GATE_UPDATES
         x, z, lo, hi = self.x, self.z, self.lo, self.hi
@@ -512,9 +507,8 @@ class PauliRows:
                 ones = nx & nz ^ both
                 hi ^= cx & tx ^ cz & tz ^ both & txz ^ lo & ones
                 lo ^= ones
-        except (KeyError, ValueError):
-            _check_gate(gate.name, gate.qubits, self.n)
-            raise
+        except IndexError:
+            raise ValueError(f"qubit out of range in {gate.name} {gate.qubits} for n={self.n}") from None
         self.lo, self.hi = lo, hi
 
     def apply_circuit(self, circuit: Circuit):

@@ -3,14 +3,16 @@
 CNOT availability is directional; an undirected link is present when either
 orientation is declared.  The 1Q gate set is named by id and described by
 its row of :data:`GATE_SETS`: "HPI" allows the gates I, H and P (phase),
-"C24" allows the full single-qubit Clifford group as labels C0..C23 plus
-the aliases I, X, Y, Z, H, P.
+"C24" allows every 1Q name the row kernel runs: the full single-qubit
+Clifford group as labels C0..C23 plus the aliases I, X, Y, Z, H, P.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+
+from .clifford import _ONE_QUBIT_INDEX
 
 __all__ = [
     "DeviceSpec",
@@ -38,7 +40,7 @@ class GateSet:
 _C24 = tuple(f"C{k}" for k in range(24))
 GATE_SETS = {
     "HPI": GateSet(frozenset(("I", "H", "P")), ("I", "H", "P"), ("H", "P")),
-    "C24": GateSet(frozenset((*_C24, "I", "X", "Y", "Z", "H", "P")), _C24, _C24),
+    "C24": GateSet(frozenset(_ONE_QUBIT_INDEX), _C24, _C24),
 }
 GATE_SET_IDS = tuple(GATE_SETS)
 

@@ -9,10 +9,11 @@ Every JSON value a reader takes goes through :func:`field`, which checks
 its JSON kind without coercion (a bool is neither an integer nor a
 number, null is not an absent field) and, for numbers, that they are
 finite and in range; keys a reader does not know fail
-:func:`check_keys`.  Circuit files take only gates the row kernel runs,
-with their qubit counts.  Every reader raises FormatError alone, with a
-message naming the field (``field 'device.edges' ...``, ``field
-'runs[0].p' ...``); the command line exits with code 2 on it.
+:func:`check_keys`.  Circuit files take only gates a
+:class:`~drbench.clifford.GateLabel` accepts.  Every reader raises
+FormatError alone, with a message naming the field (``field
+'device.edges' ...``, ``field 'runs[0].p' ...``); the command line exits
+with code 2 on it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clifford import _KERNEL_GATES, Circuit, GateLabel, _layer_text
+from .clifford import Circuit, GateLabel, _layer_text
 from .compiling import CompileOptions
 from .device import GATE_SET_IDS, DeviceSpec, all_to_all, ring, ring_with_center
 from .protocols import (
@@ -144,10 +145,6 @@ def write_text(path, text: str) -> str:
 
 # -- circuit text format ----------------------------------------------------
 
-# the qubit count of every gate the row kernel runs
-_GATE_ARITY = {name: k for k, names in _KERNEL_GATES.items() for name in names}
-
-
 def _parse_gate(text: str) -> GateLabel:
     text = text.strip()
     parts = text.split()
@@ -158,11 +155,6 @@ def _parse_gate(text: str) -> GateLabel:
         targets = tuple(int(q) for q in qubits.split(","))
     except ValueError:
         raise FormatError(f"malformed gate qubits {text!r}") from None
-    arity = _GATE_ARITY.get(name)
-    if arity is None:
-        raise FormatError(f"unknown gate {name!r} in {text!r}")
-    if len(targets) != arity:
-        raise FormatError(f"gate {text!r}: {name} acts on {arity} qubit(s)")
     try:
         return GateLabel(name, targets)
     except ValueError as exc:
@@ -219,6 +211,8 @@ def circuit_from_text(text: str) -> BenchmarkCircuit:
             if eq:
                 if key == "sampled":
                     sampled.append(value)
+                elif key in headers:
+                    raise FormatError(f"circuit header '{key}' repeated")
                 else:
                     headers[key] = value
             continue
@@ -561,9 +555,9 @@ def runs_from_results(obj) -> list[dict]:
             ("p", float, 0, 1), ("points", dict))}
         values["protocol"] = field(run, "protocol", f"{name}.protocol", str, "DRB")
         points = values["points"]
-        if not points or not all(m.isascii() and m.isdigit() for m in points):
-            raise FormatError(f"field '{name}.points' must map lengths m to success "
-                              f"probabilities, got {points!r}")
+        if not points or not all(m.isascii() and m.isdigit() and m == str(int(m)) for m in points):
+            raise FormatError(f"field '{name}.points' must map lengths m (no leading zeros) to "
+                              f"success probabilities, got {points!r}")
         values["points"] = {int(m): field(points, m, f"{name}.points.{m}", float, low=0, high=1)
                             for m in points}
         runs.append(values)

@@ -422,7 +422,7 @@ def _placement(layer: Layer, device: DeviceSpec, names: Sequence[str]):
         seen.update(g.qubits)
         if g.name == "CNOT" and device.has_edge(*g.qubits):
             cnots.append(g.qubits)
-        elif len(g.qubits) != 1 or g.name not in names:
+        elif g.name not in names:
             return None
     if len(seen) != device.n:
         return None

@@ -164,8 +164,6 @@ def _inverse(name: str, qubits: tuple[int, ...]) -> GateLabel:
     if name == "CNOT":
         return GateLabel(name, qubits)
     index = _ONE_QUBIT_INDEX
-    if name not in index:
-        raise ValueError(f"unknown gate name {name!r}")
     return GateLabel(f"C{_one_qubit_products()[index[name]].index(index['I'])}", qubits)
 
 

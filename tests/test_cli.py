@@ -217,12 +217,20 @@ BAD_LIST_HEADERS = [
     ("# seed=0,0,0\n# segments=0,1,0\n# element_depths=-3\n", "element_depths"),
 ]
 
+# headers given twice, and the header each names: the last one was kept, so
+# m=0 then m=7 loaded as m = 7 and simulate wrote 7 into the dataset rows
+REPEATED_HEADERS = [
+    ("# m=7\n", "m"),
+    ("# seed=0,0,0\n", "seed"),
+    ("# target=00\n", "target"),
+]
+
 # gates the row kernel does not run, which loaded and then failed the
 # simulation with exit 3, and the part of the message naming each
 BAD_GATES = [
-    ("FOO 0", "unknown gate 'FOO'"),
-    ("CNOT 0", "CNOT acts on 2 qubit(s)"),
-    ("H 0,1", "H acts on 1 qubit(s)"),
+    ("FOO 0", "unknown gate name 'FOO'"),
+    ("CNOT 0", "CNOT takes exactly two qubits"),
+    ("H 0,1", "H takes exactly one qubit"),
 ]
 
 # model-file fields of the wrong kind: a bool or a string rate was coerced
@@ -403,6 +411,19 @@ class TestSimulate:
         assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and f"circuit header '{name}' entries must be >= 0" in err
+        assert not (run / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize("header,name", REPEATED_HEADERS, ids=[name for _, name in REPEATED_HEADERS])
+    def test_repeated_circuit_header_exit2(self, tmp_path, capsys, header, name):
+        run = generate(tmp_path, lengths=[0], circuits_per_length=1)
+        (entry,) = read_manifest(run)["experiment"]["circuits"]
+        path = run / "circuits" / f"{entry['id']}.txt"
+        path.write_text(f"# drbench circuit v1\n# id={entry['id']}\n# protocol=DRB\n# n=2\n# m=0\n"
+                        f"# target={entry['target']}\n# seed=0,0,0\n# segments=0,1,0\n"
+                        + header + "I 0\n", encoding="utf-8")
+        assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"circuit header '{name}' repeated" in err
         assert not (run / "dataset.jsonl").exists()
 
     def test_circuit_widths_differ_exit2(self, tmp_path, capsys):
@@ -640,6 +661,22 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--resamples", "100", "--n", "2",
                      "--out", str(tmp_path / "ext_results.json")]) == 0
 
+    def test_n_disagreeing_with_targets_exit2(self, tmp_path, capsys):
+        # --n 3 on 2-bit targets was taken as given: exit 0 with the rate of
+        # a 3-qubit floor
+        path = tmp_path / "two_bit.jsonl"
+        rows = [{"m": m, "shots": 200, "successes": s, "target": "01"}
+                for m, s in ((0, 198), (2, 175), (4, 160), (8, 130))]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        results = tmp_path / "results.json"
+        assert main(["analyze", str(path), "--n", "3", "--out", str(results),
+                     "--resamples", "100"]) == 2
+        err = capsys.readouterr().err
+        assert "--n 3" in err and str(path) in err
+        assert not results.exists()
+        assert main(["analyze", str(path), "--n", "2", "--out", str(results),
+                     "--resamples", "100"]) == 0
+
     # a negative --seed ended in exit 4, "fit of ... failed"
     @pytest.mark.parametrize("flag,value", [("--n", "0"), ("--n", "-3"), ("--resamples", "50"),
                                             ("--seed", "-2")])
@@ -741,6 +778,9 @@ BAD_RUNS = [
     ({"points": {"0": "x"}}, "runs[1].points.0"),
     ({"points": {}}, "runs[1].points"),
     ({"points": {"m0": 1.0}}, "runs[1].points"),
+    # "1" and "01" were the same length, and the last one was kept
+    ({"points": {"1": 0.9, "01": 0.5, "2": 0.8}}, "runs[1].points"),
+    ({"points": {"00": 1.0}}, "runs[1].points"),
     ({"protocol": 7}, "runs[1].protocol"),
 ]
 
@@ -773,6 +813,16 @@ class TestReport:
         results.write_text(json.dumps({"runs": []}), encoding="utf-8")
         assert main(["report", str(results), "--out", str(tmp_path / "r.svg")]) == 4
         assert "lists no runs" in capsys.readouterr().err
+
+    def test_out_at_the_table_path_exit2(self, tmp_path, capsys):
+        # the SVG was written to out.txt and then overwritten by the rate
+        # table, with exit 0
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps({"runs": [GOOD_RUN]}), encoding="utf-8")
+        out = tmp_path / "out.txt"
+        assert main(["report", str(results), "--out", str(out)]) == 2
+        assert f"--out {out}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("change,name", BAD_RUNS)
     def test_malformed_run_exit2(self, tmp_path, capsys, change, name):

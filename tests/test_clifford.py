@@ -1,6 +1,7 @@
 """Symplectic Pauli/Clifford algebra against the dense-unitary oracle."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from drbench.clifford import (
     PauliOp,
     PauliRows,
     StabilizerState,
-    _KERNEL_GATES,
+    _GATE_UPDATES,
     _product_phases,
     circuit_to_clifford,
     compose,
@@ -431,6 +432,52 @@ def row_stacks(draw, n: int) -> list[PauliOp]:
     return [PauliOp(n, p.x, p.z, p.phase + shift) for p, shift in picks]
 
 
+class TestGateLabel:
+    """GateLabel is the one gate rule: a native name with its qubit count,
+    on distinct qubits >= 0; only the range is left to the width's owner."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from(ONE_QUBIT_NAMES + ("CNOT", "C08", "C24", "cnot", "h", "T", "")),
+                     st.text(max_size=4)),
+           st.lists(st.integers(-2, 5), max_size=3))
+    def test_accepts_exactly_the_native_gates(self, name, qubits):
+        native = name in ONE_QUBIT_NAMES or name == "CNOT"
+        valid = (native and len(qubits) == (2 if name == "CNOT" else 1)
+                 and len(set(qubits)) == len(qubits) and min(qubits) >= 0)
+        if not valid:
+            with pytest.raises(ValueError):
+                GateLabel(name, qubits)
+            return
+        label = GateLabel(name, qubits)
+        assert label.qubits == tuple(qubits)
+        # an accepted label conjugates rows as its dense unitary does
+        n = max(qubits) + 1
+        if n <= 4:
+            dense = CliffordOp(n, *oracles.clifford_of_unitary(oracles.gate_unitary(name, qubits, n), n))
+            rows = PauliRows.identity(n)
+            rows.apply_layer((label,))
+            assert rows.clifford() == dense
+
+    @pytest.mark.parametrize("name,qubits", [("H", (2,)), ("C17", (5,)), ("CNOT", (0, 2)),
+                                             ("CNOT", (2, 1))])
+    def test_qubit_beyond_n_is_out_of_range(self, name, qubits):
+        # H on qubit 2 of 2 ended in a bare IndexError from the kernel
+        label = GateLabel(name, qubits)
+        with pytest.raises(ValueError, match=re.escape(f"qubit out of range in {name} {qubits} for n=2")):
+            PauliRows.identity(2).apply_layer((label,))
+        with pytest.raises(ValueError, match="out of range"):
+            standard_gate(name, qubits, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            Circuit(2, ((label,),))
+
+    @pytest.mark.parametrize("name,qubits", [("H", (-1,)), ("CNOT", (0, -1)), ("CNOT", (-2, 1))])
+    def test_negative_qubit_rejected_when_made(self, name, qubits):
+        # the kernel applied H on qubit -1 to qubit n - 1 without an error
+        text = f"{name} {','.join(map(str, qubits))}"
+        with pytest.raises(ValueError, match=re.escape(f"negative qubit in {text}")):
+            GateLabel(name, qubits)
+
+
 class TestRowKernel:
     """The in-place row-stack kernel against dense conjugation."""
 
@@ -451,7 +498,7 @@ class TestRowKernel:
         assert rows.r.tolist() == [images[p].phase for p in rows_in]
 
     def test_every_kernel_gate_matches_its_dense_unitary(self):
-        assert ONE_QUBIT_NAMES == _KERNEL_GATES[1] and _KERNEL_GATES[2] == ("CNOT",)
+        assert tuple(_GATE_UPDATES) == ONE_QUBIT_NAMES + ("CNOT",)
         placements = [(name, (q,), n) for n in (1, 2, 3) for q in range(n) for name in ONE_QUBIT_NAMES]
         placements += [("CNOT", pair, n) for n in (2, 3) for pair in itertools.permutations(range(n), 2)]
         for name, qubits, n in placements:
