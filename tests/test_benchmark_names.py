@@ -1,7 +1,7 @@
 """Every drbench name the benchmark times or imports still exists, its
 counters still read what they expect from the calls they wrap, its
 workloads' output checks pass, and the circuit files and datasets they
-write at seed 5 keep their pinned digests.
+write at seeds 5 and 7919 keep their pinned digests.
 
 The benchmark under ``perfbench/`` wraps functions listed in
 ``spans.TARGETS``, reads counters off the wrapped calls' arguments and
@@ -116,18 +116,25 @@ workloads = load_perfbench("workloads")
 
 
 # sha256 of the circuit files and datasets each workload writes, per
-# iteration of seed 5 (see ``outputs_digest``); rates_external writes none
+# workload seed and iteration (see ``outputs_digest``); rates_external
+# writes none
 OUTPUT_DIGESTS = {
-    "compare_ring4": [
-        "9b5f6c75c35446eadca5955b108872c4f60cc6413faa592fee60350d52c8c55c",
-        "9d224ea2b13a7620500df5356a77090833dab16f95ec78f4b28a19af590ac5e6",
-        "854abea80b395a3d0a61d788d694408ae79b618ef04dc9fb77125439a1504ad3",
-    ],
-    "sim_wide8": [
-        "d1ede2d48df88f4a578cba886841c9df24e8741178726ab856a89cd80883f655",
-        "56280c4a8fda2e99b1230be5950f4534995d400736945bed9e8815cb37757018",
-        "1f00796db509adce383c43fd141f8cdb0afdb9d7dd5b1f951eb4a02d91500f05",
-    ],
+    "compare_ring4": {
+        5: ["9b5f6c75c35446eadca5955b108872c4f60cc6413faa592fee60350d52c8c55c",
+            "9d224ea2b13a7620500df5356a77090833dab16f95ec78f4b28a19af590ac5e6",
+            "854abea80b395a3d0a61d788d694408ae79b618ef04dc9fb77125439a1504ad3"],
+        7919: ["8f886d23a569ce2ff8514e7f15029a4a831eba40a4786f3349f1d4d301d069aa",
+               "19e974d219a49b2a0d0edc3ce0ec678bf7cc03694d095665b6de382fc0f26cb7",
+               "91a6627a5d2d812c902cd4e66c85e20a5abf4a74d30441f35b3c6e82a21987c5"],
+    },
+    "sim_wide8": {
+        5: ["d1ede2d48df88f4a578cba886841c9df24e8741178726ab856a89cd80883f655",
+            "56280c4a8fda2e99b1230be5950f4534995d400736945bed9e8815cb37757018",
+            "1f00796db509adce383c43fd141f8cdb0afdb9d7dd5b1f951eb4a02d91500f05"],
+        7919: ["3fe680a17c3228f78da5e184f1e48da3584bffea44210c5b53a48f2f43a98b8c",
+               "f480b21da482b785ee206f0a76ee4a7271409ea56a6c445f1eaef9cd8ee932e5",
+               "3da68f11452be1700633f5f3bbb30abeab192578b9a212667bfdfe9348f7f61a"],
+    },
 }
 
 
@@ -145,22 +152,25 @@ def outputs_digest(cwd: Path, run_dirs: tuple[str, ...]) -> str:
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_checks_pass(tmp_path, monkeypatch, name):
-    # iterations 0-2 of seed 5 at full size, as the benchmark runs them: a
-    # change that moves a workload's outputs out of its checks fails here,
-    # and one that changes a byte of its circuits or datasets fails the pins
+    # iterations 0-2 of seed 5 and of the held-out seed 7919 at full size,
+    # as the benchmark runs them: a change that moves a workload's outputs
+    # out of its checks fails here, and one that changes a byte of its
+    # circuits or datasets fails the pins
     workload = workloads.WORKLOADS[name]("full")
     failures = []
     checks = workloads.Checks(failures.append)
-    digests = []
-    for index in range(3):
-        seed = workloads.iteration_seed(5, index)
-        cwd = tmp_path / f"it{index}"
-        workload.write_inputs(cwd, seed)
-        monkeypatch.chdir(cwd)
-        for _, argv in workload.steps(seed):
-            assert main(argv) == 0, argv
-        workload.check(cwd, checks)
-        if workload.run_dirs:
-            digests.append(outputs_digest(cwd, workload.run_dirs))
+    digests = {}
+    for workload_seed in (5, 7919):
+        for index in range(3):
+            seed = workloads.iteration_seed(workload_seed, index)
+            cwd = tmp_path / f"s{workload_seed}-it{index}"
+            workload.write_inputs(cwd, seed)
+            monkeypatch.chdir(cwd)
+            for _, argv in workload.steps(seed):
+                assert main(argv) == 0, argv
+            workload.check(cwd, checks)
+            if workload.run_dirs:
+                digests.setdefault(workload_seed, []).append(
+                    outputs_digest(cwd, workload.run_dirs))
     assert checks.attempted > 0 and checks.failed == 0, failures
-    assert digests == OUTPUT_DIGESTS.get(name, [])
+    assert digests == OUTPUT_DIGESTS.get(name, {})
