@@ -133,18 +133,6 @@ def _check_covered(lengths, table: dict, what: str) -> None:
         raise ValueError(f"{what} missing for lengths {missing}")
 
 
-def binomial_weights(points: dict[int, float], shots_by_length: dict[int, int]) -> dict[int, float]:
-    """Inverse binomial-variance weights, floored so P_m in {0, 1} cannot
-    produce an infinite weight."""
-    _check_covered(points, shots_by_length, "shot counts")
-    out = {}
-    for m, p in points.items():
-        if shots_by_length[m] <= 0:
-            raise ValueError(f"no shots recorded at length {m}")
-        out[m] = float(_inverse_variance(p, shots_by_length[m]))
-    return out
-
-
 _GRID = np.linspace(0.0, 1.0, 201)
 _NEWTON_STEPS = 64  # cap for rows whose polish only bisects, e.g. toward p -> 0+
 
@@ -590,14 +578,3 @@ def crb_rescale(r: float, alpha: float) -> float:
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     return 1.0 - (1.0 - r) ** (1.0 / alpha)
-
-
-def theory_pm(m, eps_omega: float, n: int):
-    """Predicted success probability at length m for layer error rate
-    eps_omega, decaying to the uniform-outcome floor 2^-n."""
-    if not 0.0 <= eps_omega <= 1.0:
-        raise ValueError(f"eps_omega must lie in [0, 1], got {eps_omega}")
-    a = 2.0**-n
-    decay = np.power(1.0 - eps_omega, np.asarray(m, dtype=float))
-    out = a + (1.0 - a) * decay
-    return float(out) if np.ndim(out) == 0 else out

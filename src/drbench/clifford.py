@@ -37,9 +37,9 @@ convention.  A 1Q gate maps its qubit's (x, z) columns by its local 2 x 2
 bit matrix and adds the power of i its image carries for local X, Z and
 XZ, all read straight from its table entry.  The (rows, 2n) (x | z)
 matrix ``b`` and the powers ``r`` are built only when read, as read-only
-arrays.  The (s, v) of a circuit, a layer or one gate
-(:func:`standard_gate`) is read off the kernel: the 2n identity rows
-W(e_j) carried through it, read back as the columns of (s, v).
+arrays.  The (s, v) of a circuit or a layer is read off the kernel: the
+2n identity rows W(e_j) carried through it, read back as the columns of
+(s, v).
 ``apply_layer`` applies its gates in order, so it takes whole gate
 sequences too.  Every conjugation of Pauli rows by gates in ``generate``
 and ``simulate`` runs here: DRB tracking, circuit Cliffords, the
@@ -75,8 +75,6 @@ __all__ = [
     "StabilizerState",
     "GateLabel",
     "Circuit",
-    "standard_gate",
-    "one_qubit_clifford_table",
     "compose",
     "invert",
     "circuit_to_clifford",
@@ -114,24 +112,6 @@ class PauliOp:
     def identity(cls, n: int) -> "PauliOp":
         return cls(n, np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8), 0)
 
-    @classmethod
-    def from_label(cls, label: str) -> "PauliOp":
-        """Parse e.g. ``"XIZ"``, ``"-YZ"`` or ``"+iXX"`` (sign prefix optional)."""
-        s = label.strip()
-        phase = 0
-        for prefix, ph in (("-i", 3), ("+i", 1), ("i", 1), ("-", 2), ("+", 0)):
-            if s.startswith(prefix):
-                phase = ph
-                s = s[len(prefix):]
-                break
-        if not s or any(c not in "IXYZ" for c in s):
-            raise ValueError(f"bad Pauli label {label!r}")
-        x = np.array([c in "XY" for c in s], dtype=np.uint8)
-        z = np.array([c in "ZY" for c in s], dtype=np.uint8)
-        # Each Y contributes XZ = -iY, so add one phase unit per Y.
-        phase = (phase + int(np.count_nonzero(x & z))) % 4
-        return cls(len(s), x, z, phase)
-
     @property
     def vec(self) -> np.ndarray:
         """The (x | z) bit vector of length 2n."""
@@ -144,10 +124,6 @@ class PauliOp:
     @property
     def is_identity(self) -> bool:
         return self.weight == 0 and self.phase == 0
-
-    @property
-    def is_hermitian(self) -> bool:
-        return self.phase % 2 == int(self.x @ self.z) % 2
 
     def commutes(self, other: "PauliOp") -> bool:
         if self.n != other.n:
@@ -320,30 +296,9 @@ _GATE_UPDATES: dict[str, tuple[int, ...] | None] = {
 
 
 @functools.cache
-def one_qubit_clifford_table() -> tuple[CliffordOp, ...]:
-    """The 24 single-qubit Cliffords, ordered lexicographically by (s, v).
-
-    The label ``C<k>`` refers to position k in this tuple.  The identity
-    sits at C8.  Products over positions follow :func:`compose`:
-    ``product[a][b]`` is the position of C<a> after C<b> (C<b> acts first).
-    """
-    return tuple(CliffordOp(1, ((a, b), (c, d)), (vx, vz), validate=False)
-                 for a, b, c, d, vx, vz in _ONE_QUBIT_CLIFFORDS)
-
-
-def standard_gate(name: str, qubits: tuple[int, ...] | Sequence[int], n: int) -> CliffordOp:
-    """The CliffordOp of a named gate acting on ``qubits`` within n qubits,
-    read off the row kernel.
-
-    Recognized names: I, X, Y, Z, H, P (phase gate, diag(1, i)), CNOT
-    (control first), and C0..C23 from :func:`one_qubit_clifford_table`.
-    """
-    return layer_to_clifford((GateLabel(name, qubits),), n)
-
-
-@functools.cache
 def _one_qubit_products() -> tuple[tuple[int, ...], ...]:
-    """``product[a][b]``: position of C<a> after C<b>."""
+    """``product[a][b]``: position of C<a> after C<b> (C<b> acts first),
+    as :func:`compose` multiplies."""
     position = {gate: k for k, gate in enumerate(_ONE_QUBIT_CLIFFORDS)}
     # the images of X and Z under every C<b>, rows 2b and 2b + 1, carried
     # through each C<k>

@@ -31,7 +31,7 @@ read off a gate sequence, with depth by the same greedy earliest-layer
 rule that ``_pack_layers`` uses, so the key equals that of the packed
 sequence.  ``compile_clifford`` and the stabilizer search cost a
 candidate's sequence after its 1Q runs are merged; the CNOT search costs
-its sequence unmerged, as ``compile_cnot_circuit`` emits it.  New
+its sequence unmerged, as ``_cnot_sequence`` returns it.  New
 candidates, from other synthesis methods, join the same list and compete
 under the same key.  An order that repeats an earlier one is drawn (so
 the stream does not change) but not evaluated: it would rebuild the same
@@ -75,7 +75,6 @@ from .streams import stream
 __all__ = [
     "CompileOptions",
     "CompileStats",
-    "compile_cnot_circuit",
     "compile_clifford",
     "compile_stabilizer_prep",
     "compile_stabilizer_meas",
@@ -324,23 +323,6 @@ def _cnot_sequence(
     orders = _elimination_orders(eccs, options.trials, digest)
     candidates = (_expand_ops(_cnot_ge_ops(_permuted(rows, order)), order, device) for order in orders)
     return min(candidates, key=lambda seq: _sequence_cost(seq, n, options.cost)), len(orders)
-
-
-def compile_cnot_circuit(matrix: np.ndarray, device: DeviceSpec, options: CompileOptions | None = None) -> Circuit:
-    """A circuit of CNOTs realizing |x> -> |matrix @ x> on the device.
-
-    On restricted connectivity, long-range CNOTs expand along shortest
-    undirected paths (4 gates per extra edge) and wrong-way edges are
-    Hadamard-wrapped, so the result can contain H gates on such devices.
-    """
-    options = options or CompileOptions()
-    m = np.asarray(matrix, dtype=np.uint8) % 2
-    n = device.n
-    if m.shape != (n, n):
-        raise ValueError(f"matrix must be {n} x {n} for this device")
-    # _cnot_ge_ops raises on a singular matrix
-    seq, _ = _cnot_sequence(_pack_rows(m), device, device.eccentricities(), options)
-    return _pack_layers(seq, n)
 
 
 # ---------------------------------------------------------------------------

@@ -140,11 +140,6 @@ class DeviceSpec:
             eccs.append(max(d for _, d in found.values()) if len(found) == self.n else self.n)
         return eccs
 
-    def eccentricity_order(self) -> list[int]:
-        """Qubits from most to least peripheral, ties by index."""
-        eccs = self.eccentricities()
-        return sorted(range(self.n), key=lambda q: (-eccs[q], q))
-
 
 def all_to_all(n: int, gate_set: str = "C24") -> DeviceSpec:
     edges = tuple((a, b) for a in range(n) for b in range(n) if a != b)

@@ -49,8 +49,6 @@ from .device import GATE_SET_IDS, DeviceSpec, pool_gate_names
 
 __all__ = [
     "symplectic_group_order",
-    "clifford_count",
-    "stabilizer_state_count",
     "symplectic_from_index",
     "sample_symplectic_uniform",
     "sample_clifford_uniform",
@@ -75,18 +73,6 @@ def symplectic_group_order(n: int) -> int:
     for j in range(1, n + 1):
         order *= (4 ** j - 1) << (2 * j - 1)
     return order
-
-
-def clifford_count(n: int) -> int:
-    """Number of distinct (s, v) pairs: Cliffords modulo global phase."""
-    return symplectic_group_order(n) * 4 ** n
-
-
-def stabilizer_state_count(n: int) -> int:
-    count = 2 ** n
-    for k in range(1, n + 1):
-        count *= 2 ** k + 1
-    return count
 
 
 # ---------------------------------------------------------------------------

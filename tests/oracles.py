@@ -2,7 +2,8 @@
 
 Everything here works on dense 2^n x 2^n complex matrices and plain
 enumeration, with no reliance on the package's symplectic bookkeeping,
-so agreement between the two is meaningful.
+so agreement between the two is meaningful.  The package's PauliOp is
+used only as a value type, for Paulis parsed from text.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from drbench.clifford import PauliOp
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -36,6 +39,22 @@ def pauli_matrix(x, z, phase: int) -> np.ndarray:
 
 def pauli_op_matrix(p) -> np.ndarray:
     return pauli_matrix(p.x, p.z, p.phase)
+
+
+def pauli(label: str) -> PauliOp:
+    """Parse e.g. ``"XIZ"``, ``"-YZ"`` or ``"+iXX"`` (sign prefix optional)
+    into the PauliOp of that operator; Y is iXZ in the X-left-of-Z form."""
+    s = label.strip()
+    phase = 0
+    for prefix, ph in (("-i", 3), ("+i", 1), ("i", 1), ("-", 2), ("+", 0)):
+        if s.startswith(prefix):
+            phase, s = ph, s[len(prefix):]
+            break
+    if not s or any(c not in "IXYZ" for c in s):
+        raise ValueError(f"bad Pauli label {label!r}")
+    x = [int(c in "XY") for c in s]
+    z = [int(c in "ZY") for c in s]
+    return PauliOp(len(s), x, z, phase + s.count("Y"))
 
 
 def embed_unitary(u_local: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:

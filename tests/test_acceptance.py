@@ -26,7 +26,6 @@ from drbench import (
     ExperimentDesign,
     GateLabel,
     PairingSampler,
-    PauliOp,
     PCnotSampler,
     RateSystem,
     StabilizerState,
@@ -174,7 +173,7 @@ def test_criterion_4_eigenstate_frequency_law():
         fixed = {1: ("X", "Y", "Z"), 2: ("XI", "ZZ", "YX"), 3: ("XII", "ZZZ", "XYZ")}
         samples = 30000
         for n in (1, 2, 3):
-            paulis = [PauliOp.from_label(lbl) for lbl in fixed[n]]
+            paulis = [oracles.pauli(lbl) for lbl in fixed[n]]
             rng = stream(4000, n)
             hits = np.zeros(len(paulis), dtype=np.int64)
             for _ in range(samples):

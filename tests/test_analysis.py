@@ -9,10 +9,10 @@ import pytest
 
 from drbench.analysis import (
     BootstrapResult,
+    _inverse_variance,
     _resample_indices,
     RateSystem,
     average_success,
-    binomial_weights,
     bootstrap,
     crb_rescale,
     drb_error_rate,
@@ -20,7 +20,6 @@ from drbench.analysis import (
     fit_decay,
     predict_r_from_rates,
     solve_category_rates,
-    theory_pm,
 )
 from drbench.device import all_to_all, ring_with_center
 from drbench.protocols import ExperimentDesign, generate_experiment
@@ -52,6 +51,12 @@ def synthetic_dataset(a, b, p, lengths, circuits, shots, rng, n=2):
 
 def exact_points(a, b, p, lengths):
     return {m: a + b * p**m for m in lengths}
+
+
+def inverse_variance_weights(points, shots):
+    """The weights ``bootstrap`` fits with: the inverse binomial variance
+    at each length, floored so P_m in {0, 1} stays finite."""
+    return {m: float(_inverse_variance(p, shots[m])) for m, p in points.items()}
 
 
 class TestErrorRate:
@@ -195,7 +200,7 @@ class TestBootstrap:
                 chosen = [group[i] for i in child.integers(0, len(group), size=len(group))]
                 points[m] = float(np.mean([r.successes / r.shots for r in chosen]))
                 shots[m] = sum(r.shots for r in chosen)
-            fit = fit_decay(points, binomial_weights(points, shots), n=2)
+            fit = fit_decay(points, inverse_variance_weights(points, shots), n=2)
             fits.append((fit.p, fit.r, fit.A, fit.B, fit.anchored, fit.clamped))
         fits = np.array(fits)
         sigmas = fits[:, :4].std(axis=0, ddof=1)
@@ -235,7 +240,7 @@ class TestBootstrap:
         shots = {}
         for row in data.rows:
             shots[row.m] = shots.get(row.m, 0) + row.shots
-        fit = fit_decay(points, binomial_weights(points, shots), n=2)
+        fit = fit_decay(points, inverse_variance_weights(points, shots), n=2)
         assert dataclasses.replace(out.fit, p_interval=None, r_interval=None) == fit
 
     def test_zero_variance_gives_zero_width(self):
@@ -448,7 +453,7 @@ class TestBuildingBlocks:
         assert out.cnot_sigma is not None
 
 
-class TestRescaleAndTheory:
+class TestRescale:
     def test_crb_rescale(self):
         assert crb_rescale(0.0, 3.0) == 0.0
         assert crb_rescale(0.3, 1.0) == pytest.approx(0.3)
@@ -458,29 +463,10 @@ class TestRescaleAndTheory:
         with pytest.raises(ValueError):
             crb_rescale(0.1, 0.0)
 
-    def test_theory_pm(self):
-        assert theory_pm(5, 0.0, 3) == 1.0
-        assert theory_pm(0, 0.3, 2) == 1.0
-        assert theory_pm(10_000, 0.1, 2) == pytest.approx(0.25, abs=1e-12)
-        curve = theory_pm(np.array([0, 1, 2]), 0.5, 1)
-        assert curve == pytest.approx([1.0, 0.75, 0.625])
-        with pytest.raises(ValueError):
-            theory_pm(1, 1.5, 1)
-
 
 class TestWeights:
     def test_floor_prevents_blowup(self):
-        w = binomial_weights({0: 1.0, 4: 0.5}, {0: 100, 4: 100})
-        assert np.isfinite(w[0])
-        assert w[4] == pytest.approx(100 / 0.25)
-        assert w[0] > w[4]
-
-    def test_zero_shot_rejected(self):
-        with pytest.raises(ValueError):
-            binomial_weights({0: 0.5}, {0: 0})
-
-    def test_missing_shot_counts_named(self):
-        with pytest.raises(ValueError, match=r"shot counts missing for lengths \[0\]"):
-            binomial_weights({0: 0.9}, {})
-        with pytest.raises(ValueError, match=r"missing for lengths \[2, 8\]"):
-            binomial_weights({8: 0.5, 0: 0.9, 2: 0.7}, {0: 10})
+        w0, w4 = _inverse_variance(np.array([1.0, 0.5]), 100)
+        assert np.isfinite(w0)
+        assert w4 == pytest.approx(100 / 0.25)
+        assert w0 > w4

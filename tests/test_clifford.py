@@ -17,13 +17,12 @@ from drbench.clifford import (
     PauliRows,
     StabilizerState,
     _GATE_UPDATES,
+    _ONE_QUBIT_CLIFFORDS,
     _product_phases,
     circuit_to_clifford,
     compose,
     invert,
     layer_to_clifford,
-    one_qubit_clifford_table,
-    standard_gate,
 )
 from drbench.compiling import _pack_layers
 
@@ -52,6 +51,16 @@ def all_paulis(n: int):
             yield PauliOp(n, x, z, phase)
 
 
+def one_gate(name: str, qubits: tuple[int, ...], n: int) -> CliffordOp:
+    """The Clifford of one gate on n qubits, read off the row kernel."""
+    return layer_to_clifford((GateLabel(name, qubits),), n)
+
+
+def is_hermitian(p: PauliOp) -> bool:
+    """i**phase X^x Z^z is Hermitian exactly when phase = x.z mod 2."""
+    return p.phase % 2 == int(p.x @ p.z) % 2
+
+
 def kernel_images(paulis: list[PauliOp], gates) -> list[PauliOp]:
     """The images of ``paulis`` under ``gates`` (a Circuit, or a gate
     sequence applied in order), carried through the row kernel."""
@@ -66,10 +75,12 @@ def kernel_images(paulis: list[PauliOp], gates) -> list[PauliOp]:
 class TestPauliOp:
     def test_label_roundtrip(self):
         for label in ["+XIZ", "-YZ", "+iXX", "+Y", "-iZ", "+III"]:
-            assert repr(PauliOp.from_label(label)) == label
+            assert repr(oracles.pauli(label)) == label
+        dense = -1j * np.kron(oracles.Y, oracles.Z)
+        assert np.allclose(oracles.pauli_op_matrix(oracles.pauli("-iYZ")), dense)
 
     def test_xz_is_minus_iy(self):
-        xz = PauliOp.from_label("X") * PauliOp.from_label("Z")
+        xz = oracles.pauli("X") * oracles.pauli("Z")
         assert repr(xz) == "-iY"
 
     def test_products_match_dense(self, rng):
@@ -81,44 +92,47 @@ class TestPauliOp:
             assert np.allclose(dense, oracles.pauli_op_matrix(pa * pb))
 
     def test_commutation(self):
-        x = PauliOp.from_label("X")
-        z = PauliOp.from_label("Z")
-        y = PauliOp.from_label("Y")
+        x = oracles.pauli("X")
+        z = oracles.pauli("Z")
+        y = oracles.pauli("Y")
         assert not x.commutes(z)
         assert not x.commutes(y)
         assert x.commutes(x)
-        assert PauliOp.from_label("XX").commutes(PauliOp.from_label("ZZ"))
+        assert oracles.pauli("XX").commutes(oracles.pauli("ZZ"))
 
     def test_hermiticity(self):
-        assert PauliOp.from_label("Y").is_hermitian
-        assert PauliOp.from_label("-XZ").is_hermitian
-        assert not PauliOp(1, [1], [0], 1).is_hermitian  # iX
+        for p in all_paulis(2):
+            m = oracles.pauli_op_matrix(p)
+            assert is_hermitian(p) == np.allclose(m, m.conj().T)
+        assert is_hermitian(oracles.pauli("Y"))
+        assert is_hermitian(oracles.pauli("-XZ"))
+        assert not is_hermitian(PauliOp(1, [1], [0], 1))  # iX
 
     def test_weight_and_identity(self):
-        assert PauliOp.from_label("XIY").weight == 2
+        assert oracles.pauli("XIY").weight == 2
         assert PauliOp.identity(3).is_identity
         assert not PauliOp(1, [0], [0], 2).is_identity  # -I
 
 
 class TestStandardGates:
     def test_hadamard_tableau(self):
-        h = standard_gate("H", (0,), 1)
+        h = one_gate("H", (0,), 1)
         assert h.s.tolist() == [[0, 1], [1, 0]]
         assert h.v.tolist() == [0, 0]
 
     def test_phase_gate_squared_is_z(self):
-        p = standard_gate("P", (0,), 1)
-        assert compose(p, p) == standard_gate("Z", (0,), 1)
+        p = one_gate("P", (0,), 1)
+        assert compose(p, p) == one_gate("Z", (0,), 1)
 
     def test_cnot_conjugations(self):
-        paulis = [PauliOp.from_label(label) for label in ("XI", "IZ", "IX", "ZI")]
-        images = [PauliOp.from_label(label) for label in ("XX", "ZZ", "IX", "ZI")]
+        paulis = [oracles.pauli(label) for label in ("XI", "IZ", "IX", "ZI")]
+        images = [oracles.pauli(label) for label in ("XX", "ZZ", "IX", "ZI")]
         assert kernel_images(paulis, (GateLabel("CNOT", (0, 1)),)) == images
 
     @pytest.mark.parametrize("name", ["I", "X", "Y", "Z", "H", "P"])
     def test_one_qubit_gates_match_oracle(self, name):
         s, v = oracles.clifford_of_unitary(oracles.GATE_MATRICES[name], 1)
-        op = standard_gate(name, (0,), 1)
+        op = one_gate(name, (0,), 1)
         assert np.array_equal(op.s, s)
         assert np.array_equal(op.v, v)
 
@@ -126,37 +140,33 @@ class TestStandardGates:
     def test_cnot_matches_oracle(self, qubits):
         u = oracles.embed_unitary(oracles.CNOT, qubits, 2)
         s, v = oracles.clifford_of_unitary(u, 2)
-        op = standard_gate("CNOT", qubits, 2)
+        op = one_gate("CNOT", qubits, 2)
         assert np.array_equal(op.s, s)
         assert np.array_equal(op.v, v)
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            standard_gate("CNOT", (0, 0), 2)
-        with pytest.raises(ValueError):
-            standard_gate("H", (3,), 2)
-        with pytest.raises(ValueError):
-            standard_gate("FOO", (0,), 1)
-        with pytest.raises(ValueError):
-            standard_gate("C24", (0,), 1)
+        for name, qubits, n in (("CNOT", (0, 0), 2), ("H", (3,), 2), ("FOO", (0,), 1),
+                                ("C24", (0,), 1)):
+            with pytest.raises(ValueError):
+                layer_to_clifford((GateLabel(name, qubits),), n)
 
 
 class TestOneQubitTable:
     def test_complete_valid_and_sorted(self):
-        table = one_qubit_clifford_table()
-        assert len(table) == 24
-        assert len(set(table)) == 24
-        assert all(op.is_valid() for op in table)
-        keys = [(tuple(op.s.ravel().tolist()), tuple(op.v.tolist())) for op in table]
-        assert keys == sorted(keys)
+        # each entry (a, b, c, d, vx, vz) is the (s, v) ((a, b), (c, d)), (vx, vz)
+        table = _ONE_QUBIT_CLIFFORDS
+        assert len(set(table)) == len(table) == 24
+        for a, b, c, d, vx, vz in table:
+            CliffordOp(1, ((a, b), (c, d)), (vx, vz))  # validates
+        assert list(table) == sorted(table)
 
     def test_identity_is_c8(self):
-        assert standard_gate("C8", (0,), 1) == CliffordOp.identity(1)
+        assert one_gate("C8", (0,), 1) == CliffordOp.identity(1)
 
     def test_labels_match_oracle_unitaries(self):
         for k, u in enumerate(oracles.one_qubit_clifford_unitaries()):
             s, v = oracles.clifford_of_unitary(u, 1)
-            op = standard_gate(f"C{k}", (0,), 1)
+            op = one_gate(f"C{k}", (0,), 1)
             assert np.array_equal(op.s, s) and np.array_equal(op.v, v)
 
 
@@ -179,9 +189,9 @@ class TestConjugation:
 
     def test_preserves_hermiticity_and_commutation(self, rng):
         circ = random_circuit(3, 8, rng)
-        paulis = [PauliOp.from_label(lbl) for lbl in ["XII", "IYI", "ZZI", "IIZ", "YXZ"]]
+        paulis = [oracles.pauli(lbl) for lbl in ["XII", "IYI", "ZZI", "IIZ", "YXZ"]]
         images = kernel_images(paulis, circ)
-        assert all(img.is_hermitian for img in images)
+        assert all(is_hermitian(img) for img in images)
         for i in range(len(paulis)):
             for j in range(len(paulis)):
                 assert paulis[i].commutes(paulis[j]) == images[i].commutes(images[j])
@@ -214,14 +224,14 @@ class TestComposeInvert:
 
 def _embed_pauli(letter: str, q: int, n: int) -> PauliOp:
     label = "".join(letter if i == q else "I" for i in range(n))
-    return PauliOp.from_label(label)
+    return oracles.pauli(label)
 
 
 class TestValidity:
     def test_parity_rule_counts(self):
         # For fixed s, exactly 2 of 4 values are valid per v coordinate,
         # so 4 of 16 full vectors at n=1.
-        s = standard_gate("P", (0,), 1).s
+        s = one_gate("P", (0,), 1).s
         valid = 0
         for v0 in range(4):
             for v1 in range(4):
@@ -263,7 +273,7 @@ class TestCircuit:
     def test_layer_to_clifford_matches_composition(self, rng):
         layer = (GateLabel("H", (0,)), GateLabel("CNOT", (2, 1)))
         combined = layer_to_clifford(layer, 3)
-        expected = compose(standard_gate("CNOT", (2, 1), 3), standard_gate("H", (0,), 3))
+        expected = compose(one_gate("CNOT", (2, 1), 3), one_gate("H", (0,), 3))
         assert combined == expected
 
     def test_bell_circuit_matches_oracle(self):
@@ -280,21 +290,21 @@ class TestStabilizerState:
         assert not oracles.is_eigenstate(state, _embed_pauli("X", 0, 3))
         minus_z = PauliOp(3, np.zeros(3), np.eye(3, dtype=np.uint8)[0], 2)
         assert oracles.is_eigenstate(state, minus_z)
-        assert oracles.is_eigenstate(state, PauliOp.from_label("ZZI"))
+        assert oracles.is_eigenstate(state, oracles.pauli("ZZI"))
 
     def test_plus_state(self):
         state = StabilizerState.zero_state(1).apply_circuit(Circuit(1, ((GateLabel("H", (0,)),),)))
-        assert oracles.is_eigenstate(state, PauliOp.from_label("X"))
-        assert not oracles.is_eigenstate(state, PauliOp.from_label("Z"))
+        assert oracles.is_eigenstate(state, oracles.pauli("X"))
+        assert not oracles.is_eigenstate(state, oracles.pauli("Z"))
 
     def test_bell_state(self):
         circ = Circuit(2, ((GateLabel("H", (0,)),), (GateLabel("CNOT", (0, 1)),)))
         state = StabilizerState.zero_state(2).apply_circuit(circ)
-        assert oracles.is_eigenstate(state, PauliOp.from_label("XX"))
-        assert oracles.is_eigenstate(state, PauliOp.from_label("ZZ"))
-        assert not oracles.is_eigenstate(state, PauliOp.from_label("ZI"))
+        assert oracles.is_eigenstate(state, oracles.pauli("XX"))
+        assert oracles.is_eigenstate(state, oracles.pauli("ZZ"))
+        assert not oracles.is_eigenstate(state, oracles.pauli("ZI"))
         assert state.to_basis_bits() is None
-        assert state == StabilizerState([PauliOp.from_label("-YY"), PauliOp.from_label("ZZ")])
+        assert state == StabilizerState([oracles.pauli("-YY"), oracles.pauli("ZZ")])
 
     def test_basis_state_roundtrip(self):
         bits = [1, 0, 1, 1]
@@ -302,10 +312,10 @@ class TestStabilizerState:
         assert state.to_basis_bits().tolist() == bits
 
     def test_equality_across_generator_choices(self):
-        a = StabilizerState([PauliOp.from_label("ZI"), PauliOp.from_label("IZ")])
-        b = StabilizerState([PauliOp.from_label("ZZ"), PauliOp.from_label("IZ")])
+        a = StabilizerState([oracles.pauli("ZI"), oracles.pauli("IZ")])
+        b = StabilizerState([oracles.pauli("ZZ"), oracles.pauli("IZ")])
         assert a == b
-        c = StabilizerState([PauliOp.from_label("ZZ"), PauliOp.from_label("-IZ")])
+        c = StabilizerState([oracles.pauli("ZZ"), oracles.pauli("-IZ")])
         assert a != c
 
     def test_apply_matches_dense(self, rng):
@@ -327,9 +337,9 @@ class TestStabilizerState:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            StabilizerState([PauliOp.from_label("XI"), PauliOp.from_label("ZI")])
+            StabilizerState([oracles.pauli("XI"), oracles.pauli("ZI")])
         with pytest.raises(ValueError):
-            StabilizerState([PauliOp.from_label("ZI"), PauliOp.from_label("ZI")])
+            StabilizerState([oracles.pauli("ZI"), oracles.pauli("ZI")])
         with pytest.raises(ValueError):
             StabilizerState([PauliOp(1, [1], [0], 1)])  # iX not Hermitian
 
@@ -466,7 +476,7 @@ class TestGateLabel:
         with pytest.raises(ValueError, match=re.escape(f"qubit out of range in {name} {qubits} for n=2")):
             PauliRows.identity(2).apply_layer((label,))
         with pytest.raises(ValueError, match="out of range"):
-            standard_gate(name, qubits, 2)
+            layer_to_clifford((label,), 2)
         with pytest.raises(ValueError, match="out of range"):
             Circuit(2, ((label,),))
 
@@ -529,7 +539,7 @@ class TestRowKernel:
         layer = (GateLabel("C5", (0,)), GateLabel("CNOT", (2, 1)))
         rows = PauliRows.identity(3)
         rows.apply_layer(layer)
-        assert rows.clifford() == compose(standard_gate("CNOT", (2, 1), 3), standard_gate("C5", (0,), 3))
+        assert rows.clifford() == compose(one_gate("CNOT", (2, 1), 3), one_gate("C5", (0,), 3))
 
     def test_unknown_gates_raise_the_gate_error(self):
         rows = PauliRows.identity(2)
@@ -539,7 +549,7 @@ class TestRowKernel:
             rows.apply_layer((GateLabel("H", (0, 1)),))
 
     def test_multiply_row_matches_pauli_product(self):
-        a, b = PauliOp.from_label("XZY"), PauliOp.from_label("-iYYZ")
+        a, b = oracles.pauli("XZY"), oracles.pauli("-iYYZ")
         rows = PauliRows.of([b])
         rows.multiply_row(0, a)
         assert rows.pauli(0) == a * b
@@ -563,12 +573,12 @@ class TestRowKernel:
                 PauliRows.identity(3).apply_circuit(circ)
 
     def test_b_and_r_are_read_only(self):
-        rows = PauliRows.of([PauliOp.from_label("XZ"), PauliOp.from_label("-YI")])
+        rows = PauliRows.of([oracles.pauli("XZ"), oracles.pauli("-YI")])
         with pytest.raises(ValueError, match="read-only"):
             rows.b[0, 0] = 1
         with pytest.raises(ValueError, match="read-only"):
             rows.r[:1] += 2
-        assert rows.pauli(0) == PauliOp.from_label("XZ")
+        assert rows.pauli(0) == oracles.pauli("XZ")
 
 
 class TestBatchedAlgebra:

@@ -6,21 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from drbench.clifford import CliffordOp, GateLabel, StabilizerState, standard_gate
-from drbench.compiling import CompileOptions, compile_clifford
+from drbench.clifford import CliffordOp, GateLabel, StabilizerState, layer_to_clifford
+from drbench.compiling import CompileOptions, _elimination_orders, compile_clifford
 from drbench.device import DeviceSpec, all_to_all, pool_gate_names, ring, ring_center_edges, ring_with_center
 from drbench.sampling import (
     CategorySampler,
     PairingSampler,
     PCnotSampler,
-    clifford_count,
     cnot_placement_distribution,
     layer_probability,
     sample_clifford_uniform,
     sample_layer,
     sample_stabilizer_state_uniform,
     sample_symplectic_uniform,
-    stabilizer_state_count,
     symplectic_from_index,
     symplectic_group_order,
 )
@@ -59,8 +57,9 @@ class TestDeviceSpec:
         ring_edges, center_edges = ring_center_edges(4)
         assert set(ring_edges) | set(center_edges) == set(dev.edges)
         assert all(e[0] == 4 for e in center_edges)
-        # hub has minimum eccentricity, so it comes last
-        assert dev.eccentricity_order()[-1] == 4
+        # hub has minimum eccentricity, so it comes last in the first
+        # elimination order the compilers try
+        assert _elimination_orders(dev.eccentricities(), 1, 0)[0][-1] == 4
 
     def test_pool_names(self):
         assert pool_gate_names("HPI") == ("I", "H", "P")
@@ -75,11 +74,6 @@ class TestSymplecticConstruction:
         assert symplectic_group_order(2) == 720
         for n in (1, 2, 3):
             assert symplectic_group_order(n) == oracles.symplectic_group_size(n)
-
-    def test_counts(self):
-        assert clifford_count(1) == 24
-        assert stabilizer_state_count(1) == 6
-        assert stabilizer_state_count(2) == 60
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_index_enumeration_is_bijective(self, n):
@@ -106,13 +100,8 @@ class TestSymplecticConstruction:
         assert np.array_equal(s, oracles.symplectic_from_index_reference(index, n))
 
     def test_n2_enumeration_matches_group_closure(self):
-        gens = [
-            standard_gate("H", (0,), 2),
-            standard_gate("H", (1,), 2),
-            standard_gate("P", (0,), 2),
-            standard_gate("P", (1,), 2),
-            standard_gate("CNOT", (0, 1), 2),
-        ]
+        gens = [layer_to_clifford((GateLabel(name, qubits),), 2) for name, qubits in
+                (("H", (0,)), ("H", (1,)), ("P", (0,)), ("P", (1,)), ("CNOT", (0, 1)))]
         closure = oracles.enumerate_symplectics_by_bfs(2, gens)
         assert len(closure) == 720
         mine = {symplectic_from_index(i, 2).tobytes() for i in range(720)}
@@ -138,7 +127,7 @@ class TestUniformSampling:
             op = sample_clifford_uniform(1, rng)
             assert op.is_valid()
             seen.add(op)
-        assert len(seen) == 24
+        assert len(seen) == oracles.symplectic_group_size(1) * 4  # Cliffords mod phase
 
     def test_clifford_larger_n_valid(self, rng):
         for n in (2, 3, 5):
@@ -147,9 +136,9 @@ class TestUniformSampling:
 
     def test_stabilizer_state_counts(self, rng):
         seen1 = {sample_stabilizer_state_uniform(1, rng) for _ in range(300)}
-        assert len(seen1) == 6
+        assert len(seen1) == oracles.stabilizer_state_count(1) == 6
         seen2 = {sample_stabilizer_state_uniform(2, rng) for _ in range(3000)}
-        assert len(seen2) == 60
+        assert len(seen2) == oracles.stabilizer_state_count(2) == 60
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_state_is_zero_state_through_sampled_clifford(self, n):
