@@ -441,10 +441,11 @@ class PauliRows:
 
         The gates may overlap, so a whole gate sequence can be passed; a
         layer is the case where their qubits are disjoint.  A qubit not
-        below n raises ValueError.
+        below n raises ValueError and leaves the rows as they were: the
+        gates run on copies of the columns, stored only when all have run.
         """
         updates = _GATE_UPDATES
-        x, z, lo, hi = self.x, self.z, self.lo, self.hi
+        x, z, lo, hi = self.x[:], self.z[:], self.lo, self.hi
         try:
             for gate in gates:
                 update = updates[gate.name]
@@ -464,7 +465,7 @@ class PauliRows:
                 lo ^= ones
         except IndexError:
             raise ValueError(f"qubit out of range in {gate.name} {gate.qubits} for n={self.n}") from None
-        self.lo, self.hi = lo, hi
+        self.x, self.z, self.lo, self.hi = x, z, lo, hi
 
     def apply_circuit(self, circuit: Circuit):
         """Conjugate every row by each layer of ``circuit``, which must

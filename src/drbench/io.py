@@ -197,6 +197,11 @@ def _int_tuple(value: str, field: str) -> tuple[int, ...]:
     return values
 
 
+# every ``# key=value`` header a circuit file may hold; ``sampled`` repeats
+_CIRCUIT_HEADERS = ("id", "protocol", "n", "m", "target", "seed", "segments", "sampled",
+                    "element_cnots", "element_depths")
+
+
 def circuit_from_text(text: str) -> BenchmarkCircuit:
     headers: dict[str, str] = {}
     sampled: list[str] = []
@@ -209,6 +214,8 @@ def circuit_from_text(text: str) -> BenchmarkCircuit:
             body = line[1:].strip()
             key, eq, value = body.partition("=")
             if eq:
+                if key not in _CIRCUIT_HEADERS:
+                    raise FormatError(f"unknown circuit header '{key}'")
                 if key == "sampled":
                     sampled.append(value)
                 elif key in headers:
@@ -225,6 +232,9 @@ def circuit_from_text(text: str) -> BenchmarkCircuit:
         m = int(headers["m"])
     except ValueError:
         raise FormatError("circuit headers 'n' and 'm' must be integers") from None
+    if headers["protocol"] not in PROTOCOLS:
+        raise FormatError(f"circuit header 'protocol' must be one of {sorted(PROTOCOLS)}, "
+                          f"got {headers['protocol']!r}")
     if n < 1:
         raise FormatError(f"circuit header 'n' must be >= 1, got {n}")
     if m < 0:

@@ -8,6 +8,7 @@ used only as a value type, for Paulis parsed from text.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -156,32 +157,42 @@ def one_qubit_clifford_unitaries() -> list[np.ndarray]:
 
 
 def decompose_pauli(m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Find (x, z, phase) with m = i**phase X^x Z^z, by matching every z.
+    """Find (x, z, phase) with m = i**phase X^x Z^z, read off m's columns
+    and then checked entry by entry against the rebuilt matrix.
 
     Column 0 of i**phase X^x Z^z is i**phase |x>: its one nonzero entry
-    gives x by its row and the phase by its value, whatever z is.
+    gives x by its row and the phase by its value, whatever z is.  Column
+    2^(n-1-q) is the image of |e_q>, ``(-1)**z_q i**phase |x ^ e_q>``, so
+    its sign against column 0 gives z_q.
     """
     row = int(np.argmax(np.abs(m[:, 0])))
     x = np.array([row >> (n - 1 - q) & 1 for q in range(n)], dtype=np.uint8)
     phase = int(np.round(np.angle(m[row, 0]) / (np.pi / 2))) % 4
-    for bits in itertools.product((0, 1), repeat=n):
-        z = np.array(bits, dtype=np.uint8)
-        if np.allclose(m, pauli_matrix(x, z, phase), atol=1e-8):
-            return x, z, phase
+    ref = np.conj(m[row, 0])
+    z = np.array([(m[row ^ e, e] * ref).real < 0 for e in (1 << (n - 1 - q) for q in range(n))],
+                 dtype=np.uint8)
+    if np.allclose(m, pauli_matrix(x, z, phase), atol=1e-8):
+        return x, z, phase
     raise ValueError("matrix is not a Pauli")
+
+
+@functools.cache
+def _generator_matrices(n: int) -> tuple[np.ndarray, ...]:
+    """Dense X_0 .. X_{n-1}, Z_0 .. Z_{n-1}, read-only."""
+    eye = np.eye(n, dtype=np.uint8)
+    zero = np.zeros(n, dtype=np.uint8)
+    out = tuple(pauli_matrix(eye[j], zero, 0) for j in range(n)) + \
+        tuple(pauli_matrix(zero, eye[j], 0) for j in range(n))
+    for w in out:
+        w.setflags(write=False)
+    return out
 
 
 def clifford_of_unitary(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Extract (s, v) of a Clifford unitary by conjugating each generator."""
     s = np.zeros((2 * n, 2 * n), dtype=np.uint8)
     v = np.zeros(2 * n, dtype=np.int64)
-    eye = np.eye(n, dtype=np.uint8)
-    zero = np.zeros(n, dtype=np.uint8)
-    for j in range(2 * n):
-        if j < n:
-            w = pauli_matrix(eye[j], zero, 0)
-        else:
-            w = pauli_matrix(zero, eye[j - n], 0)
+    for j, w in enumerate(_generator_matrices(n)):
         img = u @ w @ u.conj().T
         x, z, phase = decompose_pauli(img, n)
         s[:n, j] = x

@@ -225,6 +225,15 @@ REPEATED_HEADERS = [
     ("# target=00\n", "target"),
 ]
 
+# headers the reader does not know and a protocol it does not run, and
+# the part of the message naming each: all loaded without an error, so a
+# misspelt element_cnots was dropped and XYZ went into the dataset
+UNKNOWN_HEADERS = [
+    ("DRB", "# element_cnot=-3\n", "unknown circuit header 'element_cnot'"),
+    ("DRB", "# bogus=1\n", "unknown circuit header 'bogus'"),
+    ("XYZ", "", "circuit header 'protocol' must be one of ['CRB', 'DRB'], got 'XYZ'"),
+]
+
 # gates the row kernel does not run, which loaded and then failed the
 # simulation with exit 3, and the part of the message naming each
 BAD_GATES = [
@@ -424,6 +433,20 @@ class TestSimulate:
         assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and f"circuit header '{name}' repeated" in err
+        assert not (run / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize("protocol,header,message", UNKNOWN_HEADERS,
+                             ids=["element_cnot", "bogus", "protocol"])
+    def test_unknown_circuit_header_exit2(self, tmp_path, capsys, protocol, header, message):
+        run = generate(tmp_path, lengths=[0], circuits_per_length=1)
+        (entry,) = read_manifest(run)["experiment"]["circuits"]
+        path = run / "circuits" / f"{entry['id']}.txt"
+        path.write_text(f"# drbench circuit v1\n# id={entry['id']}\n# protocol={protocol}\n# n=2\n"
+                        f"# m=0\n# target={entry['target']}\n# seed=0,0,0\n# segments=0,1,0\n"
+                        + header + "I 0\n", encoding="utf-8")
+        assert main(["simulate", "--run", str(run), "--model", "zero"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
         assert not (run / "dataset.jsonl").exists()
 
     def test_circuit_widths_differ_exit2(self, tmp_path, capsys):

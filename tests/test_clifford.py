@@ -548,6 +548,18 @@ class TestRowKernel:
         with pytest.raises(ValueError, match="H takes exactly one qubit"):
             rows.apply_layer((GateLabel("H", (0, 1)),))
 
+    @pytest.mark.parametrize("gates", [[("P", (0,)), ("H", (5,))],
+                                       [("H", (1,)), ("CNOT", (1, 0)), ("C3", (0,)), ("CNOT", (0, 2))]])
+    def test_raising_sequence_leaves_the_rows_unchanged(self, gates):
+        # P 0 then H 5 left row 0 of identity(2) reading -iYI: P's image
+        # stored in the columns, the phase planes not
+        rows = PauliRows.identity(2)
+        rows.apply_layer((GateLabel("H", (0,)), GateLabel("CNOT", (0, 1))))
+        before = [rows.pauli(k) for k in range(rows.count)]
+        with pytest.raises(ValueError, match="qubit out of range"):
+            rows.apply_layer([GateLabel(name, qubits) for name, qubits in gates])
+        assert [rows.pauli(k) for k in range(rows.count)] == before
+
     def test_multiply_row_matches_pauli_product(self):
         a, b = oracles.pauli("XZY"), oracles.pauli("-iYYZ")
         rows = PauliRows.of([b])
