@@ -1,12 +1,16 @@
 """Format round trips and validation messages for every file kind."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drbench.clifford import GateLabel
+from drbench.compiling import CompileOptions
 from drbench.device import all_to_all
 from drbench.io import (
     FormatError,
@@ -222,6 +226,39 @@ class TestConfig:
         assert d.sampler.kind == "category"
         assert d.sampler.edge_groups == (((0, 1), (1, 0)),)
         assert design_from_config(design_to_config(d)) == d
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_config_fields() -> list[str]:
+    """The keys in the first column of README's generate config table."""
+    section = README.read_text(encoding="utf-8").split("### generate", 1)[1].split("\n### ", 1)[0]
+    return re.findall(r"^\| `([a-z_.]+)` \|", section, flags=re.M)
+
+
+class TestReadmeConfigTable:
+    """README's config table and the config reader list the same keys, so
+    a key cannot leave one without the other."""
+
+    def test_every_documented_key_is_accepted(self):
+        spelled_out = design_to_config(design())
+        keys = readme_config_fields()
+        assert keys
+        for key in keys:
+            head, _, tail = key.partition(".")
+            config = {"device": {"n": 2, "edges": [[0, 1]], "gate_set": "HPI"},
+                      "sampler": {"kind": "pcnot", "p_cnot": 0.5}}
+            if tail:
+                config.setdefault(head, {})[tail] = spelled_out[head][tail]
+            else:
+                config[head] = spelled_out[head]
+            design_from_config(config)
+
+    def test_every_design_field_is_documented(self):
+        expected = {f.name for f in dataclasses.fields(ExperimentDesign)} - {"compile_options"}
+        expected |= {f"compile.{f.name}" for f in dataclasses.fields(CompileOptions)}
+        assert expected - set(readme_config_fields()) == set()
 
 
 # JSON values of every type, nested, with NaN and infinities among the
