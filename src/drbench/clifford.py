@@ -475,20 +475,6 @@ class PauliRows:
         for layer in circuit.layers:
             self.apply_layer(layer)
 
-    def multiply_row(self, k: int, p: PauliOp):
-        """Row k becomes ``p`` times row k."""
-        bit = 1 << k
-        xs, zs = np.flatnonzero(p.x), np.flatnonzero(p.z)
-        # W(a) W(b) = i**(2 a_z.b_x) W(a xor b)
-        power = p.phase + 2 * sum(self.x[q] >> k & 1 for q in zs)
-        for q in xs:
-            self.x[q] ^= bit
-        for q in zs:
-            self.z[q] ^= bit
-        ones = bit if power & 1 else 0
-        self.hi ^= (bit if power & 2 else 0) ^ self.lo & ones
-        self.lo ^= ones
-
     @property
     def b(self) -> np.ndarray:
         """The (rows, 2n) (x | z) bit matrix."""

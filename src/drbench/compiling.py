@@ -79,11 +79,7 @@ __all__ = [
     "compile_stabilizer_prep",
     "compile_stabilizer_meas",
     "circuit_stats",
-    "pauli_block",
-    "fold_pauli_before_circuit",
 ]
-
-COST_METRICS = ("cnots", "depth", "gates")
 
 
 @dataclass(frozen=True)
@@ -92,12 +88,12 @@ class CompileOptions:
 
     ``trials`` elimination orders are attempted (the first is the device's
     eccentricity order, the rest are drawn at random from a stream keyed by
-    the input) and the cheapest circuit under ``cost`` wins.  Every CNOT is
-    realized on the device's declared edges.
+    the input) and the cheapest circuit wins: fewest CNOTs, then least
+    depth, then fewest gates.  Every CNOT is realized on the device's
+    declared edges.
     """
 
     trials: int = 10
-    cost: str = "cnots"
 
     def __post_init__(self):
         # every message starts with the option's name
@@ -105,8 +101,6 @@ class CompileOptions:
             raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.cost not in COST_METRICS:
-            raise ValueError(f"cost must be one of {COST_METRICS}, got {self.cost!r}")
 
 
 @dataclass(frozen=True)
@@ -130,16 +124,9 @@ def circuit_stats(circ: Circuit) -> CompileStats:
     return CompileStats(cnots=circ.cnot_count, gates=circ.num_gates, depth=circ.depth)
 
 
-def _cost_key(cnots: int, depth: int, gates: int, cost: str) -> tuple[int, int, int]:
-    if cost == "cnots":
-        return cnots, depth, gates
-    if cost == "depth":
-        return depth, cnots, gates
-    return gates, depth, cnots
-
-
-def _sequence_cost(seq: list[GateLabel], n: int, cost: str) -> tuple[int, int, int]:
-    """The cost key of ``_pack_layers(seq, n)``, read off the sequence.
+def _sequence_cost(seq: list[GateLabel], n: int) -> tuple[int, int, int]:
+    """The cost key (cnots, depth, gates) of ``_pack_layers(seq, n)``,
+    read off the sequence.
 
     Depth follows the same greedy earliest-layer rule: ``level[q]`` is the
     number of layers qubit q occupies so far.
@@ -154,7 +141,7 @@ def _sequence_cost(seq: list[GateLabel], n: int, cost: str) -> tuple[int, int, i
             cnots += 1
         else:
             level[q[0]] += 1
-    return _cost_key(cnots, max(level), len(seq), cost)
+    return cnots, max(level), len(seq)
 
 
 @functools.cache
@@ -322,7 +309,7 @@ def _cnot_sequence(
     digest = _digest(bytes(row >> j & 1 for row in rows for j in range(n)))
     orders = _elimination_orders(eccs, options.trials, digest)
     candidates = (_expand_ops(_cnot_ge_ops(_permuted(rows, order)), order, device) for order in orders)
-    return min(candidates, key=lambda seq: _sequence_cost(seq, n, options.cost)), len(orders)
+    return min(candidates, key=lambda seq: _sequence_cost(seq, n)), len(orders)
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +388,6 @@ def _pauli_gates(x: np.ndarray, z: np.ndarray) -> list[GateLabel]:
         elif z[q]:
             gates.append(_gate("Z", (q,)))
     return gates
-
-
-def pauli_block(x: np.ndarray, z: np.ndarray, device: DeviceSpec) -> Circuit:
-    """The Pauli X^x Z^z as a block of gates from the device's gate set."""
-    seq = _merge_one_qubit_runs(_pauli_gates(x, z), device)
-    return _pack_layers(seq, device.n)
-
-
-def fold_pauli_before_circuit(circ: Circuit, x: np.ndarray, z: np.ndarray, device: DeviceSpec) -> Circuit:
-    """The circuit preceded by the Pauli X^x Z^z, with the Pauli absorbed
-    into each qubit's leading 1Q word instead of adding a layer."""
-    seq = _pauli_gates(x, z) + [g for layer in circ.layers for g in layer]
-    return _pack_layers(_merge_one_qubit_runs(seq, device), device.n)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +481,7 @@ def compile_clifford(
     seqs = (_expand_ops(_gge_ops(_permuted(rows, [*order, *(n + q for q in order)]), n), order, device)
             for order in orders)
     candidates = ((seq, _merge_one_qubit_runs(seq, device)) for seq in seqs)
-    best_seq, best_merged = min(candidates, key=lambda c: _sequence_cost(c[1], n, options.cost))
+    best_seq, best_merged = min(candidates, key=lambda c: _sequence_cost(c[1], n))
     # A Pauli run first negates column j exactly when it anticommutes with
     # W(e_j): X_q negates column n+q (Z_q) and Z_q negates column q (X_q).
     realized = PauliRows.identity(n)
@@ -619,7 +593,7 @@ def _best_meas_sequence(
                                     [eccs[q] for q in order], options)
         candidates.append(([_gate(g.name, tuple(order[q] for q in g.qubits)) for g in seq], inner))
     best_seq, _ = min(candidates,
-                      key=lambda c: _sequence_cost(_merge_one_qubit_runs(c[0], device), n, options.cost))
+                      key=lambda c: _sequence_cost(_merge_one_qubit_runs(c[0], device), n))
     return best_seq, len(orders) + sum(inner for _, inner in candidates)
 
 

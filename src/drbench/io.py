@@ -419,7 +419,7 @@ def design_from_config(obj: dict) -> ExperimentDesign:
     if not isinstance(obj, dict):
         raise FormatError("config must be a JSON object")
     check_keys(obj, ("protocol", "device", "sampler", "compile", "lengths", "circuits_per_length",
-                     "shots", "seed", "frame_randomization", "emit_frame_gates"))
+                     "shots", "seed"))
     protocol = field(obj, "protocol", "protocol", str, "DRB")
     if protocol not in PROTOCOLS:
         raise FormatError(f"field 'protocol' must be one of {sorted(PROTOCOLS)}, got {protocol!r}")
@@ -444,8 +444,6 @@ def design_from_config(obj: dict) -> ExperimentDesign:
                                   DEFAULT_CIRCUITS_PER_LENGTH),
         shots=field(obj, "shots", "shots", int, DEFAULT_SHOTS),
         seed=field(obj, "seed", "seed", int, 0),
-        frame_randomization=field(obj, "frame_randomization", "frame_randomization", bool, False),
-        emit_frame_gates=field(obj, "emit_frame_gates", "emit_frame_gates", bool, False),
         compile_options=compile_options,
     )
 
@@ -463,8 +461,6 @@ def design_to_config(design: ExperimentDesign) -> dict:
         "circuits_per_length": design.circuits_per_length,
         "shots": design.shots,
         "seed": design.seed,
-        "frame_randomization": design.frame_randomization,
-        "emit_frame_gates": design.emit_frame_gates,
         "compile": dataclasses.asdict(design.compile_options),
     }
     spec = design.sampler

@@ -17,8 +17,6 @@ import numpy as np
 from .clifford import (
     Circuit,
     CliffordOp,
-    PauliOp,
-    PauliRows,
     StabilizerState,
     _layer_text,
     compose,
@@ -29,8 +27,6 @@ from .compiling import (
     compile_clifford,
     compile_stabilizer_meas,
     compile_stabilizer_prep,
-    fold_pauli_before_circuit,
-    pauli_block,
 )
 from .device import DeviceSpec
 from .sampling import (
@@ -69,8 +65,6 @@ class ExperimentDesign:
     circuits_per_length: int = DEFAULT_CIRCUITS_PER_LENGTH
     shots: int = DEFAULT_SHOTS
     seed: int = 0
-    frame_randomization: bool = False
-    emit_frame_gates: bool = False
     compile_options: CompileOptions = field(default_factory=CompileOptions)
 
     def __post_init__(self):
@@ -79,13 +73,8 @@ class ExperimentDesign:
             raise ValueError(f"protocol must be one of {PROTOCOLS}")
         if self.protocol == "DRB" and self.sampler is None:
             raise ValueError("sampler is required by DRB designs")
-        if self.protocol == "CRB":
-            if self.sampler is not None:
-                raise ValueError("sampler must be null or absent in CRB designs")
-            if self.frame_randomization:
-                raise ValueError("frame_randomization applies to DRB only")
-        if self.emit_frame_gates and not self.frame_randomization:
-            raise ValueError("emit_frame_gates requires frame_randomization")
+        if self.protocol == "CRB" and self.sampler is not None:
+            raise ValueError("sampler must be null or absent in CRB designs")
         lengths = tuple(int(m) for m in self.lengths)
         if not lengths:
             raise ValueError("lengths must hold at least one length")
@@ -108,8 +97,8 @@ class BenchmarkCircuit:
     the core layer sequence stays inspectable.
 
     ``target`` is the bitstring whose observation counts as success.
-    ``sampled_layers`` records the raw core layers (before any frame
-    gates); ``element_cnots`` / ``element_depths`` hold the per-element
+    ``sampled_layers`` records the core layers as text;
+    ``element_cnots`` / ``element_depths`` hold the per-element
     compilation sizes for group-benchmark circuits.  ``segment_trials``
     counts the compile candidates evaluated for prep, core and meas
     (:attr:`CompileStats.trials`); it records how the circuit was found,
@@ -158,47 +147,18 @@ def _circuit_id(protocol: str, m: int, index: int) -> str:
 def generate_drb_circuit(
     design: ExperimentDesign, m: int, rng: np.random.Generator, index: int = 0
 ) -> BenchmarkCircuit:
-    """One direct-benchmark circuit of core length m.
-
-    Draw order is fixed (state, then all layers, then frame Paulis) so
-    turning frame randomization on or off never changes the sampled
-    layer sequence.
-    """
+    """One direct-benchmark circuit of core length m: the state is drawn
+    first, then the m layers."""
     if design.protocol != "DRB":
         raise ValueError("design is not a DRB design")
     device = design.device
     n = device.n
     psi = sample_stabilizer_state_uniform(n, rng)
     layers = [sample_layer(design.sampler, device, rng) for _ in range(m)]
-    frames = None
-    if design.frame_randomization:
-        frames = [
-            PauliOp(n, rng.integers(0, 2, size=n), rng.integers(0, 2, size=n))
-            for _ in range(m)
-        ]
-
+    core = Circuit(n, tuple(layers))
     prep, prep_stats = compile_stabilizer_prep(psi, device, design.compile_options)
-    # rows 0..n-1 are the state's generators; row n accumulates the frame
-    rows = PauliRows(n, np.vstack([psi.b, np.zeros(2 * n, dtype=np.uint8)]), [*psi.r, 0])
-    core_layers: list = []
-    for i, layer in enumerate(layers):
-        rows.apply_layer(layer)
-        core_layers.append(layer)
-        if frames is not None:
-            rows.multiply_row(n, frames[i])
-            if design.emit_frame_gates:
-                block = pauli_block(frames[i].x, frames[i].z, device)
-                core_layers.extend(block.layers)
-    # the state the measurement stage must rotate, frame included:
-    # conjugating by the frame flips the generators it anticommutes with
-    b = rows.b
-    acc_x, acc_z = b[n, :n], b[n, n:]
-    flips = (b[:n, :n] @ acc_z + b[:n, n:] @ acc_x) % 2
-    state = StabilizerState.from_rows(b[:n], rows.r[:n] + 2 * flips)
+    state = psi.apply_circuit(core)
     meas, bits, meas_stats = compile_stabilizer_meas(state, device, design.compile_options)
-    if frames is not None and not design.emit_frame_gates:
-        meas = fold_pauli_before_circuit(meas, acc_x, acc_z, device)
-    core = Circuit(n, tuple(core_layers))
     circ = BenchmarkCircuit(
         circuit_id=_circuit_id("DRB", m, index),
         protocol="DRB",

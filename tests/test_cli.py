@@ -52,10 +52,11 @@ def generate(tmp_path: Path, name="run", **overrides) -> Path:
 
 # compile options of a config with a value of the wrong type or range, or
 # with a key that is no compile option; each must end in exit 2 naming the
-# field, neither failing late nor being coerced.  seed, respect_connectivity
-# and use_heuristic name no option (every compile draws its random orders
-# from one stream and realizes each CNOT on declared edges), so a config
-# that sets one, to any value, names it as an unknown field.
+# field, neither failing late nor being coerced.  seed, respect_connectivity,
+# use_heuristic and cost name no option (every compile draws its random
+# orders from one stream, realizes each CNOT on declared edges and keeps the
+# candidate with the fewest CNOTs, then least depth, then fewest gates), so
+# a config that sets one, to any value, names it as an unknown field.
 BAD_COMPILE_FIELDS = [
     ("trials", 2.5),
     ("trials", "x"),
@@ -69,13 +70,15 @@ BAD_COMPILE_FIELDS = [
     ("use_heuristic", 0),
     ("use_heuristic", True),
     ("cost", "swaps"),
+    ("cost", "cnots"),
 ]
 
 
 # top-level and device fields of the wrong type, or unknown; before the type
 # checks "seed": "x" exited 3, "shots": "many" exited 2 naming no field and
 # the rest were coerced or ignored and exited 0 (a misspelt top-level key ran
-# the design without the setting it meant)
+# the design without the setting it meant); frame_randomization and
+# emit_frame_gates name no option, so any value of them is unknown too
 HPI2 = {"n": 2, "preset": "all_to_all", "gate_set": "HPI"}
 BAD_CONFIG_FIELDS = [
     ({"frame_randomisation": True}, "frame_randomisation"),
@@ -84,16 +87,18 @@ BAD_CONFIG_FIELDS = [
     ({"shots": "many"}, "shots"),
     ({"lengths": [0, 2.5]}, "lengths"),
     ({"frame_randomization": "no"}, "frame_randomization"),
+    ({"emit_frame_gates": False}, "emit_frame_gates"),
     ({"circuits_per_length": True}, "circuits_per_length"),
     ({"device": {"n": 2, "edges": [[0, 1.7]], "gate_set": "HPI"}}, "device.edges"),
     ({"device": {**HPI2, "colour": "red"}}, "device.colour"),
     ({"device": {**HPI2, "n": True}}, "device.n"),
     # design checks that named no field: "need at least one length", "CRB
-    # designs take no layer sampler", "frame randomization applies to DRB only"
+    # designs take no layer sampler"
     ({"lengths": []}, "lengths"),
     ({"protocol": "CRB"}, "sampler"),
     ({"protocol": "CRB", "sampler": None, "frame_randomization": True}, "frame_randomization"),
 ]
+UNKNOWN_FIELDS = ("frame_randomisation", "frame_randomization", "emit_frame_gates", "device.colour")
 
 
 # sampler sections that are malformed or that the device cannot run, with
@@ -153,7 +158,10 @@ class TestGenerate:
         cfg = write_config(tmp_path / "bad.json", compile={field: value})
         out = tmp_path / "run"
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
-        assert f"compile.{field}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"compile.{field}" in err
+        if field != "trials":
+            assert f"unknown field 'compile.{field}'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("overrides,field", BAD_CONFIG_FIELDS)
@@ -161,7 +169,10 @@ class TestGenerate:
         cfg = write_config(tmp_path / "bad.json", **overrides)
         out = tmp_path / "run"
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
-        assert f"'{field}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err
+        if field in UNKNOWN_FIELDS:
+            assert f"unknown field '{field}'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("sampler,device,field", BAD_SAMPLERS)

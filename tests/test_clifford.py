@@ -560,24 +560,6 @@ class TestRowKernel:
             rows.apply_layer([GateLabel(name, qubits) for name, qubits in gates])
         assert [rows.pauli(k) for k in range(rows.count)] == before
 
-    def test_multiply_row_matches_pauli_product(self):
-        a, b = oracles.pauli("XZY"), oracles.pauli("-iYYZ")
-        rows = PauliRows.of([b])
-        rows.multiply_row(0, a)
-        assert rows.pauli(0) == a * b
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_multiply_row_in_a_stack_matches_pauli_product(self, data):
-        n = data.draw(st.integers(1, 4))
-        rows_in = data.draw(row_stacks(n))
-        k = data.draw(st.integers(0, len(rows_in) - 1))
-        p = data.draw(paulis(n))
-        rows = PauliRows.of(rows_in)
-        rows.multiply_row(k, p)
-        want = [p * row if i == k else row for i, row in enumerate(rows_in)]
-        assert [rows.pauli(i) for i in range(len(rows_in))] == want
-
     def test_circuit_of_another_width_rejected(self):
         for circ in (Circuit(2, ((GateLabel("H", (0,)),),)),
                      Circuit(4, ((GateLabel("CNOT", (0, 3)),),))):

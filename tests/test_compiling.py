@@ -20,12 +20,10 @@ from drbench.clifford import (
 )
 from drbench import compiling
 from drbench.compiling import (
-    COST_METRICS,
     CompileOptions,
     CompileStats,
     _cnot_realization,
     _cnot_sequence,
-    _cost_key,
     _flips_and_factor,
     _long_range_cnot_steps,
     _merge_one_qubit_runs,
@@ -196,11 +194,9 @@ class TestCnotCompile:
         assert circuit_to_clifford(circ) == layer_to_clifford((GateLabel("CNOT", (0, 1)),), 2)
 
     def test_options_validation(self):
-        assert [f.name for f in dataclasses.fields(CompileOptions)] == ["trials", "cost"]
+        assert [f.name for f in dataclasses.fields(CompileOptions)] == ["trials"]
         with pytest.raises(ValueError):
             CompileOptions(trials=0)
-        with pytest.raises(ValueError):
-            CompileOptions(cost="swaps")
 
 
 class TestCliffordCompile:
@@ -259,13 +255,6 @@ class TestCliffordCompile:
         c1, s1 = compile_clifford(target, dev)
         c2, s2 = compile_clifford(target, dev)
         assert c1 == c2 and s1 == s2
-
-    def test_cost_metric_chooses(self, rng):
-        # both costs rank the same candidates, so each wins on its own measure
-        target = sample_clifford_uniform(3, rng)
-        _, by_depth = compile_clifford(target, all_to_all(3), CompileOptions(cost="depth"))
-        _, by_cnots = compile_clifford(target, all_to_all(3), CompileOptions(cost="cnots"))
-        assert by_depth.depth <= by_cnots.depth and by_cnots.cnots <= by_depth.cnots
 
     def test_qubit_count_mismatch(self, rng):
         with pytest.raises(ValueError):
@@ -443,14 +432,11 @@ class TestStats:
 @st.composite
 def compile_setups(draw, max_n: int = 4):
     """A device (ring or all-to-all, C24 or HPI, 1 to max_n qubits), compile
-    options over every cost metric, and a generator for the target."""
+    options, and a generator for the target."""
     n = draw(st.integers(1, max_n))
     maker = draw(st.sampled_from((ring, all_to_all)))
     device = maker(n, draw(st.sampled_from(("C24", "HPI"))))
-    options = CompileOptions(
-        trials=draw(st.integers(1, 4)),
-        cost=draw(st.sampled_from(COST_METRICS)),
-    )
+    options = CompileOptions(trials=draw(st.integers(1, 4)))
     return device, options, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
@@ -461,7 +447,7 @@ def basis_index(bits) -> int:
 
 class TestCompilerProperties:
     """Every compiler against the dense oracles, over random small devices,
-    gate sets and cost metrics."""
+    gate sets and trial counts."""
 
     @settings(max_examples=40, deadline=None)
     @given(compile_setups())
@@ -524,6 +510,4 @@ class TestCompilerProperties:
                                    st.permutations(range(n)).map(lambda p: p[:2])))
         seq = data.draw(st.lists(st.one_of(gates), max_size=25))
         circ = _pack_layers(seq, n)
-        for cost in COST_METRICS:
-            assert _sequence_cost(seq, n, cost) == _cost_key(
-                circ.cnot_count, circ.depth, circ.num_gates, cost)
+        assert _sequence_cost(seq, n) == (circ.cnot_count, circ.depth, circ.num_gates)

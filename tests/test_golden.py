@@ -28,25 +28,6 @@ CONFIGS = {
         "circuits_per_length": 2,
         "compile": {"trials": 3},
     },
-    "drb_ring4_c24_frames": {
-        "protocol": "DRB",
-        "device": {"preset": "ring", "n": 4, "gate_set": "C24"},
-        "sampler": {"kind": "pcnot", "p_cnot": 0.3},
-        "lengths": [0, 4, 8],
-        "circuits_per_length": 2,
-        "frame_randomization": True,
-        "compile": {"trials": 3},
-    },
-    "drb_ring4_c24_frame_gates": {
-        "protocol": "DRB",
-        "device": {"preset": "ring", "n": 4, "gate_set": "C24"},
-        "sampler": {"kind": "pcnot", "p_cnot": 0.3},
-        "lengths": [0, 4, 8],
-        "circuits_per_length": 2,
-        "frame_randomization": True,
-        "emit_frame_gates": True,
-        "compile": {"trials": 3},
-    },
     "drb_all8_pairing": {
         "protocol": "DRB",
         "device": {"preset": "all_to_all", "n": 8, "gate_set": "C24"},
@@ -91,24 +72,6 @@ CONFIGS = {
         "lengths": [1, 2],
         "circuits_per_length": 2,
         "compile": {"trials": 10},
-    },
-    # on C24 every 1Q word is one gate, so depth and gates order ring-4
-    # trials like CNOTs do; HPI words of several gates tell them apart
-    "drb_ring4_hpi_cost_depth": {
-        "protocol": "DRB",
-        "device": {"preset": "ring", "n": 4, "gate_set": "HPI"},
-        "sampler": {"kind": "pcnot", "p_cnot": 0.3},
-        "lengths": [0, 4, 8],
-        "circuits_per_length": 2,
-        "compile": {"trials": 3, "cost": "depth"},
-    },
-    "drb_ring4_hpi_cost_gates": {
-        "protocol": "DRB",
-        "device": {"preset": "ring", "n": 4, "gate_set": "HPI"},
-        "sampler": {"kind": "pcnot", "p_cnot": 0.3},
-        "lengths": [0, 4, 8],
-        "circuits_per_length": 2,
-        "compile": {"trials": 3, "cost": "gates"},
     },
     # a ring's eccentricity order is 0..n-1; on a 4-qubit line it starts
     # from the end qubits, so this pins a first order that is not 0..n-1
@@ -159,16 +122,12 @@ SEED = 5
 
 GOLDEN = {
     "drb_ring4_c24": "767348fa370ca27e6cde4572751082411d8ee8b1616c94935318376f307fdbf8",
-    "drb_ring4_c24_frames": "30475c2fa55266d66e7b3d533ec526dee2d3f59a2ff31a292f6351e526741d91",
-    "drb_ring4_c24_frame_gates": "3dc892d1e95f2fc37b81205fde05cd93b3bbe79c1504e9fa598f93d06e85486e",
     "drb_all8_pairing": "834d3f368f4464852086b60458efc22b0b9423e965fd7e31d1fea793f6549f04",
     "drb_ring4_hpi": "d079635cf740c80f33b100d6f1eef1f94eb202687c7eda6b2940b7a95dff5d0b",
     "crb_ring4_c24": "88f085323040318cf863066642a0e6c38738b9dfe61ba59a3092c75eab8b5746",
     "crb_ring3_hpi": "de707ab69e33280ee962ee9804306473b67d60673c49d0ccbb587fa57c771d0a",
     "drb_ring4_c24_trials10": "4c1affb8764f078926ea3dd5c63578f775d49575df3d52a43838a9573b5c5826",
     "crb_ring4_c24_trials10": "48fac8072ed2f5551d39b515af21168e0f39a2ef6f860c4c600cfa95228b1f75",
-    "drb_ring4_hpi_cost_depth": "4fe8112e061b72781d836c56d44023e96a00abc5d1e42a6c553cef1e6f8e345d",
-    "drb_ring4_hpi_cost_gates": "c0aa3e0f297757167af0a1c1f8ebcd9714f2af39e6cdcd3cfe5ca042b07bd2fe",
     "crb_line4_c24": "fbb09bf9d4de9d63eb75f326b8d33c5b750a5612461bfe940435b816fa98f241",
     "drb_rwc5_category": "d652d522d284981f6bf1e2dd35d5501ac461aa07c0d699a10715358f26cfc07e",
     "drb_all12_pairing": "e974a2d29e6512eb77960fdeedae7cae56879191ae91a0ee72e7b93a0fc64a23",

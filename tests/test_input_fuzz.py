@@ -107,9 +107,7 @@ CONFIGS = [
         "circuits_per_length": 1,
         "shots": 10,
         "seed": 3,
-        "frame_randomization": True,
-        "emit_frame_gates": False,
-        "compile": {"trials": 2, "cost": "cnots"},
+        "compile": {"trials": 2},
     },
     {
         "device": {"n": 3, "preset": "ring", "gate_set": "C24"},

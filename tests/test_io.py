@@ -96,13 +96,6 @@ class TestCircuitText:
             text = circuit_to_text(circ)
             assert circuit_from_text(text) == circ
 
-    def test_round_trip_with_frames(self):
-        circuits, _ = generate_experiment(
-            design(frame_randomization=True, emit_frame_gates=True)
-        )
-        for circ in circuits:
-            assert circuit_from_text(circuit_to_text(circ)) == circ
-
     def test_header_layout(self):
         circuits, _ = generate_experiment(design())
         text = circuit_to_text(circuits[0])

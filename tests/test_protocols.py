@@ -1,4 +1,4 @@
-"""Experiment generation: determinism, composition invariants, frames."""
+"""Experiment generation: determinism and composition invariants."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from drbench.protocols import (
     generate_experiment,
 )
 from drbench.sampling import PCnotSampler, PairingSampler
-from drbench.streams import stream
 
 
 def drb_design(n=3, **kw):
@@ -51,10 +50,6 @@ class TestDesignValidation:
         with pytest.raises(ValueError):
             crb_design(sampler=PCnotSampler(p_cnot=0.5, pool="HPI"))
 
-    def test_crb_rejects_frames(self):
-        with pytest.raises(ValueError):
-            crb_design(frame_randomization=True)
-
     def test_lengths_must_increase(self):
         with pytest.raises(ValueError):
             drb_design(lengths=(0, 4, 4))
@@ -66,10 +61,6 @@ class TestDesignValidation:
     def test_unknown_protocol(self):
         with pytest.raises(ValueError):
             ExperimentDesign(protocol="XEB", device=all_to_all(2))
-
-    def test_emit_requires_randomization(self):
-        with pytest.raises(ValueError):
-            drb_design(emit_frame_gates=True)
 
 
 class TestDrbGeneration:
@@ -103,33 +94,6 @@ class TestDrbGeneration:
         design = drb_design(n=4, device=ring(4, "HPI"))
         circ = generate_drb_circuit(design, 2, rng)
         assert circ.core.depth == 2
-
-    def test_frame_fold_keeps_layers_and_depth(self):
-        base = drb_design(n=3, seed=11)
-        framed = drb_design(n=3, seed=11, frame_randomization=True)
-        c0 = generate_drb_circuit(base, 4, stream(11, 4, 0))
-        c1 = generate_drb_circuit(framed, 4, stream(11, 4, 0))
-        assert c0.sampled_layers == c1.sampled_layers
-        assert c0.core == c1.core  # frames folded into meas, not the core
-        final = StabilizerState.zero_state(3).apply_circuit(c1.full_circuit)
-        assert np.array_equal(final.to_basis_bits(), c1.target_bits)
-
-    def test_frame_emission_inserts_blocks(self):
-        framed = drb_design(n=3, seed=13, frame_randomization=True, emit_frame_gates=True)
-        plain = drb_design(n=3, seed=13)
-        c1 = generate_drb_circuit(framed, 4, stream(13, 4, 0))
-        c0 = generate_drb_circuit(plain, 4, stream(13, 4, 0))
-        assert c1.sampled_layers == c0.sampled_layers
-        assert c1.core.depth >= c0.core.depth
-        final = StabilizerState.zero_state(3).apply_circuit(c1.full_circuit)
-        assert np.array_equal(final.to_basis_bits(), c1.target_bits)
-
-    def test_emitted_and_folded_share_target(self):
-        folded = drb_design(n=3, seed=17, frame_randomization=True)
-        emitted = drb_design(n=3, seed=17, frame_randomization=True, emit_frame_gates=True)
-        c_fold = generate_drb_circuit(folded, 3, stream(17, 3, 0))
-        c_emit = generate_drb_circuit(emitted, 3, stream(17, 3, 0))
-        assert c_fold.target == c_emit.target
 
     def test_wrong_protocol_rejected(self, rng):
         with pytest.raises(ValueError):
