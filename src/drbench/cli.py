@@ -58,9 +58,36 @@ def _env_seed() -> int | None:
     return int(raw)
 
 
-def _load_json(path: Path, what: str) -> dict:
+def _check_input(path: Path, what: str) -> None:
+    if path.is_dir():
+        raise ConfigError(f"{what} {path} is a directory")
     if not path.exists():
         raise ConfigError(f"{what} {path} does not exist")
+
+
+def _check_outputs(outputs: list[tuple[str, Path]], inputs: list[tuple[str, Path]]) -> None:
+    """Refuse, before anything is written, an output path that is a
+    directory or lies under a file, that names the same file as an earlier
+    output, or that names a file the command reads.  Each path comes with
+    the words that name it in the message."""
+    read = {path.resolve(): name for name, path in inputs}
+    written: dict[Path, str] = {}
+    for name, path in outputs:
+        full = path.resolve()
+        if full.is_dir():
+            raise ConfigError(f"{name} is a directory")
+        above = next(parent for parent in full.parents if parent.exists())
+        if not above.is_dir():
+            raise ConfigError(f"{name} lies under {above}, which is not a directory")
+        if full in written:
+            raise ConfigError(f"{name} names the same file as {written[full]}")
+        if full in read:
+            raise ConfigError(f"{name} would overwrite {read[full]}")
+        written[full] = name
+
+
+def _load_json(path: Path, what: str) -> dict:
+    _check_input(path, what)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -85,10 +112,12 @@ def cmd_generate(args) -> int:
     except Exception as exc:
         raise RunFailure(f"circuit generation failed: {exc}") from exc
     out = Path(args.out)
+    rels = [f"circuits/{circ.circuit_id}.txt" for circ in circuits]
+    _check_outputs([(f"{out / rel} under --out {out}", out / rel) for rel in [*rels, "manifest.json"]],
+                   [(f"--config {config_path}", config_path)])
     outputs = {}
-    for circ in circuits:
-        rel = Path("circuits") / f"{circ.circuit_id}.txt"
-        outputs[rel.as_posix()] = dio.write_text(out / rel, dio.circuit_to_text(circ))
+    for rel, circ in zip(rels, circuits):
+        outputs[rel] = dio.write_text(out / rel, dio.circuit_to_text(circ))
     manifest = {
         "tool": dio.TOOL_VERSION,
         "subcommand": "generate",
@@ -161,6 +190,14 @@ def cmd_simulate(args) -> int:
         seed = args.seed
     elif (env := _env_seed()) is not None:
         seed = env
+    out = Path(args.out) if args.out else run_dir / "dataset.jsonl"
+    inputs = [(f"circuit file {path}", path) for path in
+              (run_dir / "circuits" / f"{circ['id']}.txt" for circ in manifest["experiment"]["circuits"])]
+    if Path(args.model).is_file():
+        inputs.append((f"--model {args.model}", Path(args.model)))
+    manifest_path = run_dir / "manifest.json"
+    _check_outputs([(f"the manifest {manifest_path} of --run {run_dir}", manifest_path),
+                    (f"--out {out}", out)], inputs)
     provenance = {
         "tool": dio.TOOL_VERSION,
         "run": run_dir.as_posix(),
@@ -181,7 +218,6 @@ def cmd_simulate(args) -> int:
         )
     except Exception as exc:
         raise RunFailure(f"simulation failed: {exc}") from exc
-    out = Path(args.out) if args.out else run_dir / "dataset.jsonl"
     digest = dio.write_text(out, dio.dataset_to_jsonl(dataset))
     rel = out.name if out.parent == run_dir else out.as_posix()
     manifest.setdefault("simulations", []).append(
@@ -243,11 +279,21 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.plot_csv and len(args.datasets) > 1:
         raise ConfigError(f"--plot-csv takes a single dataset, got {len(args.datasets)}")
+    out = Path(args.out) if args.out else Path(args.datasets[0]).with_name("results.json")
+    if args.plot_csv:
+        csv_paths = [Path(args.plot_csv)]
+    elif len(args.datasets) == 1:
+        csv_paths = [out.with_name(out.stem + "_plot.csv")]
+    else:
+        csv_paths = [out.with_name(f"{out.stem}_run{i}_plot.csv") for i in range(len(args.datasets))]
+    csv_names = [f"--plot-csv {path}" if args.plot_csv else f"the plot CSV {path} of --out {out}"
+                 for path in csv_paths]
+    _check_outputs([(f"--out {out}", out), *zip(csv_names, csv_paths)],
+                   [(f"dataset {path}", Path(path)) for path in args.datasets])
     datasets = []
     for path in args.datasets:
         p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"dataset {path} does not exist")
+        _check_input(p, "dataset")
         try:
             data = dio.dataset_from_jsonl(p.read_text(encoding="utf-8"))
             protocol = dio.field(data.provenance, "protocol", "provenance.protocol", str, "DRB")
@@ -342,18 +388,11 @@ def cmd_analyze(args) -> int:
             mixing["cnot_sigma"] = _defined(blocks.cnot_sigma)
             mixing["flagged"] = blocks.flagged
         results["mixing"] = mixing
-    out = Path(args.out) if args.out else Path(args.datasets[0]).with_name("results.json")
     _write_json(out, results)
     for index, run in enumerate(runs):
-        if args.plot_csv:
-            csv_path = Path(args.plot_csv)
-        elif len(runs) == 1:
-            csv_path = out.with_name(out.stem + "_plot.csv")
-        else:
-            csv_path = out.with_name(f"{out.stem}_run{index}_plot.csv")
         data = datasets[index][1]
-        dio.write_text(csv_path, dio.plot_csv(average_success(data),
-                                              run["A"], run["B"], run["p"]))
+        dio.write_text(csv_paths[index], dio.plot_csv(average_success(data),
+                                                      run["A"], run["B"], run["p"]))
         print(f"{run['dataset']}: r = {run['r']:.3e} +/- {2 * run['r_sigma']:.1e} (2 sigma)")
     print(f"wrote {out}")
     if degenerate:
@@ -363,8 +402,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _load_results(path: Path) -> list[dict]:
-    candidate = path / "results.json" if path.is_dir() else path
+def _load_results(candidate: Path) -> list[dict]:
     if not candidate.exists():
         raise AnalysisFailure(f"no results file at {candidate}")
     try:
@@ -378,11 +416,13 @@ def _load_results(path: Path) -> list[dict]:
 
 def cmd_report(args) -> int:
     out = Path(args.out)
-    if out.with_suffix(".txt") == out:
-        raise ConfigError(f"--out {out} is the rate table's path; give the SVG another suffix")
+    table_path = out.with_suffix(".txt")
+    sources = [path / "results.json" if path.is_dir() else path for path in map(Path, args.results)]
+    _check_outputs([(f"--out {out}", out), (f"the rate table {table_path} of --out {out}", table_path)],
+                   [(f"results file {path}", path) for path in sources])
     runs = []
-    for path in args.results:
-        runs.extend(_load_results(Path(path)))
+    for path in sources:
+        runs.extend(_load_results(path))
     plot_runs = []
     table = ["label      r            2sigma"]
     for run in runs:
@@ -399,7 +439,7 @@ def cmd_report(args) -> int:
     svg = dio.render_decay_svg(plot_runs)
     dio.write_text(out, svg)
     text = "\n".join(table) + "\n"
-    dio.write_text(out.with_suffix(".txt"), text)
+    dio.write_text(table_path, text)
     print(text, end="")
     print(f"wrote {out}")
     return 0

@@ -522,7 +522,7 @@ def model_from_spec(spec: str, n: int) -> ErrorModel:
             raise FormatError("depolarizing parameter must be in [0, 1]")
         return model_from_json({"n": n, "layer_depol": 1.0 - lam})
     path = Path(spec)
-    if path.exists():
+    if path.is_file():
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:

@@ -870,6 +870,106 @@ class TestReport:
         assert not svg.exists()
 
 
+class TestOutputPaths:
+    """An output path that cannot be written, or that names another file
+    the command reads or writes, exits 2 naming it before anything is
+    written.  Each case ended in a traceback (exit 1) or wrote over the
+    other file and exited 0."""
+
+    def test_generate_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("keep", encoding="utf-8")
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"--out {out}" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "keep"
+
+    def test_generate_config_is_a_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.mkdir()
+        out = tmp_path / "run"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config file {cfg} is a directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_model_is_a_directory(self, tmp_path, capsys):
+        run = generate(tmp_path)
+        model = tmp_path / "model"
+        model.mkdir()
+        assert main(["simulate", "--run", str(run), "--model", str(model)]) == 2
+        assert f"unknown model {str(model)!r}: not a file" in capsys.readouterr().err
+        assert not (run / "dataset.jsonl").exists()
+
+    def test_analyze_dataset_is_a_directory(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path), "--n", "1"]) == 2
+        assert f"dataset {tmp_path} is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "report"])
+    def test_out_is_a_directory(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.mkdir()
+        if command == "analyze":
+            args = [TestAnalyze.write_bare_rows(tmp_path / "d.jsonl", 0.9), "--n", "1",
+                    "--resamples", "100"]
+        elif command == "simulate":
+            args = ["--run", str(generate(tmp_path)), "--model", "zero"]
+        else:
+            results = tmp_path / "results.json"
+            results.write_text(json.dumps({"runs": [GOOD_RUN]}), encoding="utf-8")
+            args = [str(results)]
+        assert main([command, *args, "--out", str(out)]) == 2
+        assert f"--out {out} is a directory" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert list(tmp_path.glob("*.csv")) == []
+
+    # flags, with file names taken within tmp_path, and words the message
+    # must hold
+    ANALYZE_COLLISIONS = [
+        (["--out", "r.json", "--plot-csv", "r.json"], ["--plot-csv", "--out"]),
+        (["--out", "d.jsonl"], ["--out", "dataset"]),
+        (["--out", "r.json", "--plot-csv", "d.jsonl"], ["--plot-csv", "dataset"]),
+    ]
+
+    @pytest.mark.parametrize("flags,words", ANALYZE_COLLISIONS)
+    def test_analyze_colliding_outputs(self, tmp_path, capsys, flags, words):
+        data = Path(TestAnalyze.write_bare_rows(tmp_path / "d.jsonl", 0.9))
+        before = data.read_bytes()
+        args = [str(tmp_path / flag) if "." in flag else flag for flag in flags]
+        assert main(["analyze", str(data), "--n", "1", "--resamples", "100", *args]) == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in words), err
+        assert data.read_bytes() == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["d.jsonl"]
+
+    def test_simulate_out_at_the_manifest(self, tmp_path, capsys):
+        run = generate(tmp_path)
+        manifest = run / "manifest.json"
+        before = manifest.read_bytes()
+        assert main(["simulate", "--run", str(run), "--model", "zero",
+                     "--out", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert f"--out {manifest}" in err and f"--run {run}" in err
+        assert manifest.read_bytes() == before
+
+    def test_simulate_out_at_a_circuit_file(self, tmp_path, capsys):
+        run = generate(tmp_path)
+        circuit = sorted((run / "circuits").glob("*.txt"))[0]
+        before = circuit.read_bytes()
+        assert main(["simulate", "--run", str(run), "--model", "zero",
+                     "--out", str(circuit)]) == 2
+        assert f"--out {circuit} would overwrite circuit file" in capsys.readouterr().err
+        assert circuit.read_bytes() == before
+
+    def test_report_out_at_its_results(self, tmp_path, capsys):
+        results = tmp_path / "results.json"
+        results.write_text(json.dumps({"runs": [GOOD_RUN]}), encoding="utf-8")
+        before = results.read_bytes()
+        assert main(["report", str(results), "--out", str(results)]) == 2
+        assert f"--out {results} would overwrite results file" in capsys.readouterr().err
+        assert results.read_bytes() == before
+        assert not results.with_suffix(".txt").exists()
+
+
 def test_import_does_not_load_scipy():
     src = str(Path(drbench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
