@@ -20,23 +20,33 @@ minor of Z + diag(d) invertible, and the same elimination factors
 Z + diag(d) = M M^T with M unit lower triangular; a CNOT block with
 column action M takes both blocks to M.
 
-Trials.  Each search builds one candidate per elimination order, in the
-order ``_elimination_orders`` draws them, and keeps ``min(candidates,
-key=cost)``: the first of the cheapest, so a tie never replaces an
-earlier candidate.  A stabilizer compile also runs a CNOT search of its
-own inside every order.  A trial reads only GF(2) bits, so it works on
-Python-int rows (bit j of a row is column j; row operations are XORs),
-and it never builds a Circuit: its cost key (cnots, depth, gates) is
-read off a gate sequence, with depth by the same greedy earliest-layer
-rule that ``_pack_layers`` uses, so the key equals that of the packed
-sequence.  ``compile_clifford`` and the stabilizer search cost a
-candidate's sequence after its 1Q runs are merged; the CNOT search costs
-its sequence unmerged, as ``_cnot_sequence`` returns it.  New
-candidates, from other synthesis methods, join the same list and compete
-under the same key.  An order that repeats an earlier one is drawn (so
-the stream does not change) but not evaluated: it would rebuild the same
-candidate, which cannot come first among the cheapest, so skipping it
-cannot change any circuit.
+Trials.  A search makes one candidate per distinct elimination order, in
+the order ``_elimination_orders`` draws them: the reduction's op list, in
+relabeled labels, plus the order that maps it back to physical qubits.  It
+keeps ``min(candidates, key=cost)``: the first of the cheapest, so a tie
+never replaces an earlier candidate.  The cost key (cnots, depth, gates)
+is counted off the op list without building gates: each CNOT stands for
+the int steps of its realization on the device (``_cnot_steps``), and
+depth follows the same greedy earliest-layer rule that ``_pack_layers``
+uses, so the key equals that of the packed sequence.  The CNOT search
+costs its sequence as emitted; ``compile_clifford`` and the stabilizer
+search cost theirs after 1Q runs are merged, holding a pending 1Q Clifford
+per qubit that a CNOT or the end flushes as its word in the gate set.
+Only the winner is expanded into gates, merged, packed and replayed.  A
+stabilizer compile runs a CNOT search of its own inside every outer order
+and builds and checks that search's winner; the outer candidates are
+costed in relabeled labels, which the key does not depend on, and only
+the outer winner is mapped back to physical qubits.  A trial reads only
+GF(2) bits, so it works on Python-int rows (bit j of a row is column j;
+row operations are XORs).
+
+The first order is the device's eccentricity order; ``trials - 1`` more
+are drawn from a stream keyed by the input.  An order that repeats an
+earlier one is drawn (so the stream does not change) but not evaluated:
+it would rebuild the same candidate, which cannot come first among the
+cheapest.  Drawing stops once all n! orders are in hand, because later
+draws can add none.  The orders are memoized: an inner CNOT search takes
+its digest from a unit lower-triangular factor, so its inputs repeat.
 
 Every conjugation of Pauli rows by gates runs on the row kernel,
 ``PauliRows`` (CHP-style, Aaronson & Gottesman, quant-ph/0406196), one
@@ -51,7 +61,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import zlib
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,29 +136,9 @@ def circuit_stats(circ: Circuit) -> CompileStats:
     return CompileStats(cnots=circ.cnot_count, gates=circ.num_gates, depth=circ.depth)
 
 
-def _sequence_cost(seq: list[GateLabel], n: int) -> tuple[int, int, int]:
-    """The cost key (cnots, depth, gates) of ``_pack_layers(seq, n)``,
-    read off the sequence.
-
-    Depth follows the same greedy earliest-layer rule: ``level[q]`` is the
-    number of layers qubit q occupies so far.
-    """
-    level = [0] * n
-    cnots = 0
-    for gate in seq:
-        q = gate.qubits
-        if len(q) == 2:
-            a, b = q
-            level[a] = level[b] = max(level[a], level[b]) + 1
-            cnots += 1
-        else:
-            level[q[0]] += 1
-    return cnots, max(level), len(seq)
-
-
 @functools.cache
 def _gate(name: str, qubits: tuple[int, ...]) -> GateLabel:
-    """One shared GateLabel per (name, qubits): trials build the same few
+    """One shared GateLabel per (name, qubits): compiles build the same few
     labels over and over."""
     return GateLabel(name, qubits)
 
@@ -205,69 +197,80 @@ def _long_range_cnot_steps(path: list[int]) -> list[tuple[int, int]]:
     return [(path[i], path[i + 1]) for i in idx]
 
 
+# A step is one device gate as a pair of ints: (a, b) with b >= 0 is
+# CNOT(a -> b), and (q, ~k) is the 1Q Clifford C<k> on qubit q.
+Step = tuple[int, int]
+_STEP_NAMES = {~_ONE_QUBIT_INDEX[name]: name for name in ("H", "P")}
+
+
 # Stabilizer compiles relabel the device per elimination order; 512 entries
 # hold a 4-qubit ring's 24 relabelings x 12 ordered pairs, and bound the rest.
 @functools.lru_cache(maxsize=512)
-def _cnot_realization(device: DeviceSpec, control: int, target: int) -> tuple[GateLabel, ...]:
-    """Device gates implementing CNOT(control -> target) exactly.
+def _cnot_steps(device: DeviceSpec, control: int, target: int) -> tuple[Step, ...]:
+    """Device gates implementing CNOT(control -> target) exactly, as steps.
 
     Declared edges are used directly; a declared reverse edge is wrapped
     in Hadamards; longer ranges expand along the shortest undirected path
     with per-step direction fixes.
     """
     if device.has_edge(control, target):
-        return (_gate("CNOT", (control, target)),)
+        return ((control, target),)
     if device.has_edge(target, control):
-        return (
-            _gate("H", (control,)),
-            _gate("H", (target,)),
-            _gate("CNOT", (target, control)),
-            _gate("H", (control,)),
-            _gate("H", (target,)),
-        )
+        h = ~_ONE_QUBIT_INDEX["H"]
+        return (control, h), (target, h), (target, control), (control, h), (target, h)
     path = device.shortest_path(control, target)
-    gates: list[GateLabel] = []
-    for a, b in _long_range_cnot_steps(path):
-        gates.extend(_cnot_realization(device, a, b))
-    return tuple(gates)
+    return tuple(step for a, b in _long_range_cnot_steps(path) for step in _cnot_steps(device, a, b))
 
 
-def _expand_ops(ops: list[tuple[str, tuple[int, ...]]], order: list[int], device: DeviceSpec) -> list[GateLabel]:
-    """Map reduction ops (in relabeled space) back to physical gates,
+def _op_steps(ops: list[tuple[str, tuple[int, ...]]], order: Sequence[int], device: DeviceSpec) -> list[Step]:
+    """Map reduction ops (in relabeled space) back to physical steps,
     reversing them so the circuit composes to the reduced target; each
     CNOT becomes its realization on the device's declared edges."""
-    seq: list[GateLabel] = []
+    index = _ONE_QUBIT_INDEX
+    steps: list[Step] = []
     for name, qubits in reversed(ops):
-        physical = tuple(order[q] for q in qubits)
         if name == "CNOT":
-            seq.extend(_cnot_realization(device, *physical))
+            steps.extend(_cnot_steps(device, order[qubits[0]], order[qubits[1]]))
         else:
-            seq.append(_gate(name, physical))
-    return seq
+            steps.append((order[qubits[0]], ~index[name]))
+    return steps
 
 
-def _elimination_orders(eccs: list[int], trials: int, digest: int) -> list[list[int]]:
+def _step_gates(steps: Iterable[Step]) -> list[GateLabel]:
+    return [_gate("CNOT", (a, b)) if b >= 0 else _gate(_STEP_NAMES[b], (a,)) for a, b in steps]
+
+
+def _expand_ops(ops: list[tuple[str, tuple[int, ...]]], order: Sequence[int], device: DeviceSpec) -> list[GateLabel]:
+    """The gates of ``_op_steps(ops, order, device)``."""
+    return _step_gates(_op_steps(ops, order, device))
+
+
+# Bounded: each entry holds at most ``trials`` orders.  A stabilizer
+# compile's inner CNOT searches repeat their inputs (on a 4-qubit device
+# their digests take at most 64 values), its outer searches do not.
+@functools.lru_cache(maxsize=256)
+def _elimination_orders(eccs: tuple[int, ...], trials: int, digest: int) -> tuple[tuple[int, ...], ...]:
     """The distinct elimination orders to try, in draw order, on a device
     whose qubits have eccentricities ``eccs``.
 
     The first is the device's eccentricity order (most peripheral first,
-    ties by index).  All ``trials - 1`` random orders are drawn, so the
-    stream never depends on which repeat; a repeat is dropped because it
-    would rebuild the same candidate, and ``min`` keeps the first of equal
-    candidates.
+    ties by index).  Up to ``trials - 1`` random orders follow, drawn from
+    a stream keyed by ``digest``; a repeat is dropped because it would
+    rebuild the same candidate, and ``min`` keeps the first of equal
+    candidates.  Drawing stops once all n! orders are in hand: a later
+    draw could only repeat one.
     """
     n = len(eccs)
-    first = sorted(range(n), key=lambda q: (-eccs[q], q))
-    orders = [first]
-    seen = {tuple(first)}
-    # leading key 0: the stream every pinned golden circuit was drawn from
-    rng = stream(0, "compile-orders", digest)
-    for _ in range(trials - 1):
-        order = tuple(int(q) for q in rng.permutation(n))
-        if order not in seen:
-            seen.add(order)
-            orders.append(list(order))
-    return orders
+    orders = {tuple(sorted(range(n), key=lambda q: (-eccs[q], q))): None}
+    total = math.factorial(n)
+    if trials > 1 and total > 1:
+        # leading key 0: the stream every pinned golden circuit was drawn from
+        rng = stream(0, "compile-orders", digest)
+        for _ in range(trials - 1):
+            orders[tuple(rng.permutation(n).tolist())] = None
+            if len(orders) == total:
+                break
+    return tuple(orders)
 
 
 def _relabeled_device(device: DeviceSpec, pos: list[int]) -> DeviceSpec:
@@ -300,16 +303,18 @@ def _cnot_ge_ops(w: list[int]) -> list[tuple[str, tuple[int, int]]]:
 
 
 def _cnot_sequence(
-    rows: list[int], device: DeviceSpec, eccs: list[int], options: CompileOptions
-) -> tuple[list[GateLabel], int]:
-    """The cheapest device gate sequence realizing |x> -> |m x> over the
-    elimination orders, for m given as int rows, and the number of orders
+    rows: list[int], device: DeviceSpec, eccs: tuple[int, ...], options: CompileOptions
+) -> tuple[list[tuple[str, tuple[int, int]]], tuple[int, ...], int]:
+    """The cheapest CNOT circuit realizing |x> -> |m x> over the
+    elimination orders, for m given as int rows, as its op list and order
+    (``_expand_ops`` builds its gates), and the number of orders
     evaluated; ``eccs`` are the device's qubit eccentricities."""
     n = device.n
     digest = _digest(bytes(row >> j & 1 for row in rows for j in range(n)))
     orders = _elimination_orders(eccs, options.trials, digest)
-    candidates = (_expand_ops(_cnot_ge_ops(_permuted(rows, order)), order, device) for order in orders)
-    return min(candidates, key=lambda seq: _sequence_cost(seq, n)), len(orders)
+    candidates = ((_cnot_ge_ops(_permuted(rows, order)), order) for order in orders)
+    ops, order = min(candidates, key=lambda c: _unmerged_cost(_op_steps(*c, device), n))
+    return ops, order, len(orders)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +367,54 @@ def _merge_one_qubit_runs(seq: list[GateLabel], device: DeviceSpec) -> list[Gate
     for q in sorted(pending):
         flush(q)
     return out
+
+
+def _unmerged_cost(steps: Iterable[Step], n: int) -> tuple[int, int, int]:
+    """The cost key (cnots, depth, gates) of ``_pack_layers`` of the gate
+    sequence ``steps`` stand for.
+
+    Depth follows the same greedy earliest-layer rule: ``level[q]`` is the
+    number of layers qubit q occupies so far.
+    """
+    level = [0] * n
+    cnots = gates = 0
+    for a, b in steps:
+        gates += 1
+        if b < 0:
+            level[a] += 1
+        else:
+            level[a] = level[b] = max(level[a], level[b]) + 1
+            cnots += 1
+    return cnots, max(level), gates
+
+
+def _merged_cost(steps: Iterable[Step], n: int, gate_set: str) -> tuple[int, int, int]:
+    """The cost key of the same sequence after ``_merge_one_qubit_runs``.
+
+    A qubit's run of 1Q steps is one pending Clifford; a CNOT on the qubit,
+    or the end, flushes it as its word in the gate set, one gate and one
+    layer per letter (the identity's word is empty).
+    """
+    words = _word_table(gate_set)
+    product = _one_qubit_products()
+    identity = _ONE_QUBIT_INDEX["I"]
+    pending = [identity] * n
+    level = [0] * n
+    cnots = gates = 0
+    for a, b in steps:
+        if b < 0:
+            pending[a] = product[~b][pending[a]]
+            continue
+        wa, wb = len(words[pending[a]]), len(words[pending[b]])
+        pending[a] = pending[b] = identity
+        level[a] = level[b] = max(level[a] + wa, level[b] + wb) + 1
+        gates += wa + wb + 1
+        cnots += 1
+    for q in range(n):
+        w = len(words[pending[q]])
+        level[q] += w
+        gates += w
+    return cnots, max(level), gates
 
 
 def _pack_layers(seq: list[GateLabel], n: int) -> Circuit:
@@ -467,6 +520,20 @@ def _gge_ops(rows: list[int], n: int) -> list[tuple[str, tuple[int, ...]]]:
     return ops
 
 
+def _best_clifford_sequence(
+    op: CliffordOp, device: DeviceSpec, options: CompileOptions
+) -> tuple[list[GateLabel], int]:
+    """The cheapest device gate sequence with ``op``'s symplectic action
+    over the elimination orders, and the number of orders evaluated."""
+    n = device.n
+    digest = _digest(op.s.tobytes(), op.v.tobytes())
+    rows = _pack_rows(op.s)
+    orders = _elimination_orders(device.eccentricities(), options.trials, digest)
+    candidates = ((_gge_ops(_permuted(rows, [*order, *(n + q for q in order)]), n), order) for order in orders)
+    ops, order = min(candidates, key=lambda c: _merged_cost(_op_steps(*c, device), n, device.gate_set))
+    return _expand_ops(ops, order, device), len(orders)
+
+
 def compile_clifford(
     op: CliffordOp, device: DeviceSpec, options: CompileOptions | None = None
 ) -> tuple[Circuit, CompileStats]:
@@ -475,24 +542,18 @@ def compile_clifford(
     n = device.n
     if op.n != n:
         raise ValueError("operator and device disagree on qubit count")
-    digest = _digest(op.s.tobytes(), op.v.tobytes())
-    rows = _pack_rows(op.s)
-    orders = _elimination_orders(device.eccentricities(), options.trials, digest)
-    seqs = (_expand_ops(_gge_ops(_permuted(rows, [*order, *(n + q for q in order)]), n), order, device)
-            for order in orders)
-    candidates = ((seq, _merge_one_qubit_runs(seq, device)) for seq in seqs)
-    best_seq, best_merged = min(candidates, key=lambda c: _sequence_cost(c[1], n))
+    best_seq, trials = _best_clifford_sequence(op, device, options)
     # A Pauli run first negates column j exactly when it anticommutes with
     # W(e_j): X_q negates column n+q (Z_q) and Z_q negates column q (X_q).
     realized = PauliRows.identity(n)
-    realized.apply_layer(best_merged)
+    realized.apply_layer(_merge_one_qubit_runs(best_seq, device))
     flip = (op.v - realized.r) % 4 // 2
     seq = _pauli_gates(flip[n:], flip[:n]) + best_seq
     circuit = _pack_layers(_merge_one_qubit_runs(seq, device), n)
     final = circuit_to_clifford(circuit)
     if final != op:
         raise RuntimeError("compiled circuit does not match the target Clifford")
-    return circuit, dataclasses.replace(circuit_stats(circuit), trials=len(orders))
+    return circuit, dataclasses.replace(circuit_stats(circuit), trials=trials)
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +587,14 @@ def _flips_and_factor(a: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _meas_sequence(
-    rows: list[int], device: DeviceSpec, eccs: list[int], options: CompileOptions
-) -> tuple[list[GateLabel], int]:
-    """Gates mapping the state whose generators have (x | z) int rows
+    rows: list[int], device: DeviceSpec, eccs: tuple[int, ...], options: CompileOptions
+) -> tuple[tuple[int, int, int], list[Step], int]:
+    """Steps mapping the state whose generators have (x | z) int rows
     ``rows`` to a computational basis state, in the form [1Q block][CNOT
-    block][1Q block], and the number of CNOT eliminations run; ``eccs``
-    are the device's qubit eccentricities.
+    block][1Q block], with their cost key after 1Q runs are merged, and
+    the number of CNOT eliminations run; ``eccs`` are the device's qubit
+    eccentricities.  Only the CNOT block is built into gates, for its
+    check.
 
     Gate choice reads only the bits, so no phases are tracked; the caller
     replays the chosen gates with phases.
@@ -544,7 +607,6 @@ def _meas_sequence(
     hmask = xmask ^ sum(1 << q for q in pivots)
     swaps = [(r ^ r >> n) & hmask for r in rows]
     rows = [r ^ w ^ w << n for r, w in zip(rows, swaps)]
-    seq = [_gate("H", (q,)) for q in range(n) if hmask >> q & 1]
     # Re-mix generators so the X block becomes the identity (no gates).
     _gf2_eliminate(rows, 2 * n)
     if any(r & xmask != 1 << i for i, r in enumerate(rows)):
@@ -554,21 +616,20 @@ def _meas_sequence(
     # invertible and factors Z + diag(d) = M M^T, M unit lower triangular;
     # the flips turn the Z block into Z + diag(d).
     flips, mt = _flips_and_factor([r >> n for r in rows])
-    seq.extend(_gate("P", (q,)) for q in range(n) if flips[q])
     # A CNOT word with column action M on the X block (|x> -> |M^T x>)
     # takes both blocks to M, whose column q is row q of M^T.  Column q of
     # the symmetric Z + diag(d) is its row q.
-    cnots, trials = _cnot_sequence(mt, device, eccs, options)
+    ops, order, trials = _cnot_sequence(mt, device, eccs, options)
     check = PauliRows.from_columns(n, [1 << q for q in range(n)],
                                    [r >> n ^ d << q for q, (r, d) in enumerate(zip(rows, flips))])
-    check.apply_layer(cnots)
+    check.apply_layer(_expand_ops(ops, order, device))
     if not check.x == check.z == mt:
         raise RuntimeError("CNOT stage did not align the X and Z blocks")
-    seq.extend(cnots)
     # P everywhere cancels the Z block; H everywhere moves X to Z.
-    seq.extend(_gate("P", (q,)) for q in range(n))
-    seq.extend(_gate("H", (q,)) for q in range(n))
-    return seq, trials
+    h, p = ~_ONE_QUBIT_INDEX["H"], ~_ONE_QUBIT_INDEX["P"]
+    steps = [*((q, h) for q in range(n) if hmask >> q & 1), *((q, p) for q in range(n) if flips[q]),
+             *_op_steps(ops, order, device), *((q, p) for q in range(n)), *((q, h) for q in range(n))]
+    return _merged_cost(steps, n, device.gate_set), steps, trials
 
 
 def _best_meas_sequence(
@@ -583,18 +644,21 @@ def _best_meas_sequence(
     eccs = device.eccentricities()
     orders = _elimination_orders(eccs, options.trials, digest)
     candidates = []
+    trials = len(orders)
     for order in orders:
         pos = [0] * n
         for k, q in enumerate(order):
             pos[q] = k
         idx = [*order, *(n + q for q in order)]
-        # new label k is qubit order[k], at the same eccentricity
-        seq, inner = _meas_sequence([_gather_bits(r, idx) for r in rows], _relabeled_device(device, pos),
-                                    [eccs[q] for q in order], options)
-        candidates.append(([_gate(g.name, tuple(order[q] for q in g.qubits)) for g in seq], inner))
-    best_seq, _ = min(candidates,
-                      key=lambda c: _sequence_cost(_merge_one_qubit_runs(c[0], device), n))
-    return best_seq, len(orders) + sum(inner for _, inner in candidates)
+        # new label k is qubit order[k], at the same eccentricity; the cost
+        # key does not depend on the labels
+        cost, steps, inner = _meas_sequence([_gather_bits(r, idx) for r in rows], _relabeled_device(device, pos),
+                                            tuple(eccs[q] for q in order), options)
+        candidates.append((cost, steps, order))
+        trials += inner
+    _, steps, order = min(candidates, key=lambda c: c[0])
+    # back to physical labels: both qubits of a CNOT step, the qubit of a 1Q one
+    return _step_gates([(order[a], b if b < 0 else order[b]) for a, b in steps]), trials
 
 
 def compile_stabilizer_meas(

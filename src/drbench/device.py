@@ -131,14 +131,14 @@ class DeviceSpec:
             path.append(found[path[-1]][0])
         return path[::-1]
 
-    def eccentricities(self) -> list[int]:
+    def eccentricities(self) -> tuple[int, ...]:
         """Each qubit's greatest distance to another qubit along undirected
         links (n when some qubit is out of reach), one search per qubit."""
         eccs = []
         for q in range(self.n):
             found = self._search(q)
             eccs.append(max(d for _, d in found.values()) if len(found) == self.n else self.n)
-        return eccs
+        return tuple(eccs)
 
 
 def all_to_all(n: int, gate_set: str = "C24") -> DeviceSpec:

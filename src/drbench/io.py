@@ -181,7 +181,12 @@ def circuit_to_text(circ: BenchmarkCircuit) -> str:
         lines.append("# element_cnots=" + ",".join(map(str, circ.element_cnots)))
     if circ.element_depths:
         lines.append("# element_depths=" + ",".join(map(str, circ.element_depths)))
-    lines.extend(_layer_text(layer) for layer in circ.full_circuit.layers)
+    # a DRB core's layers are its sampled layers, already formatted once
+    core = circ.sampled_layers if len(circ.sampled_layers) == circ.core.depth else \
+        [_layer_text(layer) for layer in circ.core.layers]
+    lines.extend(_layer_text(layer) for layer in circ.prep.layers)
+    lines.extend(core)
+    lines.extend(_layer_text(layer) for layer in circ.meas.layers)
     return "\n".join(lines) + "\n"
 
 

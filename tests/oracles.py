@@ -468,3 +468,21 @@ def span_rank(m: np.ndarray) -> int:
         for sel in itertools.product((0, 1), repeat=m.shape[0])
     }
     return len(combos).bit_length() - 1
+
+
+def sequence_cost(seq, n: int) -> tuple[int, int, int]:
+    """The cost key (cnots, depth, gates) of a gate sequence packed by
+    greedy earliest-layer packing: ``level[q]`` counts the layers qubit q
+    occupies so far, and a gate goes to the first layer after all of its
+    qubits' last gates."""
+    level = [0] * n
+    cnots = 0
+    for gate in seq:
+        q = gate.qubits
+        if len(q) == 2:
+            a, b = q
+            level[a] = level[b] = max(level[a], level[b]) + 1
+            cnots += 1
+        else:
+            level[q[0]] += 1
+    return cnots, max(level), len(seq)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import drbench
+from drbench import compiling, streams
 from drbench.cli import main
 from drbench.io import circuit_from_text, dataset_from_jsonl
 
@@ -968,6 +969,31 @@ class TestOutputPaths:
         assert f"--out {results} would overwrite results file" in capsys.readouterr().err
         assert results.read_bytes() == before
         assert not results.with_suffix(".txt").exists()
+
+
+def test_huge_trial_count_stops_drawing_orders(tmp_path, monkeypatch):
+    # a 3-qubit ring has 3! = 6 elimination orders, all drawn long before
+    # 1000 trials, so 10**9 trials must write the same run without making
+    # the draws; the guard fails a search that keeps drawing
+    draws = []
+
+    class Guarded:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def permutation(self, n):
+            draws.append(n)
+            assert len(draws) <= 100_000, "drawing did not stop"
+            return self.rng.permutation(n)
+
+    monkeypatch.setattr(compiling, "stream", lambda *key: Guarded(streams.stream(*key)))
+    device = {"n": 3, "preset": "ring", "gate_set": "HPI"}
+    runs = [generate(tmp_path, f"trials{trials}", device=device, compile={"trials": trials})
+            for trials in (1000, 10**9)]
+    files = [{p.name: p.read_bytes() for p in (run / "circuits").glob("*.txt")} for run in runs]
+    assert files[0] and files[0] == files[1]
+    first, second = (read_manifest(run)["experiment"]["circuits"] for run in runs)
+    assert first == second
 
 
 def test_import_does_not_load_scipy():

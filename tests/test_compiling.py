@@ -1,6 +1,7 @@
 """Compiler correctness: linear maps, full Cliffords, stabilizer prep/meas."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -22,15 +23,14 @@ from drbench import compiling
 from drbench.compiling import (
     CompileOptions,
     CompileStats,
-    _cnot_realization,
     _cnot_sequence,
+    _expand_ops,
     _flips_and_factor,
     _long_range_cnot_steps,
     _merge_one_qubit_runs,
     _ONE_QUBIT_INDEX,
     _one_qubit_products,
     _pack_layers,
-    _sequence_cost,
     _word_table,
     circuit_stats,
     compile_clifford,
@@ -39,14 +39,15 @@ from drbench.compiling import (
 )
 from drbench.device import DeviceSpec, all_to_all, ring, ring_with_center
 from drbench.sampling import sample_clifford_uniform, sample_stabilizer_state_uniform
+from drbench.streams import stream
 
 
 def cnot_circuit(m: np.ndarray, device: DeviceSpec, options: CompileOptions | None = None) -> Circuit:
     """The CNOT stage the stabilizer compilers run, for the invertible
     matrix m, packed: |x> -> |m x> on the device."""
-    seq, _ = _cnot_sequence(_pack_rows(np.asarray(m, dtype=np.uint8)), device,
-                            device.eccentricities(), options or CompileOptions())
-    return _pack_layers(seq, device.n)
+    ops, order, _ = _cnot_sequence(_pack_rows(np.asarray(m, dtype=np.uint8)), device,
+                                   device.eccentricities(), options or CompileOptions())
+    return _pack_layers(_expand_ops(ops, order, device), device.n)
 
 
 def gf2_rank(m) -> int:
@@ -183,13 +184,13 @@ class TestCnotCompile:
         for k in range(1, 5):
             n = k + 1
             dev = DeviceSpec(n, tuple((i, i + 1) for i in range(k)))
-            gates = _cnot_realization(dev, 0, k)
+            gates = _expand_ops([("CNOT", (0, k))], range(n), dev)
             circ = Circuit(n, tuple((g,) for g in gates))
             assert circuit_to_clifford(circ) == layer_to_clifford((GateLabel("CNOT", (0, k)),), n)
 
     def test_reversed_edge_realization(self):
         dev = DeviceSpec(2, ((1, 0),))
-        gates = _cnot_realization(dev, 0, 1)
+        gates = _expand_ops([("CNOT", (0, 1))], range(2), dev)
         circ = Circuit(2, tuple((g,) for g in gates))
         assert circuit_to_clifford(circ) == layer_to_clifford((GateLabel("CNOT", (0, 1)),), 2)
 
@@ -499,8 +500,8 @@ class TestCompilerProperties:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_sequence_cost_matches_packed_circuit(self, data):
-        # trials are costed from their gate sequences and only the winner
-        # is packed, so the two keys must agree for the output to stay put
+        # the oracle the compilers' op-list costs are checked against: it
+        # must agree with the packed circuit
         n = data.draw(st.integers(1, 5))
         one_qubit = st.builds(lambda name, q: GateLabel(name, (q,)),
                               st.sampled_from(("H", "P", "C3", "X")), st.integers(0, n - 1))
@@ -510,4 +511,165 @@ class TestCompilerProperties:
                                    st.permutations(range(n)).map(lambda p: p[:2])))
         seq = data.draw(st.lists(st.one_of(gates), max_size=25))
         circ = _pack_layers(seq, n)
-        assert _sequence_cost(seq, n) == (circ.cnot_count, circ.depth, circ.num_gates)
+        assert oracles.sequence_cost(seq, n) == (circ.cnot_count, circ.depth, circ.num_gates)
+
+
+# ---------------------------------------------------------------------------
+# The searches cost candidates from their op lists; these references build
+# every candidate's gates, merge them where the search does and cost them
+# with the oracle.
+
+
+def reference_orders(eccs, trials, digest):
+    """Every distinct order of the eccentricity order and all trials - 1
+    draws, without stopping once every order is in hand."""
+    n = len(eccs)
+    orders = [tuple(sorted(range(n), key=lambda q: (-eccs[q], q)))]
+    rng = stream(0, "compile-orders", digest)
+    for _ in range(trials - 1):
+        order = tuple(int(q) for q in rng.permutation(n))
+        if order not in orders:
+            orders.append(order)
+    return orders
+
+
+def reference_cnot_sequence(rows, device, eccs, options):
+    n = device.n
+    digest = compiling._digest(bytes(row >> j & 1 for row in rows for j in range(n)))
+    candidates = [(compiling._cnot_ge_ops(compiling._permuted(rows, order)), order)
+                  for order in reference_orders(eccs, options.trials, digest)]
+    ops, order = min(candidates, key=lambda c: oracles.sequence_cost(_expand_ops(*c, device), n))
+    return ops, order, len(candidates)
+
+
+def clifford_candidates(op, device, orders):
+    n = device.n
+    rows = _pack_rows(op.s)
+    for order in orders:
+        yield compiling._gge_ops(compiling._permuted(rows, [*order, *(n + q for q in order)]), n), order
+
+
+def reference_clifford_sequence(op, device, options):
+    n = device.n
+    digest = compiling._digest(op.s.tobytes(), op.v.tobytes())
+    orders = reference_orders(device.eccentricities(), options.trials, digest)
+    seqs = [_expand_ops(ops, order, device) for ops, order in clifford_candidates(op, device, orders)]
+    best = min(seqs, key=lambda seq: oracles.sequence_cost(_merge_one_qubit_runs(seq, device), n))
+    return best, len(orders)
+
+
+def meas_candidates(state, device, orders, options):
+    """(cost, gates in relabeled labels, gates in physical labels, inner
+    trials) of each outer stabilizer candidate."""
+    n = device.n
+    rows = _pack_rows(state.b)
+    eccs = device.eccentricities()
+    for order in orders:
+        pos = [order.index(q) for q in range(n)]
+        idx = [*order, *(n + q for q in order)]
+        cost, steps, inner = compiling._meas_sequence(
+            [compiling._gather_bits(r, idx) for r in rows], compiling._relabeled_device(device, pos),
+            tuple(eccs[q] for q in order), options)
+        seq = compiling._step_gates(steps)
+        yield cost, seq, [GateLabel(g.name, tuple(order[q] for q in g.qubits)) for g in seq], inner
+
+
+def reference_meas_sequence(state, device, options):
+    n = device.n
+    canon = state.canonicalize()
+    digest = compiling._digest(canon.b.tobytes(), canon.r.tobytes())
+    orders = reference_orders(device.eccentricities(), options.trials, digest)
+    candidates = list(meas_candidates(state, device, orders, options))
+    best = min((physical for _, _, physical, _ in candidates),
+               key=lambda seq: oracles.sequence_cost(_merge_one_qubit_runs(seq, device), n))
+    return best, len(orders) + sum(inner for *_, inner in candidates)
+
+
+@st.composite
+def search_setups(draw):
+    """Devices with reverse edges and long-range pairs (rings, the ring
+    with a hub), all-to-all ones, C24 or HPI (whose 1Q words run longer
+    than one gate), trials 1 to 10, and a generator for the target."""
+    gate_set = draw(st.sampled_from(("C24", "HPI")))
+    device = draw(st.sampled_from([
+        *(ring(n, gate_set) for n in (3, 4, 5)),
+        *(all_to_all(n, gate_set) for n in (1, 2, 3, 4)),
+        *(ring_with_center(k, gate_set) for k in (3, 4)),
+    ]))
+    options = CompileOptions(trials=draw(st.integers(1, 10)))
+    return device, options, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+class TestSearchCosts:
+    @settings(max_examples=40, deadline=None)
+    @given(search_setups())
+    def test_op_list_keys_match_built_sequences(self, setup):
+        device, options, rng = setup
+        n, gate_set = device.n, device.gate_set
+        orders = compiling._elimination_orders(device.eccentricities(), options.trials,
+                                               int(rng.integers(2**32)))
+        # Clifford candidates, costed after their 1Q runs are merged
+        for ops, order in clifford_candidates(sample_clifford_uniform(n, rng), device, orders):
+            merged = _merge_one_qubit_runs(_expand_ops(ops, order, device), device)
+            assert compiling._merged_cost(compiling._op_steps(ops, order, device), n, gate_set) == \
+                oracles.sequence_cost(merged, n)
+        # CNOT-search candidates, costed as emitted
+        rows = _pack_rows(random_invertible(n, rng))
+        for order in orders:
+            ops = compiling._cnot_ge_ops(compiling._permuted(rows, order))
+            assert compiling._unmerged_cost(compiling._op_steps(ops, order, device), n) == \
+                oracles.sequence_cost(_expand_ops(ops, order, device), n)
+        # outer stabilizer candidates, costed merged in relabeled labels
+        state = sample_stabilizer_state_uniform(n, rng)
+        for cost, relabeled, physical, _ in meas_candidates(state, device, orders, options):
+            assert cost == oracles.sequence_cost(_merge_one_qubit_runs(relabeled, device), n) == \
+                oracles.sequence_cost(_merge_one_qubit_runs(physical, device), n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(search_setups())
+    def test_compilers_match_build_every_candidate_search(self, setup):
+        device, options, rng = setup
+        op = sample_clifford_uniform(device.n, rng)
+        state = sample_stabilizer_state_uniform(device.n, rng)
+
+        def compile_all():
+            return (compile_clifford(op, device, options), compile_stabilizer_meas(state, device, options),
+                    compile_stabilizer_prep(state, device, options))
+
+        got = compile_all()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compiling, "_cnot_sequence", reference_cnot_sequence)
+            mp.setattr(compiling, "_best_clifford_sequence", reference_clifford_sequence)
+            mp.setattr(compiling, "_best_meas_sequence", reference_meas_sequence)
+            want = compile_all()
+        (clifford, meas, prep), (ref_clifford, ref_meas, ref_prep) = got, want
+        assert clifford == ref_clifford and prep == ref_prep
+        assert meas[0] == ref_meas[0] and np.array_equal(meas[1], ref_meas[1]) and meas[2] == ref_meas[2]
+        for stats, ref_stats in ((clifford[1], ref_clifford[1]), (meas[2], ref_meas[2]), (prep[1], ref_prep[1])):
+            assert stats.trials == ref_stats.trials
+
+    def test_orders_stop_once_every_order_is_drawn(self):
+        # 3 qubits have 3! = 6 orders; with them in hand no draw is made,
+        # so a huge trial count costs what the draws up to the sixth cost
+        drawn = []
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def permutation(self, n):
+                drawn.append(n)
+                assert len(drawn) <= 10_000, "drawing did not stop"
+                return self.rng.permutation(n)
+
+        eccs = (1, 1, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compiling, "stream", lambda *key: Counting(stream(*key)))
+            compiling._elimination_orders.cache_clear()
+            full = compiling._elimination_orders(eccs, 10**9, 7)
+            draws = len(drawn)
+            assert full == tuple(reference_orders(eccs, 1000, 7))
+            assert sorted(full) == sorted(itertools.permutations(range(3)))
+            assert compiling._elimination_orders(eccs, 10**9, 7) is full and len(drawn) == draws
+        compiling._elimination_orders.cache_clear()
+        assert compiling._elimination_orders(eccs, 1, 7) == ((0, 1, 2),)

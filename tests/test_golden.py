@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from drbench import clifford, compiling
+from drbench import clifford, compiling, streams
 from drbench.cli import main
 from drbench.clifford import PauliOp, PauliRows
 from drbench.device import DeviceSpec
@@ -217,44 +217,55 @@ def test_clifford_work_counts(tmp_path, monkeypatch, name):
     assert counts == WORK_COUNTS[name]
 
 
-# Calls of the compilers' packing, elimination and 1Q-merging steps while
-# generating a config, and the manifest's summed ``segment_trials``.  Trials
-# are costed from their gate sequences and every replay runs on the row
-# kernel, so each emitted circuit is packed once (DRB: 6 prep and 6 meas
-# segments; CRB: 10 elements), and repeated elimination orders are skipped
-# (at trials 3 every segment would otherwise run 3 outer orders of 3 CNOT
-# eliminations each: 108, not 103).  Every
-# distinct outer order is merged once to be costed and every winner once
-# more (DRB: 35 orders + 12 segments = 47; CRB: 29 orders + 10 elements =
-# 39), and ``segment_trials`` adds the inner CNOT eliminations to the outer
-# orders (DRB: 35 + 103 = 138).  ``DeviceSpec._search`` counts breadth-first
-# searches with the CNOT-realization cache emptied first: the eccentricities
-# take one per qubit once per compile (4 x 12 DRB segments, 4 x 10 CRB
-# elements), not once per relabeled device, and the rest are shortest
-# paths and the config's connectivity check.
+# Calls of the compilers' packing, elimination, expansion and 1Q-merging
+# steps and of ``streams.stream`` while generating a config, and the
+# manifest's summed ``segment_trials``.  Candidates are costed from their op
+# lists, so only winners are expanded, merged and packed, and every replay
+# runs on the row kernel: each emitted circuit is packed once (DRB: 6 prep
+# and 6 meas segments; CRB: 10 elements).  Repeated elimination orders are
+# skipped (at trials 3 every segment would otherwise run 3 outer orders of
+# 3 CNOT eliminations each: 108, not 103).  Each DRB segment's winner is
+# merged once (12), and each CRB element's winner twice, for its sign
+# replay and with its sign fix (20).  DRB expands one CNOT-search winner per
+# distinct outer order (35), to check its CNOT stage; CRB expands one winner
+# per element (10).  ``segment_trials`` adds the inner CNOT eliminations to
+# the outer orders (DRB: 35 + 103 = 138).  ``stream`` counts every drbench
+# binding: one per circuit (6 DRB, 4 CRB) plus one per call of
+# ``_elimination_orders`` that misses its memo, emptied first (DRB: 12
+# segments and 15 of the 35 CNOT searches; CRB: 10 elements).  ``DeviceSpec._search`` counts
+# breadth-first searches with the CNOT-realization cache emptied first:
+# the eccentricities take one per qubit once per compile (4 x 12 DRB
+# segments, 4 x 10 CRB elements), not once per relabeled device, and the
+# rest are shortest paths and the config's connectivity check.
 COMPILE_COUNTS = {
     "drb_ring4_c24": {"_pack_layers": 12, "_cnot_ge_ops": 103, "_gge_ops": 0,
-                      "_merge_one_qubit_runs": 47, "segment_trials": 138,
-                      "DeviceSpec._search": 65},
+                      "_merge_one_qubit_runs": 12, "_expand_ops": 35, "stream": 33,
+                      "segment_trials": 138, "DeviceSpec._search": 65},
     "crb_ring4_c24": {"_pack_layers": 10, "_cnot_ge_ops": 0, "_gge_ops": 29,
-                      "_merge_one_qubit_runs": 39, "segment_trials": 29,
-                      "DeviceSpec._search": 44},
+                      "_merge_one_qubit_runs": 20, "_expand_ops": 10, "stream": 14,
+                      "segment_trials": 29, "DeviceSpec._search": 44},
 }
 
 
 @pytest.mark.parametrize("name", sorted(COMPILE_COUNTS))
 def test_compile_work_counts(tmp_path, monkeypatch, name):
     counts = dict.fromkeys(COMPILE_COUNTS[name], 0)
-    for step in counts.keys() - {"segment_trials"}:
+
+    def counting(step, original):
+        def counted(*args, **kwargs):
+            counts[step] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for step in counts.keys() - {"segment_trials", "stream"}:
         owner, attr = (DeviceSpec, "_search") if step == "DeviceSpec._search" else (compiling, step)
-        original = getattr(owner, attr)
-
-        def counted(*args, _original=original, _step=step, **kwargs):
-            counts[_step] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, attr, counted)
-    compiling._cnot_realization.cache_clear()
+        monkeypatch.setattr(owner, attr, counting(step, getattr(owner, attr)))
+    stream = streams.stream
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("drbench") and getattr(module, "stream", None) is stream:
+            monkeypatch.setattr(module, "stream", counting("stream", stream))
+    for cache in (compiling._cnot_steps, compiling._elimination_orders):
+        cache.cache_clear()
     run = generate_run(tmp_path, name)
     assert circuits_digest(run) == GOLDEN[name]
     manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))

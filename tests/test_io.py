@@ -96,6 +96,18 @@ class TestCircuitText:
             text = circuit_to_text(circ)
             assert circuit_from_text(text) == circ
 
+    def test_drb_core_is_written_from_its_sampled_layers(self, monkeypatch):
+        # each sampled layer is formatted once, for ``sampled_layers``; the
+        # file's core lines reuse that text
+        circ = next(c for c in generate_experiment(design())[0] if c.length)
+        body = ["; ".join(map(str, layer)) for layer in circ.full_circuit.layers]
+        formatted = []
+        original = GateLabel.__str__
+        monkeypatch.setattr(GateLabel, "__str__", lambda g: formatted.append(g) or original(g))
+        lines = circuit_to_text(circ).splitlines()
+        assert len(formatted) == circ.prep.num_gates + circ.meas.num_gates
+        assert lines[-len(body):] == body
+
     def test_header_layout(self):
         circuits, _ = generate_experiment(design())
         text = circuit_to_text(circuits[0])
