@@ -45,8 +45,9 @@ are drawn from a stream keyed by the input.  An order that repeats an
 earlier one is drawn (so the stream does not change) but not evaluated:
 it would rebuild the same candidate, which cannot come first among the
 cheapest.  Drawing stops once all n! orders are in hand, because later
-draws can add none.  The orders are memoized: an inner CNOT search takes
-its digest from a unit lower-triangular factor, so its inputs repeat.
+draws can add none.  The inner CNOT searches' orders are memoized: such a
+search takes its digest from a unit lower-triangular factor, so its
+inputs repeat.
 
 Every conjugation of Pauli rows by gates runs on the row kernel,
 ``PauliRows`` (CHP-style, Aaronson & Gottesman, quant-ph/0406196), one
@@ -245,10 +246,6 @@ def _expand_ops(ops: list[tuple[str, tuple[int, ...]]], order: Sequence[int], de
     return _step_gates(_op_steps(ops, order, device))
 
 
-# Bounded: each entry holds at most ``trials`` orders.  A stabilizer
-# compile's inner CNOT searches repeat their inputs (on a 4-qubit device
-# their digests take at most 64 values), its outer searches do not.
-@functools.lru_cache(maxsize=256)
 def _elimination_orders(eccs: tuple[int, ...], trials: int, digest: int) -> tuple[tuple[int, ...], ...]:
     """The distinct elimination orders to try, in draw order, on a device
     whose qubits have eccentricities ``eccs``.
@@ -271,6 +268,14 @@ def _elimination_orders(eccs: tuple[int, ...], trials: int, digest: int) -> tupl
             if len(orders) == total:
                 break
     return tuple(orders)
+
+
+# The CNOT searches inside stabilizer compiles repeat their inputs: each
+# takes its digest from a unit lower-triangular factor, which on 4 qubits
+# has 64 values.  The outer searches' digests rarely repeat (a DRB circuit
+# of length 0 compiles one state twice), so they are not memoized.
+# Bounded: each entry holds at most ``trials`` orders.
+_cnot_orders = functools.lru_cache(maxsize=256)(_elimination_orders)
 
 
 def _relabeled_device(device: DeviceSpec, pos: list[int]) -> DeviceSpec:
@@ -311,7 +316,7 @@ def _cnot_sequence(
     evaluated; ``eccs`` are the device's qubit eccentricities."""
     n = device.n
     digest = _digest(bytes(row >> j & 1 for row in rows for j in range(n)))
-    orders = _elimination_orders(eccs, options.trials, digest)
+    orders = _cnot_orders(eccs, options.trials, digest)
     candidates = ((_cnot_ge_ops(_permuted(rows, order)), order) for order in orders)
     ops, order = min(candidates, key=lambda c: _unmerged_cost(_op_steps(*c, device), n))
     return ops, order, len(orders)

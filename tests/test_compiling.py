@@ -665,11 +665,14 @@ class TestSearchCosts:
         eccs = (1, 1, 1)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(compiling, "stream", lambda *key: Counting(stream(*key)))
-            compiling._elimination_orders.cache_clear()
             full = compiling._elimination_orders(eccs, 10**9, 7)
-            draws = len(drawn)
             assert full == tuple(reference_orders(eccs, 1000, 7))
             assert sorted(full) == sorted(itertools.permutations(range(3)))
-            assert compiling._elimination_orders(eccs, 10**9, 7) is full and len(drawn) == draws
-        compiling._elimination_orders.cache_clear()
-        assert compiling._elimination_orders(eccs, 1, 7) == ((0, 1, 2),)
+            # the CNOT searches' memo draws once per input
+            compiling._cnot_orders.cache_clear()
+            draws = len(drawn)
+            assert compiling._cnot_orders(eccs, 10**9, 7) == full and len(drawn) == 2 * draws
+            assert compiling._cnot_orders(eccs, 10**9, 7) == full and len(drawn) == 2 * draws
+            # one trial draws nothing and makes no stream
+            mp.setattr(compiling, "stream", None)
+            assert compiling._elimination_orders(eccs, 1, 7) == ((0, 1, 2),)

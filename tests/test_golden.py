@@ -230,16 +230,17 @@ def test_clifford_work_counts(tmp_path, monkeypatch, name):
 # distinct outer order (35), to check its CNOT stage; CRB expands one winner
 # per element (10).  ``segment_trials`` adds the inner CNOT eliminations to
 # the outer orders (DRB: 35 + 103 = 138).  ``stream`` counts every drbench
-# binding: one per circuit (6 DRB, 4 CRB) plus one per call of
-# ``_elimination_orders`` that misses its memo, emptied first (DRB: 12
-# segments and 15 of the 35 CNOT searches; CRB: 10 elements).  ``DeviceSpec._search`` counts
-# breadth-first searches with the CNOT-realization cache emptied first:
-# the eccentricities take one per qubit once per compile (4 x 12 DRB
-# segments, 4 x 10 CRB elements), not once per relabeled device, and the
-# rest are shortest paths and the config's connectivity check.
+# binding: one per circuit (6 DRB, 4 CRB) and one per elimination-order
+# search: every DRB segment (12) and CRB element (10), and the CNOT
+# searches that miss their memo, emptied first (17 of 35).
+# ``DeviceSpec._search`` counts breadth-first searches with the
+# CNOT-realization cache emptied first: the eccentricities take one per
+# qubit once per compile (4 x 12 DRB segments, 4 x 10 CRB elements), not
+# once per relabeled device, and the rest are shortest paths and the
+# config's connectivity check.
 COMPILE_COUNTS = {
     "drb_ring4_c24": {"_pack_layers": 12, "_cnot_ge_ops": 103, "_gge_ops": 0,
-                      "_merge_one_qubit_runs": 12, "_expand_ops": 35, "stream": 33,
+                      "_merge_one_qubit_runs": 12, "_expand_ops": 35, "stream": 35,
                       "segment_trials": 138, "DeviceSpec._search": 65},
     "crb_ring4_c24": {"_pack_layers": 10, "_cnot_ge_ops": 0, "_gge_ops": 29,
                       "_merge_one_qubit_runs": 20, "_expand_ops": 10, "stream": 14,
@@ -264,7 +265,7 @@ def test_compile_work_counts(tmp_path, monkeypatch, name):
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("drbench") and getattr(module, "stream", None) is stream:
             monkeypatch.setattr(module, "stream", counting("stream", stream))
-    for cache in (compiling._cnot_steps, compiling._elimination_orders):
+    for cache in (compiling._cnot_steps, compiling._cnot_orders):
         cache.cache_clear()
     run = generate_run(tmp_path, name)
     assert circuits_digest(run) == GOLDEN[name]
