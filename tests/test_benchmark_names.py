@@ -1,7 +1,7 @@
 """Every drbench name the benchmark times or imports still exists, its
 counters still read what they expect from the calls they wrap, its
-workloads' output checks pass, and the circuit files and datasets they
-write at seeds 5 and 7919 keep their pinned digests.
+workloads' output checks pass, and the circuit files, datasets and
+results files they write at seeds 5 and 7919 keep their pinned digests.
 
 The benchmark under ``perfbench/`` wraps functions listed in
 ``spans.TARGETS``, reads counters off the wrapped calls' arguments and
@@ -115,38 +115,46 @@ def test_counters_read_the_pipeline_calls(tmp_path, monkeypatch):
 workloads = load_perfbench("workloads")
 
 
-# sha256 of the circuit files and datasets each workload writes, per
-# workload seed and iteration (see ``outputs_digest``); rates_external
-# writes none
+# sha256 of the circuit files, datasets and results.json each workload
+# writes, per workload seed and iteration (see ``outputs_digest``)
 OUTPUT_DIGESTS = {
     "compare_ring4": {
-        5: ["9b5f6c75c35446eadca5955b108872c4f60cc6413faa592fee60350d52c8c55c",
-            "9d224ea2b13a7620500df5356a77090833dab16f95ec78f4b28a19af590ac5e6",
-            "854abea80b395a3d0a61d788d694408ae79b618ef04dc9fb77125439a1504ad3"],
-        7919: ["8f886d23a569ce2ff8514e7f15029a4a831eba40a4786f3349f1d4d301d069aa",
-               "19e974d219a49b2a0d0edc3ce0ec678bf7cc03694d095665b6de382fc0f26cb7",
-               "91a6627a5d2d812c902cd4e66c85e20a5abf4a74d30441f35b3c6e82a21987c5"],
+        5: ["89a208960f2695237f8f131e4efe316bc09001104623a3745147f544604ff908",
+            "8fba3d5f13c7ac05724cdcdd3d1c7acd44e17cc9ea6f3f9d069c44748094c884",
+            "c8f3c0281bc9849ad11091f80fd7ae76d4cc24474f9fce906f3cd83e71902aec"],
+        7919: ["ff20cc1d9f756938eedeb6d9d20260176192e7a3edb7c566fc4f3abea7836182",
+               "db9d470c4672b47e3a8fd5be21875cc281fad56403577d0a7ec38ac8022a1a1e",
+               "78b449e001d76f61eb468c7712bc72de9f399f093bcf515f5826c6132f9d70f5"],
+    },
+    "rates_external": {
+        5: ["3a4f6723003ff69bdf112f699511048d9b187549a50d897947a51cb3fb1caab9",
+            "6d1c32a42f3020d362683c8811fe5ce614570f65d28f7bc0477e90c3b6ff062c",
+            "320afcbc63195cd3a4a4359ce0827e95a649d99e4dffcdf1fb1032c47efffcd0"],
+        7919: ["693be57b1d47c9ad8892be780ba882c23e3e77fbc5cd4e53af045e1203ec0357",
+               "d514416026804292440e3015f194d9a8954962e6434688472f18870ccf582ec3",
+               "1656b61daba08df303c1c2221ded14fe1c1576d849993d7a118579d3c9a582e9"],
     },
     "sim_wide8": {
-        5: ["d1ede2d48df88f4a578cba886841c9df24e8741178726ab856a89cd80883f655",
-            "56280c4a8fda2e99b1230be5950f4534995d400736945bed9e8815cb37757018",
-            "1f00796db509adce383c43fd141f8cdb0afdb9d7dd5b1f951eb4a02d91500f05"],
-        7919: ["3fe680a17c3228f78da5e184f1e48da3584bffea44210c5b53a48f2f43a98b8c",
-               "f480b21da482b785ee206f0a76ee4a7271409ea56a6c445f1eaef9cd8ee932e5",
-               "3da68f11452be1700633f5f3bbb30abeab192578b9a212667bfdfe9348f7f61a"],
+        5: ["e5f173ef883f494639c2ed72dc21db101cab763c95e573b5ca3861e9251a4af4",
+            "0e2b321d05812758471feb7fc5149066ea0021ecc8355dd9cd7f273fd7bceecc",
+            "d65b59577792f1b169f4f3311b1a6cb17bdcb87bad8bd7c048a485efd02e6bb5"],
+        7919: ["cd71ba9526ecf3950598fc7a18608eeb3ef54a5e0e0ee0681ff98b928393a423",
+               "d41a3d5a8414e7c0bda432909a827bf95bf141a05d60e7f305943089820feb1b",
+               "0d38749f8d4027de9aa3a7f38d43220b278b3209655fac2953cf33cfd41ddea0"],
     },
 }
 
 
 def outputs_digest(cwd: Path, run_dirs: tuple[str, ...]) -> str:
     """One digest over every circuit file and ``dataset.jsonl`` of the
-    runs, in order, each contributing its relative path and its own digest."""
+    runs, in order, then ``results.json``, each contributing its relative
+    path and its own digest."""
     acc = hashlib.sha256()
-    for run_dir in run_dirs:
-        run = cwd / run_dir
-        for path in [*sorted((run / "circuits").glob("*.txt")), run / "dataset.jsonl"]:
-            rel = path.relative_to(cwd).as_posix()
-            acc.update(rel.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    paths = [path for run in (cwd / run_dir for run_dir in run_dirs)
+             for path in [*sorted((run / "circuits").glob("*.txt")), run / "dataset.jsonl"]]
+    for path in [*paths, cwd / "results.json"]:
+        rel = path.relative_to(cwd).as_posix()
+        acc.update(rel.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
     return acc.hexdigest()
 
 
@@ -155,7 +163,7 @@ def test_workload_checks_pass(tmp_path, monkeypatch, name):
     # iterations 0-2 of seed 5 and of the held-out seed 7919 at full size,
     # as the benchmark runs them: a change that moves a workload's outputs
     # out of its checks fails here, and one that changes a byte of its
-    # circuits or datasets fails the pins
+    # circuits, datasets or results fails the pins
     workload = workloads.WORKLOADS[name]("full")
     failures = []
     checks = workloads.Checks(failures.append)
@@ -169,8 +177,6 @@ def test_workload_checks_pass(tmp_path, monkeypatch, name):
             for _, argv in workload.steps(seed):
                 assert main(argv) == 0, argv
             workload.check(cwd, checks)
-            if workload.run_dirs:
-                digests.setdefault(workload_seed, []).append(
-                    outputs_digest(cwd, workload.run_dirs))
+            digests.setdefault(workload_seed, []).append(outputs_digest(cwd, workload.run_dirs))
     assert checks.attempted > 0 and checks.failed == 0, failures
-    assert digests == OUTPUT_DIGESTS.get(name, {})
+    assert digests == OUTPUT_DIGESTS[name]

@@ -1,9 +1,11 @@
-"""Golden digests of generated circuit files.
+"""Golden digests of generated circuit files, simulated datasets and
+analysis results.
 
-A refactor of the Clifford algebra or the compilers that claims to keep
-behaviour must keep every circuit byte-identical at the same seed.  The
-pinned values are sha256 digests over all circuit files of a run (sorted
-by name, each contributing its name and its own digest).
+A refactor of the Clifford algebra, the compilers, the simulator or the
+analysis that claims to keep behaviour must keep every circuit, dataset
+row and results file byte-identical at the same seed.  The pinned circuit
+values are sha256 digests over all circuit files of a run (sorted by
+name, each contributing its name and its own digest).
 """
 
 import hashlib
@@ -11,13 +13,15 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from drbench import clifford, compiling, streams
+from drbench.analysis import _fit_rows, _inverse_variance, _resample_indices
 from drbench.cli import main
 from drbench.clifford import PauliOp, PauliRows
 from drbench.device import DeviceSpec
-from drbench.io import circuit_from_text, design_from_config
+from drbench.io import circuit_from_text, dataset_from_jsonl, design_from_config
 
 CONFIGS = {
     "drb_ring4_c24": {
@@ -294,15 +298,19 @@ DATASETS = {
 }
 
 
-def simulate_digest(tmp_path: Path, name: str, model: str, histogram: bool) -> str:
-    run = generate_run(tmp_path, name)
+def simulate(tmp_path: Path, run: Path, model: str, histogram: bool, out: Path) -> None:
     if model == "calibration8":
         model = str(tmp_path / "calibration8.json")
         Path(model).write_text(json.dumps(CALIBRATION8), encoding="utf-8")
-    out = tmp_path / "dataset.jsonl"
     argv = ["simulate", "--run", str(run), "--model", model, "--seed", str(SIM_SEED),
             "--shots", str(SIM_SHOTS), "--out", str(out)]
     assert main(argv + ["--histogram"] * histogram) == 0
+
+
+def simulate_digest(tmp_path: Path, name: str, model: str, histogram: bool) -> str:
+    run = generate_run(tmp_path, name)
+    out = tmp_path / "dataset.jsonl"
+    simulate(tmp_path, run, model, histogram, out)
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
     assert len(rows) == len(list((run / "circuits").glob("*.txt")))
     return hashlib.sha256("\n".join(rows).encode()).hexdigest()
@@ -311,3 +319,103 @@ def simulate_digest(tmp_path: Path, name: str, model: str, histogram: bool) -> s
 @pytest.mark.parametrize("key", sorted(DATASETS), ids=lambda key: f"{key[0]}-{key[1]}")
 def test_dataset_matches_golden_digest(tmp_path, key):
     assert simulate_digest(tmp_path, *key) == DATASETS[key]
+
+
+# sha256 of the results.json that ``analyze`` writes at a fixed seed, for
+# each golden DRB dataset alone, for a CRB run (the golden CRB dataset has
+# two lengths, one too few to fit, so crb_ring3_hpi stands in) and for a
+# mixing run over three datasets of one run under three models.  Datasets
+# are named relative to the working directory, as results.json records the
+# names it is given.
+ANALYZE_SEED = 3
+ANALYZE_RESAMPLES = 100
+MIXING_RUN = "drb_ring4_c24"
+MIXING_MODELS = ("depolarizing:0.99", "depolarizing:0.98", "depolarizing:0.97")
+MIXING_ROWS = ("0.7,0.2,0.1", "0.4,0.5,0.1", "0.4,0.1,0.5")
+ANALYSES = {f"{name}-{model}": (name, model, histogram)
+            for name, model, histogram in [*DATASETS, ("crb_ring3_hpi", "main_sim", False)]
+            if name != "crb_ring4_c24"} | {"mixing": None}
+RESULTS = {
+    "crb_ring3_hpi-main_sim": "b72e8a6e1645849fb81afb9a4f5df7b18be9d2e98037d58a2cdbb11308fc1443",
+    "drb_all8_pairing-calibration8":
+        "cc0d8920d71e73e76faf3c3de95e64d090bdaadff0689ec0e03e8e7a09213209",
+    "drb_ring4_c24-main_sim": "f4527fe8d9d4733d0becdcf3b11e0e8e228135af2fbea8e7d1f8c5fb72d4deee",
+    "drb_rwc5_category-crosstalk5":
+        "cc7b5ec5386a0482eac8756eaa00e5c3f79d31b94dc734d1b8825caad6ea7218",
+    "mixing": "39e8f1a0a70b6b297ffc8f5d66e5e8e8099799b57ba8953d0b49d5012bedc510",
+}
+
+
+def analyze_results(cwd: Path, key: str) -> Path:
+    if key == "mixing":
+        run = generate_run(cwd, MIXING_RUN)
+        datasets = [f"data{i}.jsonl" for i in range(len(MIXING_MODELS))]
+        for model, path in zip(MIXING_MODELS, datasets):
+            simulate(cwd, run, model, False, cwd / path)
+        mixing = [arg for row in MIXING_ROWS for arg in ("--mixing", row)]
+    else:
+        name, model, histogram = ANALYSES[key]
+        simulate(cwd, generate_run(cwd, name), model, histogram, cwd / "dataset.jsonl")
+        datasets, mixing = ["dataset.jsonl"], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(cwd)
+        assert main(["analyze", *datasets, *mixing, "--out", "results.json",
+                     "--seed", str(ANALYZE_SEED), "--resamples", str(ANALYZE_RESAMPLES)]) == 0
+    return cwd / "results.json"
+
+
+@pytest.fixture(scope="module")
+def analyzed(tmp_path_factory):
+    """The results.json path of each ANALYSES key, analyzed once per module."""
+    paths = {}
+
+    def get(key: str) -> Path:
+        if key not in paths:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.delenv("DRBENCH_SEED", raising=False)
+                paths[key] = analyze_results(tmp_path_factory.mktemp("analyze"), key)
+        return paths[key]
+
+    return get
+
+
+@pytest.mark.parametrize("key", sorted(ANALYSES))
+def test_results_match_golden_digest(analyzed, key):
+    assert hashlib.sha256(analyzed(key).read_bytes()).hexdigest() == RESULTS[key]
+
+
+def resample_sigmas(dataset_path: Path, n: int, index: int) -> dict[str, float]:
+    """The sd of each fitted value over the finite fits of the circuit
+    bootstrap ``analyze`` draws for its ``index``-th dataset."""
+    groups: dict[int, list[tuple[float, int]]] = {}
+    for row in dataset_from_jsonl(dataset_path.read_text(encoding="utf-8")).rows:
+        groups.setdefault(row.m, []).append((row.successes / row.shots, row.shots))
+    lengths = sorted(groups)
+    rates = [np.array([rate for rate, _ in groups[m]]) for m in lengths]
+    shots = [np.array([count for _, count in groups[m]]) for m in lengths]
+    idx = _resample_indices(streams.stream(ANALYZE_SEED, "bootstrap", index),
+                            np.array([len(v) for v in rates]), ANALYZE_RESAMPLES)
+    ys = np.stack([v[i].mean(axis=1) for v, i in zip(rates, idx)], axis=1)
+    totals = np.stack([t[i].sum(axis=1) for t, i in zip(shots, idx)], axis=1)
+    a, b, p, *_ = _fit_rows(np.array(lengths), ys, _inverse_variance(ys, totals), n)
+    d = 4.0**n
+    fits = {"p": p, "r": (d - 1.0) * (1.0 - p) / d, "a": a, "b": b}
+    finite = np.all(np.isfinite(np.stack(list(fits.values()))), axis=0)
+    return {key: float(np.std(v[finite], ddof=1)) for key, v in fits.items()}
+
+
+@pytest.mark.parametrize("key", sorted(ANALYSES))
+def test_results_intervals_are_two_resample_sigmas(analyzed, key):
+    # each sigma is the sd of the finite resample fits, and each interval
+    # the point plus or minus two of them, clamped to [0, 1] for p and r
+    path = analyzed(key)
+    runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
+    for index, run in enumerate(runs):
+        sigmas = resample_sigmas(path.parent / run["dataset"], run["n"], index)
+        for name, point, low, high in (("p", run["p"], 0.0, 1.0), ("r", run["r"], 0.0, 1.0),
+                                       ("a", run["A"], -np.inf, np.inf),
+                                       ("b", run["B"], -np.inf, np.inf)):
+            sigma = run[f"{name}_sigma"]
+            assert sigma == pytest.approx(sigmas[name], rel=1e-9, abs=1e-15), (index, name)
+            assert run[f"{name}_interval"] == [max(point - 2.0 * sigma, low),
+                                               min(point + 2.0 * sigma, high)], (index, name)
