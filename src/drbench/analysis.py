@@ -19,9 +19,10 @@ from .sampling import SamplerSpec, cnot_placement_distribution
 from .simulate import Dataset, ErrorModel, layer_error_rate
 
 
-def drb_error_rate(p: float, n: int) -> float:
-    """Error rate implied by a fitted decay constant on n qubits."""
-    if not 0.0 <= p <= 1.0:
+def drb_error_rate(p, n: int):
+    """Error rate implied by a fitted decay constant on n qubits; p may be
+    an array of them, where a NaN (a failed fit) gives NaN."""
+    if np.any((np.asarray(p) < 0.0) | (np.asarray(p) > 1.0)):
         raise ValueError(f"p must lie in [0, 1], got {p}")
     d = 4.0**n
     return (d - 1.0) * (1.0 - p) / d
@@ -43,8 +44,6 @@ class DecayFit:
     clamped: bool = False
     degenerate: bool = False
     anchored: bool = False
-    p_interval: tuple[float, float] | None = None
-    r_interval: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -110,16 +109,23 @@ class BuildingBlockRates:
     cnot_sigma: float | None = None
 
 
-def average_success(dataset: Dataset) -> dict[int, tuple[float, tuple[float, ...]]]:
-    """Per-length mean success rate plus the per-circuit rates behind it."""
+def _per_length(dataset: Dataset) -> dict[int, np.ndarray]:
+    """Per length, in increasing order, a (2, circuits) array of each
+    circuit's success rate and shots."""
     if not dataset.rows:
         raise ValueError("dataset has no rows")
-    per: dict[int, list[float]] = {}
+    groups: dict[int, list[tuple[float, int]]] = {}
     for row in dataset.rows:
         if row.shots == 0:
             raise ValueError(f"row {row.circuit_id} has zero shots")
-        per.setdefault(row.m, []).append(row.successes / row.shots)
-    return {m: (float(np.mean(v)), tuple(v)) for m, v in sorted(per.items())}
+        groups.setdefault(row.m, []).append((row.successes / row.shots, row.shots))
+    return {m: np.array(groups[m]).T for m in sorted(groups)}
+
+
+def average_success(dataset: Dataset) -> dict[int, tuple[float, tuple[float, ...]]]:
+    """Per-length mean success rate plus the per-circuit rates behind it."""
+    return {m: (float(rates.mean()), tuple(rates.tolist()))
+            for m, (rates, _) in _per_length(dataset).items()}
 
 
 def _inverse_variance(p, shots):
@@ -420,20 +426,14 @@ def bootstrap(dataset: Dataset, resamples: int = 1000,
         raise ValueError("resamples must be at least 100")
     if rng is None:
         rng = np.random.default_rng(0)
-    if not dataset.rows:
-        raise ValueError("dataset has no rows")
+    groups = _per_length(dataset)
     if n is None:
         n = len(dataset.rows[0].target)
         if n == 0:
             raise ValueError("dataset rows carry no target; pass the qubit count n")
-    groups: dict[int, list[tuple[float, int]]] = {}
-    for row in dataset.rows:
-        if row.shots == 0:
-            raise ValueError(f"row {row.circuit_id} has zero shots")
-        groups.setdefault(row.m, []).append((row.successes / row.shots, row.shots))
-    lengths = sorted(groups)
+    lengths = list(groups)
     _check_fit_args(lengths, n)
-    rates, shots = zip(*(np.array(groups[m]).T for m in lengths))
+    rates, shots = zip(*groups.values())
     idx = _resample_indices(rng, np.array([len(v) for v in rates]), resamples)
     ys = np.stack([v[i].mean(axis=1) for v, i in zip(rates, idx)], axis=1)
     totals = np.stack([t[i].sum(axis=1) for t, i in zip(shots, idx)], axis=1)
@@ -444,8 +444,7 @@ def bootstrap(dataset: Dataset, resamples: int = 1000,
     fits = _fit_rows(ms, ys, w, n)
     point = _decay_fit(ms, ys[0], w[0], n, fits)
     a, b, p, clamped, anchored, _ = (v[1:] for v in fits)
-    d = 4.0**n
-    fits = np.stack([p, (d - 1.0) * (1.0 - p) / d, a, b], axis=1)  # drb_error_rate
+    fits = np.stack([p, drb_error_rate(p, n), a, b], axis=1)
     ok = np.all(np.isfinite(fits), axis=1)
     if ok.sum() < 2:
         raise RuntimeError(f"{ok.sum()} of {resamples} bootstrap resamples fit; "
@@ -455,8 +454,7 @@ def bootstrap(dataset: Dataset, resamples: int = 1000,
     r_iv = _clamp_interval(point.r, r_sigma, 0.0, 1.0)
     a_iv = (point.A - 2.0 * a_sigma, point.A + 2.0 * a_sigma)
     b_iv = (point.B - 2.0 * b_sigma, point.B + 2.0 * b_sigma)
-    fit = dataclasses.replace(point, p_interval=p_iv, r_interval=r_iv)
-    return BootstrapResult(fit=fit, p_sigma=p_sigma, r_sigma=r_sigma, a_sigma=a_sigma,
+    return BootstrapResult(fit=point, p_sigma=p_sigma, r_sigma=r_sigma, a_sigma=a_sigma,
                            b_sigma=b_sigma, p_interval=p_iv, r_interval=r_iv,
                            a_interval=a_iv, b_interval=b_iv,
                            resamples=resamples, failures=int(resamples - ok.sum()),

@@ -309,10 +309,12 @@ def cmd_analyze(args) -> int:
     if seed is None:
         seed = 0
     runs = []
+    curves = []
     degenerate = []
     for index, (path, data, protocol) in enumerate(datasets):
         n = _infer_n(data, args.n, path)
         averages = average_success(data)
+        curves.append(averages)
         try:
             boot = bootstrap(data, resamples=args.resamples,
                              rng=stream(seed, "bootstrap", index), n=n)
@@ -389,10 +391,8 @@ def cmd_analyze(args) -> int:
             mixing["flagged"] = blocks.flagged
         results["mixing"] = mixing
     _write_json(out, results)
-    for index, run in enumerate(runs):
-        data = datasets[index][1]
-        dio.write_text(csv_paths[index], dio.plot_csv(average_success(data),
-                                                      run["A"], run["B"], run["p"]))
+    for run, averages, csv_path in zip(runs, curves, csv_paths):
+        dio.write_text(csv_path, dio.plot_csv(averages, run["A"], run["B"], run["p"]))
         print(f"{run['dataset']}: r = {run['r']:.3e} +/- {2 * run['r_sigma']:.1e} (2 sigma)")
     print(f"wrote {out}")
     if degenerate:

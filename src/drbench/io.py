@@ -166,6 +166,9 @@ def _parse_layer_line(line: str) -> tuple[GateLabel, ...]:
 
 
 def circuit_to_text(circ: BenchmarkCircuit) -> str:
+    # each core layer is formatted once: a DRB core is its sampled layers,
+    # so the text serves as both the ``sampled`` headers and the core lines
+    core = [_layer_text(layer) for layer in circ.core.layers]
     lines = [
         "# drbench circuit v1",
         f"# id={circ.circuit_id}",
@@ -176,14 +179,12 @@ def circuit_to_text(circ: BenchmarkCircuit) -> str:
         "# seed=" + ",".join(str(s) for s in circ.seed),
         f"# segments={circ.prep.depth},{circ.core.depth},{circ.meas.depth}",
     ]
-    lines.extend(f"# sampled={text}" for text in circ.sampled_layers)
+    if circ.protocol == "DRB":
+        lines.extend(f"# sampled={text}" for text in core)
     if circ.element_cnots:
         lines.append("# element_cnots=" + ",".join(map(str, circ.element_cnots)))
     if circ.element_depths:
         lines.append("# element_depths=" + ",".join(map(str, circ.element_depths)))
-    # a DRB core's layers are its sampled layers, already formatted once
-    core = circ.sampled_layers if len(circ.sampled_layers) == circ.core.depth else \
-        [_layer_text(layer) for layer in circ.core.layers]
     lines.extend(_layer_text(layer) for layer in circ.prep.layers)
     lines.extend(core)
     lines.extend(_layer_text(layer) for layer in circ.meas.layers)
@@ -202,14 +203,14 @@ def _int_tuple(value: str, field: str) -> tuple[int, ...]:
     return values
 
 
-# every ``# key=value`` header a circuit file may hold; ``sampled`` repeats
+# every ``# key=value`` header a circuit file may hold; ``sampled`` repeats,
+# and is skipped on read: it restates the core's lines
 _CIRCUIT_HEADERS = ("id", "protocol", "n", "m", "target", "seed", "segments", "sampled",
                     "element_cnots", "element_depths")
 
 
 def circuit_from_text(text: str) -> BenchmarkCircuit:
     headers: dict[str, str] = {}
-    sampled: list[str] = []
     layers: list[tuple[GateLabel, ...]] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -222,8 +223,8 @@ def circuit_from_text(text: str) -> BenchmarkCircuit:
                 if key not in _CIRCUIT_HEADERS:
                     raise FormatError(f"unknown circuit header '{key}'")
                 if key == "sampled":
-                    sampled.append(value)
-                elif key in headers:
+                    continue
+                if key in headers:
                     raise FormatError(f"circuit header '{key}' repeated")
                 else:
                     headers[key] = value
@@ -267,7 +268,6 @@ def circuit_from_text(text: str) -> BenchmarkCircuit:
             meas=Circuit(n, tuple(layers[a + b:])),
             target=target,
             seed=(seed[0], seed[1], seed[2]),
-            sampled_layers=tuple(sampled),
             element_cnots=_int_tuple(headers.get("element_cnots", ""), "element_cnots"),
             element_depths=_int_tuple(headers.get("element_depths", ""), "element_depths"),
         )

@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import (
-    Circuit,
-    CliffordOp,
-    StabilizerState,
-    _layer_text,
-    compose,
-    invert,
-)
+from .clifford import Circuit, CliffordOp, StabilizerState, compose, invert
 from .compiling import (
     CompileOptions,
     compile_clifford,
@@ -97,8 +90,8 @@ class BenchmarkCircuit:
     the core layer sequence stays inspectable.
 
     ``target`` is the bitstring whose observation counts as success.
-    ``sampled_layers`` records the core layers as text;
-    ``element_cnots`` / ``element_depths`` hold the per-element
+    A DRB core is its sampled layers; ``element_cnots`` /
+    ``element_depths`` hold the per-element
     compilation sizes for group-benchmark circuits.  ``segment_trials``
     counts the compile candidates evaluated for prep, core and meas
     (:attr:`CompileStats.trials`); it records how the circuit was found,
@@ -114,7 +107,6 @@ class BenchmarkCircuit:
     meas: Circuit
     target: tuple[int, ...]
     seed: tuple[int, int, int]
-    sampled_layers: tuple[str, ...] = ()
     element_cnots: tuple[int, ...] = ()
     element_depths: tuple[int, ...] = ()
     segment_trials: tuple[int, int, int] = field(default=(0, 0, 0), compare=False)
@@ -169,7 +161,6 @@ def generate_drb_circuit(
         meas=meas,
         target=tuple(int(b) for b in bits),
         seed=(design.seed, m, index),
-        sampled_layers=tuple(_layer_text(layer) for layer in layers),
         segment_trials=(prep_stats.trials, 0, meas_stats.trials),
     )
     _check_composition(circ)

@@ -96,17 +96,30 @@ class TestCircuitText:
             text = circuit_to_text(circ)
             assert circuit_from_text(text) == circ
 
-    def test_drb_core_is_written_from_its_sampled_layers(self, monkeypatch):
-        # each sampled layer is formatted once, for ``sampled_layers``; the
-        # file's core lines reuse that text
+    def test_writer_formats_each_gate_once(self, monkeypatch):
+        # a DRB core's text serves as both its ``sampled`` headers and its
+        # layer lines, formatted once
         circ = next(c for c in generate_experiment(design())[0] if c.length)
         body = ["; ".join(map(str, layer)) for layer in circ.full_circuit.layers]
+        core = body[circ.prep.depth:circ.prep.depth + circ.core.depth]
         formatted = []
         original = GateLabel.__str__
         monkeypatch.setattr(GateLabel, "__str__", lambda g: formatted.append(g) or original(g))
         lines = circuit_to_text(circ).splitlines()
-        assert len(formatted) == circ.prep.num_gates + circ.meas.num_gates
+        assert len(formatted) == circ.full_circuit.num_gates
         assert lines[-len(body):] == body
+        assert [line for line in lines if line.startswith("# sampled=")] == \
+            [f"# sampled={text}" for text in core]
+
+    def test_replaced_core_is_written_and_read_back(self):
+        # the file holds the core the circuit has, not text kept from an
+        # earlier core
+        circ, other = [c for c in generate_experiment(design())[0] if c.length == 4]
+        assert circ.core != other.core and circ.core.depth == other.core.depth
+        moved = dataclasses.replace(circ, core=other.core)
+        text = circuit_to_text(moved)
+        assert circuit_from_text(text) == moved
+        assert circuit_from_text(text).core == other.core
 
     def test_header_layout(self):
         circuits, _ = generate_experiment(design())
