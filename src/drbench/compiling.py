@@ -550,8 +550,10 @@ def compile_clifford(
     best_seq, trials = _best_clifford_sequence(op, device, options)
     # A Pauli run first negates column j exactly when it anticommutes with
     # W(e_j): X_q negates column n+q (Z_q) and Z_q negates column q (X_q).
+    # Merging 1Q runs into words is exact, phases included, so the replay
+    # reads the winner as it stands.
     realized = PauliRows.identity(n)
-    realized.apply_layer(_merge_one_qubit_runs(best_seq, device))
+    realized.apply_layer(best_seq)
     flip = (op.v - realized.r) % 4 // 2
     seq = _pauli_gates(flip[n:], flip[:n]) + best_seq
     circuit = _pack_layers(_merge_one_qubit_runs(seq, device), n)

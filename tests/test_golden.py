@@ -228,9 +228,9 @@ def test_clifford_work_counts(tmp_path, monkeypatch, name):
 # runs on the row kernel: each emitted circuit is packed once (DRB: 6 prep
 # and 6 meas segments; CRB: 10 elements).  Repeated elimination orders are
 # skipped (at trials 3 every segment would otherwise run 3 outer orders of
-# 3 CNOT eliminations each: 108, not 103).  Each DRB segment's winner is
-# merged once (12), and each CRB element's winner twice, for its sign
-# replay and with its sign fix (20).  DRB expands one CNOT-search winner per
+# 3 CNOT eliminations each: 108, not 103).  Each winner is merged once
+# (DRB: 12 segments; CRB: 10 elements, each with its sign fix, which is
+# read off a replay of the unmerged winner).  DRB expands one CNOT-search winner per
 # distinct outer order (35), to check its CNOT stage; CRB expands one winner
 # per element (10).  ``segment_trials`` adds the inner CNOT eliminations to
 # the outer orders (DRB: 35 + 103 = 138).  ``stream`` counts every drbench
@@ -247,7 +247,7 @@ COMPILE_COUNTS = {
                       "_merge_one_qubit_runs": 12, "_expand_ops": 35, "stream": 35,
                       "segment_trials": 138, "DeviceSpec._search": 65},
     "crb_ring4_c24": {"_pack_layers": 10, "_cnot_ge_ops": 0, "_gge_ops": 29,
-                      "_merge_one_qubit_runs": 20, "_expand_ops": 10, "stream": 14,
+                      "_merge_one_qubit_runs": 10, "_expand_ops": 10, "stream": 14,
                       "segment_trials": 29, "DeviceSpec._search": 44},
 }
 
