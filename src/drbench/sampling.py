@@ -59,7 +59,6 @@ __all__ = [
     "PairingSampler",
     "SAMPLERS",
     "sample_layer",
-    "layer_probability",
     "cnot_placement_distribution",
 ]
 
@@ -395,34 +394,6 @@ def sample_layer(spec: SamplerSpec, device: DeviceSpec, rng: np.random.Generator
     """One layer from the sampler's distribution, gates sorted by qubit."""
     gates = spec._draw(device, _check_pool(spec, device), rng)
     return tuple(sorted(gates, key=lambda g: min(g.qubits)))
-
-
-def _placement(layer: Layer, device: DeviceSpec, names: Sequence[str]):
-    """The layer's CNOT edges, sorted; None unless it covers every qubit
-    once with declared CNOTs and pool gates."""
-    cnots = []
-    seen: set[int] = set()
-    for g in layer:
-        if any(q in seen for q in g.qubits):
-            return None
-        seen.update(g.qubits)
-        if g.name == "CNOT" and device.has_edge(*g.qubits):
-            cnots.append(g.qubits)
-        elif g.name not in names:
-            return None
-    if len(seen) != device.n:
-        return None
-    return tuple(sorted(cnots))
-
-
-def layer_probability(spec: SamplerSpec, device: DeviceSpec, layer: Layer) -> float:
-    """Exact probability of drawing ``layer`` from the sampler; 0 when
-    unreachable."""
-    names = _check_pool(spec, device)
-    placement = _placement(layer, device, names)
-    if placement is None or len(placement) > spec.max_cnots:
-        return 0.0
-    return spec.placement_probability(device, placement) * len(names) ** -(device.n - 2 * len(placement))
 
 
 def cnot_placement_distribution(spec: SamplerSpec, device: DeviceSpec) -> list[tuple[tuple[tuple[int, int], ...], float]]:

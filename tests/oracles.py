@@ -4,6 +4,9 @@ Everything here works on dense 2^n x 2^n complex matrices and plain
 enumeration, with no reliance on the package's symplectic bookkeeping,
 so agreement between the two is meaningful.  The package's PauliOp is
 used only as a value type, for Paulis parsed from text.
+``layer_probability`` spreads a sampler's own placement law over the 1Q
+fillings, so that the tests can hold the law against enumeration and
+against draws.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import itertools
 import numpy as np
 
 from drbench.clifford import PauliOp
+from drbench.device import pool_gate_names
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -468,6 +472,35 @@ def span_rank(m: np.ndarray) -> int:
         for sel in itertools.product((0, 1), repeat=m.shape[0])
     }
     return len(combos).bit_length() - 1
+
+
+def _placement(layer, device, names):
+    """The layer's CNOT edges, sorted; None unless it covers every qubit
+    once with declared CNOTs and pool gates."""
+    cnots = []
+    seen: set[int] = set()
+    for g in layer:
+        if any(q in seen for q in g.qubits):
+            return None
+        seen.update(g.qubits)
+        if g.name == "CNOT" and device.has_edge(*g.qubits):
+            cnots.append(g.qubits)
+        elif g.name not in names:
+            return None
+    if len(seen) != device.n:
+        return None
+    return tuple(sorted(cnots))
+
+
+def layer_probability(spec, device, layer) -> float:
+    """Exact probability of drawing ``layer`` from the sampler ``spec``:
+    its CNOT placement's probability times |pool|^-(n - 2k) for its k
+    CNOTs; 0 when unreachable."""
+    names = pool_gate_names(spec.pool)
+    placement = _placement(layer, device, names)
+    if placement is None or len(placement) > spec.max_cnots:
+        return 0.0
+    return spec.placement_probability(device, placement) * len(names) ** -(device.n - 2 * len(placement))
 
 
 def sequence_cost(seq, n: int) -> tuple[int, int, int]:

@@ -14,7 +14,6 @@ from drbench.sampling import (
     PairingSampler,
     PCnotSampler,
     cnot_placement_distribution,
-    layer_probability,
     sample_clifford_uniform,
     sample_layer,
     sample_stabilizer_state_uniform,
@@ -330,7 +329,7 @@ class TestLayerProbability:
     @pytest.mark.parametrize("spec,device", LAW_CASES)
     def test_normalization_by_enumeration(self, spec, device):
         total = sum(
-            layer_probability(spec, device, layer)
+            oracles.layer_probability(spec, device, layer)
             for layer in enumerate_layers(device.n, "HPI", device)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -340,7 +339,7 @@ class TestLayerProbability:
         marginal = {}
         for layer in enumerate_layers(device.n, "HPI", device):
             key = placement_of(layer)
-            marginal[key] = marginal.get(key, 0.0) + layer_probability(spec, device, layer)
+            marginal[key] = marginal.get(key, 0.0) + oracles.layer_probability(spec, device, layer)
         dist = dict(cnot_placement_distribution(spec, device))
         assert set(dist) <= set(marginal)
         for placement, p in marginal.items():
@@ -361,7 +360,7 @@ class TestLayerProbability:
             key = placement_of(layer)
             placements[key] = placements.get(key, 0) + 1
         for layer in enumerate_layers(device.n, "HPI", device):
-            mean = draws * layer_probability(spec, device, layer)
+            mean = draws * oracles.layer_probability(spec, device, layer)
             assert abs(counts.pop(layer, 0) - mean) <= 5 * np.sqrt(mean) + 4, layer
         assert not counts  # every drawn layer is one of the enumerated
         for placement, p in cnot_placement_distribution(spec, device):
@@ -378,18 +377,18 @@ class TestLayerProbability:
             layer = sample_layer(spec, device, rng)
             counts[layer] = counts.get(layer, 0) + 1
         for layer, c in sorted(counts.items(), key=lambda kv: -kv[1])[:10]:
-            expected = layer_probability(spec, device, layer)
+            expected = oracles.layer_probability(spec, device, layer)
             assert abs(c / draws - expected) < 5 * np.sqrt(expected / draws) + 1e-3
 
     def test_unreachable_layers(self):
         device = ring(3, "HPI")
         spec = PCnotSampler(p_cnot=0.5, pool="HPI")
         bad_edge = (GateLabel("CNOT", (1, 0)), GateLabel("I", (2,)))
-        assert layer_probability(spec, device, bad_edge) == 0.0
+        assert oracles.layer_probability(spec, device, bad_edge) == 0.0
         partial = (GateLabel("H", (0,)),)
-        assert layer_probability(spec, device, partial) == 0.0
+        assert oracles.layer_probability(spec, device, partial) == 0.0
         alien = (GateLabel("C3", (0,)), GateLabel("I", (1,)), GateLabel("I", (2,)))
-        assert layer_probability(spec, device, alien) == 0.0
+        assert oracles.layer_probability(spec, device, alien) == 0.0
 
     def test_placement_distribution_sums_to_one(self):
         device = all_to_all(5, "HPI")
