@@ -222,11 +222,9 @@ def circuit_from_text(text: str) -> BenchmarkCircuit:
             if eq:
                 if key not in _CIRCUIT_HEADERS:
                     raise FormatError(f"unknown circuit header '{key}'")
-                if key == "sampled":
-                    continue
                 if key in headers:
                     raise FormatError(f"circuit header '{key}' repeated")
-                else:
+                if key != "sampled":
                     headers[key] = value
             continue
         layers.append(_parse_layer_line(line))
