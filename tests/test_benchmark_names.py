@@ -150,8 +150,9 @@ def outputs_digest(cwd: Path, run_dirs: tuple[str, ...]) -> str:
     runs, in order, then ``results.json``, each contributing its relative
     path and its own digest."""
     acc = hashlib.sha256()
-    paths = [path for run in (cwd / run_dir for run_dir in run_dirs)
-             for path in [*sorted((run / "circuits").glob("*.txt")), run / "dataset.jsonl"]]
+    paths = []
+    for run in (cwd / run_dir for run_dir in run_dirs):
+        paths += [*sorted((run / "circuits").glob("*.txt")), run / "dataset.jsonl"]
     for path in [*paths, cwd / "results.json"]:
         rel = path.relative_to(cwd).as_posix()
         acc.update(rel.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())

@@ -230,11 +230,11 @@ def test_clifford_work_counts(tmp_path, monkeypatch, name):
 # skipped (at trials 3 every segment would otherwise run 3 outer orders of
 # 3 CNOT eliminations each: 108, not 103).  Each winner is merged once
 # (DRB: 12 segments; CRB: 10 elements, each with its sign fix, which is
-# read off a replay of the unmerged winner).  DRB expands one CNOT-search winner per
-# distinct outer order (35), to check its CNOT stage; CRB expands one winner
-# per element (10).  ``segment_trials`` adds the inner CNOT eliminations to
-# the outer orders (DRB: 35 + 103 = 138).  ``stream`` counts every drbench
-# binding: one per circuit (6 DRB, 4 CRB) and one per elimination-order
+# read off a replay of the unmerged winner).  DRB expands one CNOT-search
+# winner per distinct outer order (35), to check its CNOT stage; CRB expands
+# one winner per element (10).  ``segment_trials`` adds the inner CNOT
+# eliminations to the outer orders (DRB: 35 + 103 = 138).  ``stream``
+# counts every drbench binding: one per circuit (6 DRB, 4 CRB) and one per elimination-order
 # search: every DRB segment (12) and CRB element (10), and the CNOT
 # searches that miss their memo, emptied first (17 of 35).
 # ``DeviceSpec._search`` counts breadth-first searches with the
